@@ -211,10 +211,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .service import serve
+    from .service import DEFAULT_PORT, serve
 
     serve(
-        port=args.port,
+        port=DEFAULT_PORT if args.port is None else args.port,
         data_path=args.data,
         schema_path=args.schema,
         validate_writes=not args.no_validate,
@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("serve", help="run the HTTP knowledge-base service")
-    p.add_argument("--port", type=int, default=7474)
+    p.add_argument("--port", type=int)
     p.add_argument("--data")
     p.add_argument("--schema")
     p.add_argument("--no-validate", action="store_true")

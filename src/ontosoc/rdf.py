@@ -9,6 +9,7 @@ of (subject, predicate, object), which makes query output deterministic.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
@@ -51,6 +52,43 @@ def _escape(text: str) -> str:
             out.append("\\t")
         else:
             out.append(ch)
+    return "".join(out)
+
+
+_UNESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
+_HEX4 = re.compile(r"[0-9A-Fa-f]{4}")
+
+
+class EscapeError(ValueError):
+    """A malformed escape; ``offset`` is the index of its backslash."""
+
+    def __init__(self, offset: int, message: str):
+        super().__init__(message)
+        self.offset = offset
+        self.message = message
+
+
+def unescape(text: str) -> str:
+    """Decode the string escapes shared by Turtle and SPARQL literals:
+    ``\\n \\t \\r \\" \\\\`` and ``\\uXXXX``.  Inverts `_escape`."""
+    out = []
+    start = 0
+    while (i := text.find("\\", start)) != -1:
+        out.append(text[start:i])
+        esc = text[i + 1 : i + 2]
+        if esc in _UNESCAPES:
+            out.append(_UNESCAPES[esc])
+            start = i + 2
+        elif esc == "u":
+            if not _HEX4.fullmatch(text, i + 2, i + 6):
+                raise EscapeError(i, "bad \\u escape")
+            out.append(chr(int(text[i + 2 : i + 6], 16)))
+            start = i + 6
+        elif esc:
+            raise EscapeError(i, f"unknown escape \\{esc}")
+        else:
+            raise EscapeError(i, "unterminated escape")
+    out.append(text[start:])
     return "".join(out)
 
 
@@ -246,8 +284,9 @@ class Graph:
         s, p, o = subject, predicate, object
         result: list[Triple]
         if s is not None and p is not None and o is not None:
-            t = Triple(s, p, o)
-            result = [t] if t in self._triples else []
+            # probe the index, so a pattern no triple can fill (a literal
+            # subject, a non-IRI predicate) matches nothing
+            result = [Triple(s, p, o)] if o in self._spo.get(s, {}).get(p, ()) else []
         elif s is not None and p is not None:
             objs = self._spo.get(s, {}).get(p, ())
             result = [Triple(s, p, x) for x in objs]
@@ -302,35 +341,35 @@ class Graph:
 def _blank_partition(graph: Graph) -> dict[Blank, str]:
     """Canonical labels for blank nodes by iterative signature refinement.
 
-    Each blank node's color is refined from the multiset of its incident
-    triples, with neighbouring blanks abstracted to their current color.
-    Ties are broken by the lexical order of final signatures; exact
-    isomorphism is not attempted (adequate for the small graphs here).
+    Each blank node's color is refined from its own color and the
+    multiset of its incident triples, with neighbouring blanks abstracted
+    to their current color.  Colors are renumbered by signature rank each
+    round, so they stay small; refinement stops once a round splits no
+    color.  Ties are broken by the original label; exact isomorphism is
+    not attempted (adequate for the small graphs here).
     """
     blanks = {t.subject for t in graph if isinstance(t.subject, Blank)}
     blanks |= {t.object for t in graph if isinstance(t.object, Blank)}
     if not blanks:
         return {}
-    color: dict[Blank, str] = {b: "" for b in blanks}
+    color: dict[Blank, int] = {b: 0 for b in blanks}
 
     def render(term: Term) -> str:
         if isinstance(term, Blank):
             return f"~{color[term]}"
         return term.n3()
 
-    for _ in range(len(blanks) + 1):
-        new_color = {}
+    while True:
+        sig = {}
         for b in blanks:
-            sig = []
-            for t in graph.match(subject=b):
-                sig.append(("s", t.predicate.n3(), render(t.object)))
-            for t in graph.match(object=b):
-                sig.append(("o", t.predicate.n3(), render(t.subject)))
-            sig.sort()
-            new_color[b] = repr(sig)
-        if new_color == color:
+            edges = [("s", t.predicate.n3(), render(t.object)) for t in graph.match(subject=b)]
+            edges += [("o", t.predicate.n3(), render(t.subject)) for t in graph.match(object=b)]
+            sig[b] = (color[b], tuple(sorted(edges)))
+        rank = {s: i for i, s in enumerate(sorted(set(sig.values())))}
+        split = len(rank) > len(set(color.values()))
+        color = {b: rank[sig[b]] for b in blanks}
+        if not split:
             break
-        color = new_color
     ordered = sorted(blanks, key=lambda b: (color[b], b.label))
     return {b: f"b{i}" for i, b in enumerate(ordered)}
 

@@ -7,8 +7,8 @@ Endpoints:
 
 Writes are serialized behind a lock and applied copy-on-write: the new
 graph is built aside, the snapshot file is written atomically (temp file
-then rename), and only then is the live graph reference swapped and the
-epoch bumped.  Readers always see one consistent epoch, and a restart
+then rename), and only then is the live (graph, epoch) pair replaced, as
+one value.  Readers always see a graph with its own epoch, and a restart
 loads the last fully persisted snapshot.
 """
 
@@ -18,7 +18,7 @@ import json
 import os
 import tempfile
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Optional
@@ -34,15 +34,38 @@ DEFAULT_PORT = 7474
 DEFAULT_MAX_QUERY_LENGTH = 8192
 
 
-@dataclass
-class ServiceState:
+@dataclass(frozen=True)
+class Snapshot:
+    """The live graph and its epoch, replaced together by one assignment."""
+
     graph: Graph
-    schema: SchemaDef
-    snapshot_path: Optional[Path] = None
-    validate_writes: bool = True
-    max_query_length: int = DEFAULT_MAX_QUERY_LENGTH
     epoch: int = 0
-    write_lock: threading.Lock = field(default_factory=threading.Lock)
+
+
+class ServiceState:
+    def __init__(
+        self,
+        graph: Graph,
+        schema: SchemaDef,
+        snapshot_path: Optional[Path] = None,
+        validate_writes: bool = True,
+        max_query_length: int = DEFAULT_MAX_QUERY_LENGTH,
+        epoch: int = 0,
+    ):
+        self.current = Snapshot(graph, epoch)
+        self.schema = schema
+        self.snapshot_path = snapshot_path
+        self.validate_writes = validate_writes
+        self.max_query_length = max_query_length
+        self.write_lock = threading.Lock()
+
+    @property
+    def graph(self) -> Graph:
+        return self.current.graph
+
+    @property
+    def epoch(self) -> int:
+        return self.current.epoch
 
     def apply_post(self, body: str) -> tuple[int, dict, str]:
         """Parse, validate, persist, swap.  Returns (status, headers-free
@@ -54,19 +77,19 @@ class ServiceState:
                 {"error": "parse", "line": exc.line, "column": exc.column, "message": exc.message}
             )
         with self.write_lock:
-            merged = self.graph.copy()
+            merged = self.current.graph.copy()
             added = merged.update(doc.graph)
             if self.validate_writes:
                 report = validate(merged, self.schema)
                 if not report.conforms:
                     return 422, {"content-type": "text/plain; charset=utf-8"}, report.render_machine() + "\n"
+            epoch = self.current.epoch + 1
             try:
-                self._persist(merged, self.epoch + 1)
+                self._persist(merged, epoch)
             except OSError as exc:
                 return 507, {}, json.dumps({"error": "snapshot", "message": str(exc)})
-            self.graph = merged
-            self.epoch += 1
-            return 200, {}, json.dumps({"added": added, "epoch": self.epoch})
+            self.current = Snapshot(merged, epoch)
+            return 200, {}, json.dumps({"added": added, "epoch": epoch})
 
     def _persist(self, graph: Graph, epoch: int) -> None:
         if self.snapshot_path is None:
@@ -96,7 +119,7 @@ class ServiceState:
             return 400, json.dumps(
                 {"error": "query", "line": exc.line, "column": exc.column, "message": exc.message}
             )
-        table = evaluate(ast, self.graph)  # one consistent snapshot
+        table = evaluate(ast, self.current.graph)  # one consistent snapshot
         return 200, to_json_results(table)
 
 
@@ -150,7 +173,8 @@ class _Handler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:
         url = urlparse(self.path)
         if url.path == "/health":
-            self._send(200, json.dumps({"triples": len(self.state.graph), "epoch": self.state.epoch}))
+            current = self.state.current
+            self._send(200, json.dumps({"triples": len(current.graph), "epoch": current.epoch}))
             return
         if url.path == "/sparql":
             params = parse_qs(url.query)
@@ -172,8 +196,15 @@ class _Handler(BaseHTTPRequestHandler):
         if url.path != "/graph":
             self._send(404, json.dumps({"error": "not found"}))
             return
-        length = int(self.headers.get("Content-Length", "0"))
-        body = self.rfile.read(length).decode("utf-8", errors="replace")
+        length = self.headers.get("Content-Length", "").strip()
+        if not (length.isascii() and length.isdigit()):
+            self._send(400, json.dumps({"error": "Content-Length must be a non-negative integer"}))
+            return
+        try:
+            body = self.rfile.read(int(length)).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            self._send(400, json.dumps({"error": "body is not valid UTF-8", "message": str(exc)}))
+            return
         status, headers, payload = self.state.apply_post(body)
         self._send(status, payload, headers.get("content-type", "application/json"))
 
@@ -201,12 +232,8 @@ def serve(
 
 
 if __name__ == "__main__":
-    import argparse
+    import sys
 
-    parser = argparse.ArgumentParser(description="knowledge-base HTTP service")
-    parser.add_argument("--port", type=int, default=DEFAULT_PORT)
-    parser.add_argument("--data")
-    parser.add_argument("--schema")
-    parser.add_argument("--no-validate", action="store_true")
-    args = parser.parse_args()
-    serve(args.port, args.data, args.schema, not args.no_validate)
+    from .cli import run
+
+    sys.exit(run(["serve", *sys.argv[1:]]))

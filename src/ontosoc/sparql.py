@@ -22,12 +22,14 @@ from .rdf import (
     XSD_INTEGER,
     XSD_STRING,
     Blank,
+    EscapeError,
     Graph,
     Iri,
     Literal,
     PrefixMap,
     Term,
     UndeclaredPrefixError,
+    unescape,
 )
 
 
@@ -345,7 +347,10 @@ class _QueryParser:
             raise self._error(f"unsupported feature: {tok.value.upper()}")
         if allow_literal and tok.kind == "string":
             self._next()
-            lexical = _unescape(tok.value[1:-1])
+            try:
+                lexical = unescape(tok.value[1:-1])
+            except EscapeError as exc:
+                raise QueryError(tok.line, tok.column + 1 + exc.offset, exc.message) from None
             if self.tok.kind == "langtag":
                 return Literal(lexical, language=self._next().value[1:])
             if self.tok.kind == "dtype":
@@ -360,16 +365,6 @@ class _QueryParser:
             return Literal(tok.value, datatype=XSD_INTEGER)
         shown = tok.value or "end of input"
         raise self._error(f"expected term or variable, found {shown!r}")
-
-
-def _unescape(text: str) -> str:
-    return (
-        text.replace("\\n", "\n")
-        .replace("\\t", "\t")
-        .replace("\\r", "\r")
-        .replace('\\"', '"')
-        .replace("\\\\", "\\")
-    )
 
 
 def parse_query(text: str) -> QueryAST:

@@ -22,6 +22,7 @@ from .rdf import (
     XSD_INTEGER,
     XSD_STRING,
     Blank,
+    EscapeError,
     Graph,
     Iri,
     Literal,
@@ -31,6 +32,7 @@ from .rdf import (
     Triple,
     UndeclaredPrefixError,
     term_key,
+    unescape,
 )
 
 
@@ -54,6 +56,8 @@ class Document:
 
 _PN_LOCAL = re.compile(r"[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?$|^$")
 _SCHEME = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
+# a string literal's body runs to the first unescaped quote or raw newline
+_STRING_BODY = re.compile(r'(?:[^"\\\n]|\\[\s\S])*')
 
 
 @dataclass
@@ -161,34 +165,17 @@ class _Lexer:
         raise self.error(f"unexpected character {ch!r}", line, col)
 
     def _string(self, line: int, col: int) -> _Token:
-        out = []
-        self._advance()  # opening quote
-        while True:
-            if self.pos >= len(self.text) or self.text[self.pos] == "\n":
-                raise self.error("unterminated string literal", line, col)
-            ch = self.text[self.pos]
-            if ch == '"':
-                self._advance()
-                return _Token("string", "".join(out), line, col)
-            if ch == "\\":
-                if self.pos + 1 >= len(self.text):
-                    raise self.error("unterminated escape", line, col)
-                esc = self.text[self.pos + 1]
-                mapping = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
-                if esc in mapping:
-                    out.append(mapping[esc])
-                    self._advance(2)
-                elif esc == "u":
-                    hexpart = self.text[self.pos + 2 : self.pos + 6]
-                    if len(hexpart) != 4 or not re.match(r"[0-9A-Fa-f]{4}$", hexpart):
-                        raise self.error("bad \\u escape", self.line, self.col)
-                    out.append(chr(int(hexpart, 16)))
-                    self._advance(6)
-                else:
-                    raise self.error(f"unknown escape \\{esc}", self.line, self.col)
-            else:
-                out.append(ch)
-                self._advance()
+        start = self.pos + 1
+        end = _STRING_BODY.match(self.text, start).end()
+        closed = self.text.startswith('"', end)
+        try:  # a bad escape is reported before a missing closing quote
+            value = unescape(self.text[start : end if closed else end + 1])
+        except EscapeError as exc:
+            raise self.error(exc.message, line, col + 1 + exc.offset) from None
+        if not closed:
+            raise self.error("unterminated string literal", line, col)
+        self._advance(end + 1 - self.pos)
+        return _Token("string", value, line, col)
 
 
 class _Parser:

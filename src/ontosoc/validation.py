@@ -1,15 +1,17 @@
 """Instance-graph checking against a schema.
 
-Three checks: domain/range conformance of every triple whose predicate
-is a schema property, disjointness of each instance's (entailed) types,
-and subclass-closure type entailment feeding both.  Typing is closed:
-an untyped subject or object of a schema property is itself a violation
-(found classes empty), since silence would hide population mistakes.
+Type entailment runs once: `entail_types` walks the rdf:type triples
+and maps each node to its schema classes, closed upward along
+rdfs:subClassOf.  Two checks read that map: domain/range conformance of
+every triple whose predicate is a schema property, and disjointness of
+each instance's classes.  Typing is closed: an untyped subject or object
+of a schema property is itself a violation (found classes empty), since
+silence would hide population mistakes.
 
 Schema-vocabulary triples (type declarations, subclass, domain/range,
 disjointness, equivalence, labels) are never checked as instance data.
-Both checks run type entailment internally, so callers may pass raw
-graphs.
+Either check builds the map itself when called without one, so callers
+may pass raw graphs.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .rdf import (
     RDFS_LABEL,
     RDFS_RANGE,
     RDFS_SUBCLASSOF,
-    Blank,
     Graph,
     Iri,
     Literal,
@@ -107,66 +108,58 @@ class ValidationReport:
         return "\n".join(v.machine_line() for v in self.violations)
 
 
+TypeMap = dict[Term, frozenset]
+_UNTYPED: frozenset = frozenset()
+
+
+def entail_types(graph: Graph, schema: SchemaDef) -> TypeMap:
+    """Map each typed node to its declared schema classes and all their
+    superclasses.  Nodes without a schema class are absent."""
+    closures = {c.iri: frozenset(schema.superclass_closure(c.iri)) for c in schema.classes}
+    types: TypeMap = {}
+    for t in graph.match(predicate=Iri(RDF_TYPE)):
+        if isinstance(t.object, Iri) and t.object.value in closures:
+            types[t.subject] = types.get(t.subject, _UNTYPED) | closures[t.object.value]
+    return types
+
+
 def infer_types(graph: Graph, schema: SchemaDef) -> Graph:
     """Add every supertype of each instance's declared types; idempotent."""
     out = graph.copy()
-    class_iris = schema.class_iris()
-    for t in graph.match(predicate=Iri(RDF_TYPE)):
-        if isinstance(t.object, Iri) and t.object.value in class_iris:
-            for sup in schema.superclass_closure(t.object.value):
-                out.add(Triple(t.subject, Iri(RDF_TYPE), Iri(sup)))
+    for node, classes in entail_types(graph, schema).items():
+        for cls in classes:
+            out.add(Triple(node, Iri(RDF_TYPE), Iri(cls)))
     return out
 
 
-def _entailed_type_count(graph: Graph, schema: SchemaDef) -> int:
-    return len(infer_types(graph, schema)) - len(graph)
-
-
-def _types_of(graph: Graph, node: Term, schema: SchemaDef) -> frozenset:
-    if isinstance(node, Literal):
-        return frozenset()
-    class_iris = schema.class_iris()
-    return frozenset(
-        t.object.value
-        for t in graph.match(subject=node, predicate=Iri(RDF_TYPE))
-        if isinstance(t.object, Iri) and t.object.value in class_iris
-    )
-
-
-def _slot_ok(types: frozenset, expected: str) -> bool:
-    return expected in types
-
-
-def check_domain_range(graph: Graph, schema: SchemaDef) -> list[Violation]:
+def check_domain_range(
+    graph: Graph, schema: SchemaDef, types: Optional[TypeMap] = None
+) -> list[Violation]:
     """Domain/range conformance for every schema-property triple.
 
-    Performs type entailment internally.  A triple on a canonical
-    predicate IRI conforms when any of its declared signatures is fully
-    satisfied; reported classes come from the best-matching signature.
+    A triple on a canonical predicate IRI conforms when any of its
+    declared signatures is fully satisfied; reported classes come from
+    the best-matching signature.  Violations come sorted by triple.
     """
-    entailed = infer_types(graph, schema)
+    if types is None:
+        types = entail_types(graph, schema)
     violations = []
-    for t in sorted(graph, key=Triple.sort_key):
+    for t in graph:
         if t.predicate.value in _VOCAB_PREDICATES:
             continue
         signatures = schema.signatures_for(t.predicate.value)
         if not signatures:
             continue
-        s_types = _types_of(entailed, t.subject, schema)
-        o_types = _types_of(entailed, t.object, schema)
+        s_types = types.get(t.subject, _UNTYPED)
+        o_types = types.get(t.object, _UNTYPED)  # never a literal's: no literal is typed
 
         def score(sig: PropertyDef) -> int:
-            n = 0
-            if _slot_ok(s_types, sig.domain):
-                n += 1
-            if not isinstance(t.object, Literal) and _slot_ok(o_types, sig.range):
-                n += 1
-            return n
+            return (sig.domain in s_types) + (sig.range in o_types)
 
         best = max(signatures, key=score)
         if score(best) == 2:
             continue
-        if not _slot_ok(s_types, best.domain):
+        if best.domain not in s_types:
             violations.append(
                 Violation(
                     DOMAIN,
@@ -187,7 +180,7 @@ def check_domain_range(graph: Graph, schema: SchemaDef) -> list[Violation]:
                     expected=best.range,
                 )
             )
-        elif not _slot_ok(o_types, best.range):
+        elif best.range not in o_types:
             violations.append(
                 Violation(
                     RANGE,
@@ -198,21 +191,21 @@ def check_domain_range(graph: Graph, schema: SchemaDef) -> list[Violation]:
                     found=o_types,
                 )
             )
-    return violations
+    return sorted(violations, key=Violation.sort_key)
 
 
-def check_disjointness(graph: Graph, schema: SchemaDef) -> list[Violation]:
+def check_disjointness(
+    graph: Graph, schema: SchemaDef, types: Optional[TypeMap] = None
+) -> list[Violation]:
     """One violation per instance per disjoint class pair it violates."""
-    entailed = infer_types(graph, schema)
-    disjoint = {(ax.class_a, ax.class_b) for ax in schema.disjointness}
+    if types is None:
+        types = entail_types(graph, schema)
+    disjoint = sorted({(ax.class_a, ax.class_b) for ax in schema.disjointness})
     violations = []
-    typed_nodes = sorted(
-        {t.subject for t in entailed.match(predicate=Iri(RDF_TYPE))}, key=term_key
-    )
-    for node in typed_nodes:
-        types = _types_of(entailed, node, schema)
-        for a, b in sorted(disjoint):
-            if a in types and b in types:
+    for node in sorted(types, key=term_key):
+        classes = types[node]
+        for a, b in disjoint:
+            if a in classes and b in classes:
                 violations.append(
                     Violation(
                         DISJOINTNESS,
@@ -225,21 +218,25 @@ def check_disjointness(graph: Graph, schema: SchemaDef) -> list[Violation]:
 
 
 def validate(graph: Graph, schema: SchemaDef) -> ValidationReport:
-    """Entail types, run both checks, aggregate counts."""
-    report = ValidationReport()
-    report.entailed_types = _entailed_type_count(graph, schema)
-    checked = skipped = 0
+    """Entail types once, run both checks on the map, aggregate counts."""
+    types = entail_types(graph, schema)
+    class_iris = schema.class_iris()
+    declared = checked = skipped = 0
     for t in graph:
-        if t.predicate.value in _VOCAB_PREDICATES:
+        if t.predicate.value == RDF_TYPE:
+            declared += isinstance(t.object, Iri) and t.object.value in class_iris
+        elif t.predicate.value in _VOCAB_PREDICATES:
             continue
-        if schema.signatures_for(t.predicate.value):
+        elif schema.signatures_for(t.predicate.value):
             checked += 1
         else:
             skipped += 1
+    report = ValidationReport()
+    report.entailed_types = sum(len(classes) for classes in types.values()) - declared
     report.checked_triples = checked
     report.skipped_predicates = skipped
     report.violations = sorted(
-        check_domain_range(graph, schema) + check_disjointness(graph, schema),
+        check_domain_range(graph, schema, types) + check_disjointness(graph, schema, types),
         key=Violation.sort_key,
     )
     return report

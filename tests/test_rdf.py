@@ -138,6 +138,12 @@ class TestMatch:
             assert t in g.match(predicate=t.predicate, object=t.object)
             assert t in g.match(subject=t.subject, object=t.object)
 
+    def test_fully_bound_pattern_no_triple_can_fill_matches_nothing(self):
+        g = Graph([Triple(A, P, Literal("v"))])
+        assert g.match(Literal("v"), P, B) == []
+        assert g.match(A, Literal("p"), Literal("v")) == []
+        assert g.match(A, Blank("p"), Literal("v")) == []
+
     @given(triples)
     def test_insert_then_match_exact(self, t):
         g = Graph()
@@ -187,6 +193,14 @@ class TestGraphEqual:
         g = Graph([Triple(Blank("x"), P, A), Triple(Blank("x"), P, B)])
         h = Graph([Triple(Blank("x"), P, A), Triple(Blank("y"), P, B)])
         assert not graph_equal(g, h)
+
+    def test_densely_linked_blanks_compare_in_bounded_memory(self):
+        # colours that embed their neighbours' colours grow 4x per round here
+        n = 32
+        ring = Graph(
+            Triple(Blank(f"b{i}"), P, Blank(f"b{(i + k) % n}")) for i in range(n) for k in (1, 3)
+        )
+        assert graph_equal(ring, ring.copy())
 
 
 class TestPrefixMap:

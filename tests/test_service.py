@@ -1,3 +1,4 @@
+import http.client
 import json
 import signal
 import subprocess
@@ -30,6 +31,9 @@ BAD_TTL = """\
 
 ex:Mixed a ontosoc:Community, ontosoc:Resource .
 """
+
+# valid Turtle once its bad bytes are replaced with U+FFFD
+NOT_UTF8_TTL = b'<http://x/s> <http://x/p> "\xff\xfe" .'
 
 
 @pytest.fixture()
@@ -119,6 +123,31 @@ class TestEndpoints:
         # rejected writes leave the store untouched
         assert requests.get(f"{base}/health").json() == {"triples": 0, "epoch": 0}
 
+    @pytest.mark.parametrize(
+        "content_length,body",
+        [
+            (None, b""),
+            ("three", b""),
+            ("-3", b""),
+            ("1_0", b""),
+            (str(len(NOT_UTF8_TTL)), NOT_UTF8_TTL),
+        ],
+    )
+    def test_bad_post_input_400(self, server, content_length, body):
+        base, _ = server
+        conn = http.client.HTTPConnection(base.removeprefix("http://"), timeout=10)
+        try:
+            conn.putrequest("POST", "/graph")
+            if content_length is not None:
+                conn.putheader("Content-Length", content_length)
+            conn.endheaders(body)
+            resp = conn.getresponse()
+            assert resp.status == 400
+            assert "error" in json.loads(resp.read())
+        finally:
+            conn.close()
+        assert requests.get(f"{base}/health").json() == {"triples": 0, "epoch": 0}
+
     def test_validation_can_be_disabled(self, tmp_path):
         state = ServiceState(graph=Graph(), schema=builtin_schema(), validate_writes=False)
         srv = make_server(state, port=0)
@@ -131,6 +160,50 @@ class TestEndpoints:
             srv.shutdown()
             srv.server_close()
             thread.join(timeout=5)
+
+
+def test_health_graph_and_epoch_agree_under_concurrent_writes():
+    """Each post adds one new triple, so every /health must read triples == epoch."""
+    state = ServiceState(graph=Graph(), schema=builtin_schema(), validate_writes=False)
+    srv = make_server(state, port=0)
+    server_thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    server_thread.start()
+    base = f"http://127.0.0.1:{srv.server_address[1]}"
+    writers_done = threading.Event()
+    seen, errors = [], []
+
+    def write(w):
+        for i in range(15):
+            body = f"<http://x/w{w}> <http://x/p> <http://x/o{i}> ."
+            requests.post(f"{base}/graph", data=body.encode("utf-8"), timeout=10)
+
+    def read():
+        while not writers_done.is_set():
+            health = requests.get(f"{base}/health", timeout=10).json()
+            seen.append(health)
+            if health["triples"] != health["epoch"]:
+                errors.append(health)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        writers = [threading.Thread(target=write, args=(w,)) for w in range(3)]
+        readers = [threading.Thread(target=read) for _ in range(3)]
+        for t in writers + readers:
+            t.start()
+        for t in writers:
+            t.join(timeout=60)
+        writers_done.set()
+        for t in readers:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in writers + readers)
+    finally:
+        sys.setswitchinterval(old_interval)
+        srv.shutdown()
+        srv.server_close()
+        server_thread.join(timeout=5)
+    assert seen and not errors
+    assert (len(state.graph), state.epoch) == (45, 45)
 
 
 class TestSnapshot:

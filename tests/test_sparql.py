@@ -64,6 +64,25 @@ class TestParse:
         assert exc.value.line == 1
         assert exc.value.column > 0
 
+    @pytest.mark.parametrize(
+        "text,lexical",
+        [
+            (r'"a\\nb"', "a\\nb"),
+            (r'"a\nb"', "a\nb"),
+            (r'"\u0041\t\"\r"', 'A\t"\r'),
+        ],
+    )
+    def test_literal_escapes_decode_like_turtle(self, text, lexical):
+        ast = parse_query(f"SELECT ?s WHERE {{ ?s <http://p/q> {text} }}")
+        assert ast.pattern.required[0].object == Literal(lexical)
+
+    @pytest.mark.parametrize("escape,message", [(r"\q", "unknown escape"), (r"\u00G1", "bad \\u escape")])
+    def test_bad_escape_has_position(self, escape, message):
+        with pytest.raises(QueryError) as exc:
+            parse_query(f'SELECT ?s WHERE {{\n  ?s <http://p/q> "ab{escape}" }}')
+        assert (exc.value.line, exc.value.column) == (2, 22)  # the backslash
+        assert message in exc.value.message
+
     def test_unbound_projection_warns(self):
         ast = parse_query("SELECT ?x ?gone WHERE { ?x <http://p/q> ?y }")
         assert any("?gone" in w for w in ast.warnings)
@@ -117,6 +136,11 @@ class TestEvaluate:
             "SELECT ?x ?y WHERE { ?x <http://example.org/p> ?o OPTIONAL { ?x <http://example.org/q> ?y } }"
         )
         assert evaluate(ast, g).rows == [{"x": _p("a"), "y": _p("c")}]
+
+    def test_join_variable_bound_to_literal_in_subject_position(self):
+        g = Graph([Triple(Iri("http://x/s"), Iri("http://x/p"), Literal("v"))])
+        ast = parse_query("SELECT * WHERE { ?s <http://x/p> ?o . ?o <http://x/q> <http://x/o> }")
+        assert evaluate(ast, g).rows == []
 
     def test_shipped_query_over_corpus(self, corpus_graph):
         ast = parse_query(resources.community_activities_query())
@@ -262,3 +286,21 @@ def test_order_by_is_permutation_of_unordered(graph):
     ordered = evaluate(parse_query(base + " ORDER BY ?o"), graph)
     key = lambda rows: sorted(sorted((k, v.n3()) for k, v in r.items()) for r in rows)
     assert key(unordered.rows) == key(ordered.rows)
+
+
+_LEXICAL = st.text(alphabet=st.one_of(st.sampled_from('\\"\n\r\tnrtu'), st.characters()), max_size=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        st.builds(Literal, _LEXICAL),
+        st.builds(lambda s: Literal(s, language="en"), _LEXICAL),
+        st.builds(lambda s: Literal(s, datatype="http://p/dt"), _LEXICAL),
+    )
+)
+def test_query_from_literal_n3_matches_that_literal(literal):
+    s, p = Iri("http://p/s"), Iri("http://p/q")
+    g = Graph([Triple(s, p, literal), Triple(s, p, Literal("other"))])
+    table = evaluate(parse_query(f"SELECT ?s WHERE {{ ?s <http://p/q> {literal.n3()} }}"), g)
+    assert table.rows == [{"s": s}]

@@ -236,3 +236,23 @@ def test_violations_monotone_under_property_triple_addition(schema, data):
     )
     after = validate(g2, schema)
     assert len(after.violations) >= len(before.violations)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_one_pass_validate_matches_brute_force(schema, data):
+    names = ["n1", "n2", "n3", "n4"]
+    classes = ["Individual", "Community", "Role", "Resource", "Activity", "Locality", "CulturalActivity", "SportActivity"]
+    props = ["isMemberOf", "plays", "isPlayedBy", "isUsedBy", "usedTool", "isRealisedBy", "isRealizeBy", "isOccurredIn"]
+    g = Graph()
+    for name in names:  # some nodes stay untyped
+        for cls in data.draw(st.lists(st.sampled_from(classes), max_size=3)):
+            _typed(g, name, cls)
+    if data.draw(st.booleans()):
+        g.add(Triple(_i("n1"), Iri(RDF_TYPE), Iri("http://xmlns.com/foaf/0.1/Person")))
+    for _ in range(data.draw(st.integers(0, 6))):
+        obj = data.draw(st.one_of(st.sampled_from(names).map(_i), st.just(Literal("x"))))
+        g.add(Triple(_i(data.draw(st.sampled_from(names))), Iri(_c(data.draw(st.sampled_from(props)))), obj))
+    report = validate(g, schema)
+    assert len(report.violations) == brute_force_violation_count(g, schema)
+    assert report.entailed_types == len(infer_types(g, schema)) - len(g)
