@@ -53,8 +53,9 @@ def _parse_file(path: str) -> Document:
 
 
 def _merge_files(paths: list[str]) -> Document:
-    merged = Document()
-    for path in paths:
+    merged = _parse_file(paths[0])
+    merged.base = None  # a merge of files has no single base
+    for path in paths[1:]:
         doc = _parse_file(path)
         for label, ns in doc.prefixes.items():
             merged.prefixes.declare(label, ns)

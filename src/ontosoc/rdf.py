@@ -92,6 +92,10 @@ def unescape(text: str) -> str:
     return "".join(out)
 
 
+# `\s` accepts exactly the characters for which str.isspace() is true
+_WHITESPACE = re.compile(r"\s")
+
+
 @dataclass(frozen=True)
 class Iri:
     value: str
@@ -99,7 +103,7 @@ class Iri:
     def __post_init__(self) -> None:
         if not self.value:
             raise TermError("IRI must be non-empty")
-        if any(ch.isspace() for ch in self.value):
+        if _WHITESPACE.search(self.value):
             raise TermError(f"IRI contains whitespace: {self.value!r}")
 
     def n3(self) -> str:

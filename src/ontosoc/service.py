@@ -2,7 +2,8 @@
 
 Endpoints:
   GET  /sparql?query=...   evaluate a query, JSON results
-  POST /graph              merge a Turtle body (validated by default)
+  POST /graph              merge a Turtle body (validated by default,
+                           at most MAX_BODY_BYTES)
   GET  /health             {"triples": n, "epoch": e}
 
 Writes are serialized behind a lock and applied copy-on-write: the new
@@ -32,6 +33,7 @@ from .validation import validate
 
 DEFAULT_PORT = 7474
 DEFAULT_MAX_QUERY_LENGTH = 8192
+MAX_BODY_BYTES = 16 * 1024 * 1024  # a longer POST body gets 413, unread
 
 
 @dataclass(frozen=True)
@@ -200,8 +202,12 @@ class _Handler(BaseHTTPRequestHandler):
         if not (length.isascii() and length.isdigit()):
             self._send(400, json.dumps({"error": "Content-Length must be a non-negative integer"}))
             return
+        size = int(length)
+        if size > MAX_BODY_BYTES:
+            self._send(413, json.dumps({"error": f"body exceeds {MAX_BODY_BYTES} bytes"}))
+            return
         try:
-            body = self.rfile.read(int(length)).decode("utf-8")
+            body = self.rfile.read(size).decode("utf-8")
         except UnicodeDecodeError as exc:
             self._send(400, json.dumps({"error": "body is not valid UTF-8", "message": str(exc)}))
             return

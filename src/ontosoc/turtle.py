@@ -6,6 +6,12 @@ names, string literals with language tags or datatype annotations,
 integers, labeled blank nodes and comments.  Collections and anonymous
 blank nodes are deliberately out.
 
+The lexer matches precompiled patterns at an offset into the text, never
+on a slice, and tracks the current line and the offset where it starts:
+only the whitespace between tokens is counted for newlines, and a column
+is the offset from the line start, plus one.  The text is split into
+lines only to give a ParseError its snippet.
+
 The serializer emits a byte-stable layout: prefix declarations first,
 subjects sorted lexically, predicates and objects sorted within each
 subject block.  Serializer output always re-parses to an equal graph.
@@ -19,6 +25,7 @@ from typing import Optional
 from urllib.parse import urljoin
 
 from .rdf import (
+    RDF_TYPE,
     XSD_INTEGER,
     XSD_STRING,
     Blank,
@@ -68,99 +75,82 @@ class _Token:
     column: int
 
 
+# whitespace and comments between tokens
+_GAP = re.compile(r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*")
+_IRIREF = re.compile(r"<([^>\n]*)>")
+_AT_WORD = re.compile(r"@([A-Za-z][A-Za-z0-9\-]*)")
+# a trailing '.' belongs to the statement, not the label
+_BLANK_LABEL = re.compile(r"_:([A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?)")
+# tried in this order: integer, prefixed name, bare word
+_BARE = re.compile(
+    r"(?P<integer>[+-]?[0-9]+)"
+    r"|(?P<pname>(?:[A-Za-z][A-Za-z0-9_\-]*)?:(?:[A-Za-z0-9_][A-Za-z0-9_\-]*)?)"
+    r"|(?P<word>[A-Za-z][A-Za-z0-9_]*)"
+)
+
+
 class _Lexer:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
         self.line = 1
-        self.col = 1
-        self.lines = text.split("\n")
+        self.line_start = 0  # offset of the current line's first character
 
-    def error(self, message: str, line: Optional[int] = None, col: Optional[int] = None):
-        line = self.line if line is None else line
-        col = self.col if col is None else col
-        snippet = self.lines[line - 1] if 0 < line <= len(self.lines) else ""
+    def error(self, message: str, line: int, col: int) -> ParseError:
+        lines = self.text.split("\n")
+        snippet = lines[line - 1] if 0 < line <= len(lines) else ""
         return ParseError(line, col, message, snippet)
 
-    def _advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.pos < len(self.text):
-                if self.text[self.pos] == "\n":
-                    self.line += 1
-                    self.col = 1
-                else:
-                    self.col += 1
-                self.pos += 1
-
-    def _skip_ws(self) -> None:
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "#":
-                while self.pos < len(self.text) and self.text[self.pos] != "\n":
-                    self._advance()
-            else:
-                return
+    def _token(self, kind: str, value: str, end: int, line: int, col: int) -> _Token:
+        self.pos = end  # no token spans a newline
+        return _Token(kind, value, line, col)
 
     def next(self) -> _Token:
-        self._skip_ws()
-        line, col = self.line, self.col
-        if self.pos >= len(self.text):
+        text, pos = self.text, self.pos
+        end = _GAP.match(text, pos).end()
+        newlines = text.count("\n", pos, end)
+        if newlines:
+            self.line += newlines
+            self.line_start = text.rfind("\n", pos, end) + 1
+        self.pos = pos = end
+        line, col = self.line, pos - self.line_start + 1
+        if pos >= len(text):
             return _Token("eof", "", line, col)
-        ch = self.text[self.pos]
+        ch = text[pos]
 
         if ch == "<":
-            end = self.text.find(">", self.pos + 1)
-            if end == -1 or "\n" in self.text[self.pos : end]:
+            m = _IRIREF.match(text, pos)
+            if not m:
                 raise self.error("unterminated IRI", line, col)
-            value = self.text[self.pos + 1 : end]
-            self._advance(end + 1 - self.pos)
-            return _Token("iriref", value, line, col)
+            return self._token("iriref", m.group(1), m.end(), line, col)
 
         if ch == '"':
             return self._string(line, col)
 
         if ch in ".,;":
-            self._advance()
-            return _Token(ch, ch, line, col)
+            return self._token(ch, ch, pos + 1, line, col)
 
-        if ch == "^" and self.text[self.pos : self.pos + 2] == "^^":
-            self._advance(2)
-            return _Token("^^", "^^", line, col)
+        if ch == "^" and text.startswith("^^", pos):
+            return self._token("^^", "^^", pos + 2, line, col)
 
         if ch == "@":
-            m = re.match(r"@([A-Za-z][A-Za-z0-9\-]*)", self.text[self.pos :])
+            m = _AT_WORD.match(text, pos)
             if not m:
                 raise self.error("bad '@' token", line, col)
             word = m.group(1)
-            self._advance(len(m.group(0)))
             if word in ("prefix", "base"):
-                return _Token("@" + word, word, line, col)
-            return _Token("langtag", word, line, col)
+                return self._token("@" + word, word, m.end(), line, col)
+            return self._token("langtag", word, m.end(), line, col)
 
-        if ch == "_" and self.text[self.pos : self.pos + 2] == "_:":
-            # a trailing '.' belongs to the statement, not the label
-            m = re.match(r"_:([A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?)", self.text[self.pos :])
+        if ch == "_" and text.startswith("_:", pos):
+            m = _BLANK_LABEL.match(text, pos)
             if not m:
                 raise self.error("bad blank node label", line, col)
-            self._advance(len(m.group(0)))
-            return _Token("blank", m.group(1), line, col)
+            return self._token("blank", m.group(1), m.end(), line, col)
 
-        m = re.match(r"[+-]?[0-9]+", self.text[self.pos :])
+        m = _BARE.match(text, pos)
         if m:
-            self._advance(len(m.group(0)))
-            return _Token("integer", m.group(0), line, col)
-
-        m = re.match(r"([A-Za-z][A-Za-z0-9_\-]*)?:([A-Za-z0-9_][A-Za-z0-9_\-]*)?", self.text[self.pos :])
-        if m:
-            self._advance(len(m.group(0)))
-            return _Token("pname", m.group(0), line, col)
-
-        m = re.match(r"[A-Za-z][A-Za-z0-9_]*", self.text[self.pos :])
-        if m:
-            self._advance(len(m.group(0)))
-            return _Token("word", m.group(0), line, col)
+            return self._token(m.lastgroup, m.group(0), m.end(), line, col)
 
         raise self.error(f"unexpected character {ch!r}", line, col)
 
@@ -174,14 +164,14 @@ class _Lexer:
             raise self.error(exc.message, line, col + 1 + exc.offset) from None
         if not closed:
             raise self.error("unterminated string literal", line, col)
-        self._advance(end + 1 - self.pos)
-        return _Token("string", value, line, col)
+        return self._token("string", value, end + 1, line, col)
 
 
 class _Parser:
     def __init__(self, text: str, base: Optional[str] = None):
         self.lexer = _Lexer(text)
         self.doc = Document(base=base)
+        self.iris: dict[str, Iri] = {}  # each distinct IRI string is built and checked once
         self.tok = self.lexer.next()
 
     def _next(self) -> None:
@@ -252,7 +242,7 @@ class _Parser:
         tok = self.tok
         if tok.kind == "iriref":
             self._next()
-            return Iri(self._resolve(tok.value))
+            return self._iri(self._resolve(tok.value), tok)
         if tok.kind == "pname":
             self._next()
             return self._expand(tok)
@@ -269,14 +259,13 @@ class _Parser:
         tok = self.tok
         if tok.kind == "word" and tok.value == "a":
             self._next()
-            return Iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
+            return self._iri(RDF_TYPE, tok)
         if tok.kind == "iriref":
             self._next()
-            return Iri(self._resolve(tok.value))
+            return self._iri(self._resolve(tok.value), tok)
         if tok.kind == "pname":
             self._next()
-            term = self._expand(tok)
-            return term
+            return self._expand(tok)
         raise self.lexer.error(
             f"expected predicate, found {tok.value!r}" if tok.value else "expected predicate, found end of input",
             tok.line,
@@ -287,7 +276,7 @@ class _Parser:
         tok = self.tok
         if tok.kind == "iriref":
             self._next()
-            return Iri(self._resolve(tok.value))
+            return self._iri(self._resolve(tok.value), tok)
         if tok.kind == "pname":
             self._next()
             return self._expand(tok)
@@ -320,11 +309,24 @@ class _Parser:
             tok.column,
         )
 
+    def _iri(self, value: str, tok: _Token) -> Iri:
+        """The parse's one Iri for ``value``; a malformed IRI is a
+        ParseError at ``tok``."""
+        iri = self.iris.get(value)
+        if iri is None:
+            try:
+                iri = self.iris[value] = Iri(value)
+            except TermError as exc:
+                raise self.lexer.error(str(exc), tok.line, tok.column) from None
+        return iri
+
     def _expand(self, tok: _Token) -> Iri:
+        label, _, local = tok.value.partition(":")
         try:
-            return self.doc.prefixes.expand(tok.value)
+            namespace = self.doc.prefixes.namespace(label)
         except UndeclaredPrefixError as exc:
             raise self.lexer.error(str(exc), tok.line, tok.column) from None
+        return self._iri(namespace + local, tok)
 
 
 def parse_turtle(text: str, base: Optional[str] = None) -> Document:
@@ -380,7 +382,7 @@ def serialize_turtle(doc: Document) -> str:
                 lines[-1][1].append(obj)
         rendered = []
         for pred, objs in lines:
-            pred_txt = "a" if pred.value == "http://www.w3.org/1999/02/22-rdf-syntax-ns#type" else _render(pred, doc.prefixes)
+            pred_txt = "a" if pred.value == RDF_TYPE else _render(pred, doc.prefixes)
             obj_txt = ", ".join(_render(o, doc.prefixes) for o in objs)
             rendered.append(f"    {pred_txt} {obj_txt}")
         out.append(_render(subject, doc.prefixes) + "\n" + " ;\n".join(rendered) + " .")

@@ -112,6 +112,18 @@ TypeMap = dict[Term, frozenset]
 _UNTYPED: frozenset = frozenset()
 
 
+class _Signatures(dict):
+    """`SchemaDef.signatures_for`, looked up once per distinct predicate."""
+
+    def __init__(self, schema: SchemaDef):
+        super().__init__()
+        self.schema = schema
+
+    def __missing__(self, iri: str) -> list[PropertyDef]:
+        self[iri] = signatures = self.schema.signatures_for(iri)
+        return signatures
+
+
 def entail_types(graph: Graph, schema: SchemaDef) -> TypeMap:
     """Map each typed node to its declared schema classes and all their
     superclasses.  Nodes without a schema class are absent."""
@@ -143,11 +155,12 @@ def check_domain_range(
     """
     if types is None:
         types = entail_types(graph, schema)
+    signatures_of = _Signatures(schema)
     violations = []
     for t in graph:
         if t.predicate.value in _VOCAB_PREDICATES:
             continue
-        signatures = schema.signatures_for(t.predicate.value)
+        signatures = signatures_of[t.predicate.value]
         if not signatures:
             continue
         s_types = types.get(t.subject, _UNTYPED)
@@ -221,13 +234,14 @@ def validate(graph: Graph, schema: SchemaDef) -> ValidationReport:
     """Entail types once, run both checks on the map, aggregate counts."""
     types = entail_types(graph, schema)
     class_iris = schema.class_iris()
+    signatures_of = _Signatures(schema)
     declared = checked = skipped = 0
     for t in graph:
         if t.predicate.value == RDF_TYPE:
             declared += isinstance(t.object, Iri) and t.object.value in class_iris
         elif t.predicate.value in _VOCAB_PREDICATES:
             continue
-        elif schema.signatures_for(t.predicate.value):
+        elif signatures_of[t.predicate.value]:
             checked += 1
         else:
             skipped += 1

@@ -49,6 +49,21 @@ class TestValidate:
         assert run(["validate", str(bad)]) == EXIT_ERROR
         assert "broken.ttl" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text,column,message",
+        [
+            ("<http://x/s> <http://x/p> <> .\n", 27, "IRI must be non-empty"),
+            ("<http://x/a b> <http://x/p> <http://x/o> .\n", 1, "IRI contains whitespace"),
+        ],
+    )
+    def test_bad_iri_exits_two_with_position(self, tmp_path, capsys, text, column, message):
+        bad = tmp_path / "bad_iri.ttl"
+        bad.write_text(text, encoding="utf-8")
+        assert run(["validate", str(bad)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert f"{bad}: line 1, column {column}: {message}" in err
+        assert "Traceback" not in err
+
 
 class TestQuery:
     def test_shipped_query_json(self, corpus_args, capsys):
@@ -164,6 +179,12 @@ class TestStats:
         payload = json.loads(capsys.readouterr().out)
         assert payload["instancesByClass"]["http://maroua-univ/ns/ontosoc#Community"] == 3
         assert payload["triples"] == sum(payload["triplesByPredicate"].values())
+
+    def test_one_file_and_the_same_file_twice_agree(self, corpus_args, capsys):
+        assert run(["stats", "--format", "json", corpus_args[0]]) == EXIT_OK
+        once = capsys.readouterr().out
+        assert run(["stats", "--format", "json", corpus_args[0], corpus_args[0]]) == EXIT_OK
+        assert capsys.readouterr().out == once
 
 
 class TestUsage:

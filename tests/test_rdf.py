@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,13 @@ class TestTerms:
             Iri("")
         with pytest.raises(TermError):
             Iri("http://x/ y")
+
+    def test_iri_rejects_exactly_the_str_isspace_characters(self):
+        for ch in map(chr, range(sys.maxunicode + 1)):
+            if ch.isspace():
+                with pytest.raises(TermError):
+                    Iri("http://x/" + ch)
+        Iri("http://x/\u200b")  # zero width space: not whitespace to str.isspace
 
     def test_literal_normalizes_plain_to_string_datatype(self):
         assert Literal("x") == Literal("x", datatype="http://www.w3.org/2001/XMLSchema#string")

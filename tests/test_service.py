@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 import requests
 
-from ontosoc.service import ServiceState, epoch_sidecar, load_state, make_server
+from ontosoc.service import MAX_BODY_BYTES, ServiceState, epoch_sidecar, load_state, make_server
 from ontosoc.schema import builtin_schema
 from ontosoc.rdf import Graph
 from ontosoc.turtle import parse_turtle
@@ -143,6 +143,36 @@ class TestEndpoints:
             conn.endheaders(body)
             resp = conn.getresponse()
             assert resp.status == 400
+            assert "error" in json.loads(resp.read())
+        finally:
+            conn.close()
+        assert requests.get(f"{base}/health").json() == {"triples": 0, "epoch": 0}
+
+    @pytest.mark.parametrize(
+        "body,column,message",
+        [
+            (b"<http://x/s> <http://x/p> <> .", 27, "IRI must be non-empty"),
+            (b"<http://x/a b> <http://x/p> <http://x/o> .", 1, "IRI contains whitespace"),
+        ],
+    )
+    def test_post_bad_iri_400_with_position(self, server, body, column, message):
+        base, _ = server
+        resp = requests.post(f"{base}/graph", data=body, timeout=10)
+        assert resp.status_code == 400
+        payload = resp.json()
+        assert (payload["error"], payload["line"], payload["column"]) == ("parse", 1, column)
+        assert message in payload["message"]
+        assert requests.get(f"{base}/health").json() == {"triples": 0, "epoch": 0}
+
+    def test_oversized_post_413_without_reading_body(self, server):
+        base, _ = server
+        conn = http.client.HTTPConnection(base.removeprefix("http://"), timeout=10)
+        try:
+            conn.putrequest("POST", "/graph")
+            conn.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
+            conn.endheaders()  # no body follows: a server that read it would time out
+            resp = conn.getresponse()
+            assert resp.status == 413
             assert "error" in json.loads(resp.read())
         finally:
             conn.close()

@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ontosoc.rdf import (
     XSD_INTEGER,
@@ -153,3 +154,85 @@ def test_round_trip_random_graphs(g):
     doc = Document(graph=g)
     parsed = parse_turtle(serialize_turtle(doc))
     assert graph_equal(g, parsed.graph)
+
+
+class TestErrorPositions:
+    def test_comment_on_last_line_without_newline(self):
+        assert len(parse_turtle("<http://x/s> <http://x/p> <http://x/o> .\n# done").graph) == 1
+        text = "<http://x/s> <http://x/p> # no object"
+        with pytest.raises(ParseError) as exc:
+            parse_turtle(text)
+        assert (exc.value.line, exc.value.column) == (1, len(text) + 1)
+        assert exc.value.message == "expected object, found end of input"
+        assert exc.value.snippet == text
+
+    def test_tab_before_token_counts_as_one_column(self):
+        text = (
+            "@prefix ex: <http://example.org/> .\n"
+            "ex:a ex:p ex:b .\n"
+            "\tno:c ex:p ex:b .\n"
+        )
+        with pytest.raises(ParseError) as exc:
+            parse_turtle(text)
+        assert (exc.value.line, exc.value.column) == (3, 2)
+        assert "undeclared prefix" in exc.value.message
+        assert exc.value.snippet == "\tno:c ex:p ex:b ."
+
+    def test_bad_escape_on_crlf_line(self):
+        bad = '<http://x/s> <http://x/p> "a\\qb" .'
+        text = '<http://x/s> <http://x/p> "ok" .\r\n' + bad + "\r\n"
+        with pytest.raises(ParseError) as exc:
+            parse_turtle(text)
+        assert (exc.value.line, exc.value.column) == (2, bad.index("\\") + 1)
+        assert exc.value.message == "unknown escape \\q"
+        assert exc.value.snippet == bad + "\r"
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(), st.booleans(), st.booleans(), st.data())
+def test_inserted_character_is_reported_at_its_line_and_column(g, crlf, comment, data):
+    text = serialize_turtle(Document(graph=g, prefixes=PrefixMap([("t", "http://t/")])))
+    header = 1  # the @prefix line
+    if comment:
+        text = "# a leading comment\n" + text
+        header += 1
+    if crlf:
+        text = text.replace("\n", "\r\n")
+    lines = text.split("\n")
+    index = data.draw(st.integers(header, len(lines) - 1))
+    lines[index] = "!" + lines[index]
+    with pytest.raises(ParseError) as exc:
+        parse_turtle("\n".join(lines))
+    assert (exc.value.line, exc.value.column) == (index + 1, 1)
+    assert exc.value.message == "unexpected character '!'"
+    assert exc.value.snippet == lines[index]
+
+
+class TestIris:
+    @pytest.mark.parametrize(
+        "text,line,column,message",
+        [
+            ("<http://x/a b> <http://x/p> <http://x/o> .", 1, 1, "IRI contains whitespace"),
+            ("<http://x/s> <http://x/p>\n  <> .", 2, 3, "IRI must be non-empty"),
+            ("@prefix w: <http://x/a b/> .\nw:c <http://x/p> <http://x/o> .", 2, 1, "IRI contains whitespace"),
+            ('@prefix e: <> .\n<http://x/s> <http://x/p> "v"^^e: .', 2, 32, "IRI must be non-empty"),
+        ],
+    )
+    def test_bad_iri_is_a_parse_error_at_its_token(self, text, line, column, message):
+        with pytest.raises(ParseError) as exc:
+            parse_turtle(text)
+        assert (exc.value.line, exc.value.column) == (line, column)
+        assert message in exc.value.message
+
+    def test_one_object_per_iri_string(self):
+        doc = parse_turtle("@prefix x: <http://x/> .\n<http://x/a> x:a x:a .")
+        (t,) = doc.graph
+        assert t.subject is t.predicate is t.object
+
+    def test_redeclared_prefix_expands_to_the_new_namespace(self):
+        text = (
+            "@prefix e: <http://x/1/> .\ne:a e:p e:o .\n"
+            "@prefix e: <http://x/2/> .\ne:a e:p e:o .\n"
+        )
+        subjects = {t.subject for t in parse_turtle(text).graph}
+        assert subjects == {Iri("http://x/1/a"), Iri("http://x/2/a")}

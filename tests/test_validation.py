@@ -1,3 +1,4 @@
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -178,6 +179,13 @@ class TestValidate:
         lines = report.render_machine().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("range\t")
+
+    def test_signatures_looked_up_once_per_predicate_per_check(self, schema, corpus_graph, monkeypatch):
+        calls = []
+        lookup = SchemaDef.signatures_for
+        monkeypatch.setattr(SchemaDef, "signatures_for", lambda self, iri: calls.append(iri) or lookup(self, iri))
+        validate(corpus_graph, schema)
+        assert calls and set(Counter(calls).values()) == {2}  # validate's count, then check_domain_range
 
     def test_counts_match_brute_force_on_corpus(self, schema, corpus_graph):
         g = corpus_graph.copy()
