@@ -214,12 +214,16 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .service import DEFAULT_PORT, serve
 
-    serve(
-        port=DEFAULT_PORT if args.port is None else args.port,
-        data_path=args.data,
-        schema_path=args.schema,
-        validate_writes=not args.no_validate,
-    )
+    schema = _load_schema(args.schema)
+    try:
+        serve(
+            port=DEFAULT_PORT if args.port is None else args.port,
+            data_path=args.data,
+            schema=schema,
+            validate_writes=not args.no_validate,
+        )
+    except ParseError as exc:  # from loading the snapshot: a bad POST body is answered, not raised
+        raise CliError(f"{args.data}: {exc}") from exc
     return EXIT_OK
 
 

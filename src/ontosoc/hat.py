@@ -116,13 +116,6 @@ class ImplicationTable:
         lines = ["  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() for r in [header] + rows]
         return "\n".join(lines)
 
-    def machine_rows(self) -> list[dict]:
-        out = []
-        for case, counts in self.per_case.items():
-            out.append({"case": case, **{p.value: n for p, n in counts.items()}})
-        out.append({"case": "Total", **{p.value: n for p, n in self.totals.items()}})
-        return out
-
 
 def implication_table(triads: Iterable[Triad], cases: Iterable[UseCase]) -> ImplicationTable:
     """Count, per use case and in total, how many triads involve each pole."""

@@ -25,12 +25,16 @@ from .rdf import (
     OWL_DISJOINT_WITH,
     OWL_EQUIVALENT_CLASS,
     OWL_EQUIVALENT_PROPERTY,
+    OWL_NS,
     OWL_OBJECT_PROPERTY,
+    RDF_NS,
     RDF_TYPE,
     RDFS_DOMAIN,
     RDFS_LABEL,
+    RDFS_NS,
     RDFS_RANGE,
     RDFS_SUBCLASSOF,
+    XSD,
     Graph,
     Iri,
     Literal,
@@ -396,10 +400,10 @@ def schema_from_graph(graph: Graph, namespace: str = ONTOSOC_NS) -> SchemaDef:
 def schema_prefixes() -> list[tuple[str, str]]:
     return [
         ("ontosoc", ONTOSOC_NS),
-        ("rdf", "http://www.w3.org/1999/02/22-rdf-syntax-ns#"),
-        ("rdfs", "http://www.w3.org/2000/01/rdf-schema#"),
-        ("owl", "http://www.w3.org/2002/07/owl#"),
-        ("xsd", "http://www.w3.org/2001/XMLSchema#"),
+        ("rdf", RDF_NS),
+        ("rdfs", RDFS_NS),
+        ("owl", OWL_NS),
+        ("xsd", XSD),
         ("foaf", FOAF_NS),
         ("wai", WAI_NS),
         ("schema", SCHEMA_ORG_NS),

@@ -7,16 +7,21 @@ Endpoints:
   GET  /health             {"triples": n, "epoch": e}
 
 Writes are serialized behind a lock and applied copy-on-write: the new
-graph is built aside, the snapshot file is written atomically (temp file
-then rename), and only then is the live (graph, epoch) pair replaced, as
-one value.  Readers always see a graph with its own epoch, and a restart
-loads the last fully persisted snapshot.
+graph is built aside, the snapshot file is written atomically (temp file,
+fsync, rename), and only then is the live (graph, epoch) pair replaced,
+as one value.  Readers always see a graph with its own epoch.
+
+The snapshot is one Turtle file whose first line, ``# epoch N``, is a
+comment holding the epoch, so one atomic write commits the graph and its
+epoch together and a restart loads the last fully persisted pair.  A
+file without that line (a fresh ``--data`` file) loads as epoch 0.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 import threading
 from dataclasses import dataclass
@@ -26,14 +31,15 @@ from typing import Optional
 from urllib.parse import parse_qs, urlparse
 
 from .rdf import Graph, PrefixMap
-from .schema import SchemaDef, builtin_schema, schema_from_graph, schema_prefixes
+from .schema import SchemaDef, builtin_schema, schema_prefixes
 from .sparql import QueryError, evaluate, parse_query, to_json_results
 from .turtle import Document, ParseError, parse_turtle, serialize_turtle
 from .validation import validate
 
 DEFAULT_PORT = 7474
-DEFAULT_MAX_QUERY_LENGTH = 8192
+MAX_QUERY_LENGTH = 8192  # a longer query gets 414
 MAX_BODY_BYTES = 16 * 1024 * 1024  # a longer POST body gets 413, unread
+_EPOCH_LINE = re.compile(r"# epoch ([0-9]+)$", re.MULTILINE)
 
 
 @dataclass(frozen=True)
@@ -51,14 +57,12 @@ class ServiceState:
         schema: SchemaDef,
         snapshot_path: Optional[Path] = None,
         validate_writes: bool = True,
-        max_query_length: int = DEFAULT_MAX_QUERY_LENGTH,
         epoch: int = 0,
     ):
         self.current = Snapshot(graph, epoch)
         self.schema = schema
         self.snapshot_path = snapshot_path
         self.validate_writes = validate_writes
-        self.max_query_length = max_query_length
         self.write_lock = threading.Lock()
 
     @property
@@ -97,8 +101,7 @@ class ServiceState:
         if self.snapshot_path is None:
             return
         doc = Document(graph=graph, prefixes=PrefixMap(schema_prefixes()))
-        self._atomic_write(self.snapshot_path, serialize_turtle(doc))
-        self._atomic_write(epoch_sidecar(self.snapshot_path), f"{epoch}\n")
+        self._atomic_write(self.snapshot_path, f"# epoch {epoch}\n" + serialize_turtle(doc))
 
     @staticmethod
     def _atomic_write(path: Path, text: str) -> None:
@@ -125,35 +128,26 @@ class ServiceState:
         return 200, to_json_results(table)
 
 
-def epoch_sidecar(snapshot_path: Path) -> Path:
-    return snapshot_path.with_name(snapshot_path.name + ".epoch")
-
-
 def load_state(
     data_path: Optional[str] = None,
-    schema_path: Optional[str] = None,
+    schema: Optional[SchemaDef] = None,
     validate_writes: bool = True,
-    max_query_length: int = DEFAULT_MAX_QUERY_LENGTH,
 ) -> ServiceState:
-    if schema_path is not None:
-        schema_doc = parse_turtle(Path(schema_path).read_text(encoding="utf-8"))
-        schema = schema_from_graph(schema_doc.graph)
-    else:
-        schema = builtin_schema()
-    graph = Graph()
-    epoch = 0
+    """The service state for the snapshot at ``data_path`` (empty if the file
+    does not exist), checked against ``schema`` (None: the builtin schema)."""
+    graph, epoch = Graph(), 0
     snapshot = Path(data_path) if data_path is not None else None
     if snapshot is not None and snapshot.exists():
-        graph = parse_turtle(snapshot.read_text(encoding="utf-8")).graph
-        sidecar = epoch_sidecar(snapshot)
-        if sidecar.exists():
-            epoch = int(sidecar.read_text(encoding="utf-8").strip() or "0")
+        text = snapshot.read_text(encoding="utf-8")
+        graph = parse_turtle(text).graph
+        header = _EPOCH_LINE.match(text)
+        if header:
+            epoch = int(header.group(1))
     return ServiceState(
         graph=graph,
-        schema=schema,
+        schema=builtin_schema() if schema is None else schema,
         snapshot_path=snapshot,
         validate_writes=validate_writes,
-        max_query_length=max_query_length,
         epoch=epoch,
     )
 
@@ -184,7 +178,7 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send(400, json.dumps({"error": "missing query parameter"}))
                 return
             query = params["query"][0]
-            if len(query) > self.state.max_query_length:
+            if len(query) > MAX_QUERY_LENGTH:
                 self._send(414, json.dumps({"error": "query too long"}))
                 return
             status, body = self.state.run_query(query)
@@ -223,10 +217,10 @@ def make_server(state: ServiceState, port: int = 0) -> ThreadingHTTPServer:
 def serve(
     port: int = DEFAULT_PORT,
     data_path: Optional[str] = None,
-    schema_path: Optional[str] = None,
+    schema: Optional[SchemaDef] = None,
     validate_writes: bool = True,
 ) -> None:
-    state = load_state(data_path, schema_path, validate_writes)
+    state = load_state(data_path, schema, validate_writes)
     server = make_server(state, port)
     print(f"listening on 127.0.0.1:{server.server_address[1]}", flush=True)
     try:

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .rdf import (
+    RDF_TYPE,
     XSD_INTEGER,
     XSD_STRING,
     Blank,
@@ -342,7 +343,7 @@ class _QueryParser:
             return Blank(tok.value[2:])
         if allow_a and tok.kind == "word" and tok.value == "a":
             self._next()
-            return Iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
+            return Iri(RDF_TYPE)
         if tok.kind == "word" and tok.value.upper() in _UNSUPPORTED:
             raise self._error(f"unsupported feature: {tok.value.upper()}")
         if allow_literal and tok.kind == "string":

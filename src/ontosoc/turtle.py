@@ -387,8 +387,3 @@ def serialize_turtle(doc: Document) -> str:
             rendered.append(f"    {pred_txt} {obj_txt}")
         out.append(_render(subject, doc.prefixes) + "\n" + " ;\n".join(rendered) + " .")
     return "\n".join(out) + ("\n" if out else "")
-
-
-def load_turtle_file(path: str) -> Document:
-    with open(path, encoding="utf-8") as fh:
-        return parse_turtle(fh.read())

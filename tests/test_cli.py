@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ontosoc import resources
+from ontosoc import resources, service
 from ontosoc.cli import EXIT_ERROR, EXIT_OK, EXIT_VIOLATIONS, run
 
 
@@ -185,6 +185,35 @@ class TestStats:
         once = capsys.readouterr().out
         assert run(["stats", "--format", "json", corpus_args[0], corpus_args[0]]) == EXIT_OK
         assert capsys.readouterr().out == once
+
+
+class TestServe:
+    """Each load failure exits 2 before the server starts."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_to_start(self, monkeypatch):
+        def make_server(*args, **kwargs):
+            raise AssertionError("the server started")
+
+        monkeypatch.setattr(service, "make_server", make_server)
+        monkeypatch.delenv("ONTOSOC_SCHEMA", raising=False)
+
+    def test_missing_schema_file(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.ttl")
+        assert run(["serve", "--port", "0", "--schema", missing]) == EXIT_ERROR
+        assert f"no such file: {missing}" in capsys.readouterr().err
+
+    def test_schema_env_var(self, tmp_path, monkeypatch, capsys):
+        missing = str(tmp_path / "missing.ttl")
+        monkeypatch.setenv("ONTOSOC_SCHEMA", missing)
+        assert run(["serve", "--port", "0"]) == EXIT_ERROR
+        assert f"no such file: {missing}" in capsys.readouterr().err
+
+    def test_unparsable_data_names_path_and_position(self, tmp_path, capsys):
+        data = tmp_path / "kb.ttl"
+        data.write_text("# epoch 3\nex:a ex:b", encoding="utf-8")
+        assert run(["serve", "--port", "0", "--data", str(data)]) == EXIT_ERROR
+        assert f"error: {data}: line 2, column 1: undeclared prefix" in capsys.readouterr().err
 
 
 class TestUsage:

@@ -1,8 +1,10 @@
 import http.client
 import json
+import os
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import urllib.parse
@@ -11,7 +13,7 @@ from pathlib import Path
 import pytest
 import requests
 
-from ontosoc.service import MAX_BODY_BYTES, ServiceState, epoch_sidecar, load_state, make_server
+from ontosoc.service import MAX_BODY_BYTES, ServiceState, load_state, make_server
 from ontosoc.schema import builtin_schema
 from ontosoc.rdf import Graph
 from ontosoc.turtle import parse_turtle
@@ -236,14 +238,31 @@ def test_health_graph_and_epoch_agree_under_concurrent_writes():
     assert (len(state.graph), state.epoch) == (45, 45)
 
 
+MORE_TTL = """\
+@prefix ontosoc: <http://maroua-univ/ns/ontosoc#> .
+@prefix ex: <http://example.org/soc/> .
+
+ex:Maroua a ontosoc:Locality .
+"""
+
+
 class TestSnapshot:
     def test_snapshot_and_epoch_written(self, server, tmp_path):
         base, state = server
         requests.post(f"{base}/graph", data=GOOD_TTL.encode("utf-8"))
         snapshot = state.snapshot_path
         assert snapshot.exists()
-        assert len(parse_turtle(snapshot.read_text(encoding="utf-8")).graph) == 3
-        assert epoch_sidecar(snapshot).read_text(encoding="utf-8").strip() == "1"
+        text = snapshot.read_text(encoding="utf-8")
+        assert text.splitlines()[0] == "# epoch 1"
+        assert len(parse_turtle(text).graph) == 3
+        assert not (tmp_path / "kb.ttl.epoch").exists()
+
+    def test_file_without_header_loads_at_epoch_zero(self, tmp_path):
+        data = tmp_path / "kb.ttl"
+        data.write_text(GOOD_TTL, encoding="utf-8")
+        (tmp_path / "kb.ttl.epoch").write_text("7\n", encoding="utf-8")  # an old sidecar is not read
+        state = load_state(data_path=str(data))
+        assert (len(state.graph), state.epoch) == (3, 0)
 
     def test_reload_restores_graph_and_epoch(self, server, tmp_path):
         base, state = server
@@ -251,6 +270,40 @@ class TestSnapshot:
         reloaded = load_state(data_path=str(state.snapshot_path))
         assert set(reloaded.graph) == set(state.graph)
         assert reloaded.epoch == 1
+
+    @pytest.mark.parametrize("nth", [1, 2])
+    @pytest.mark.parametrize("owner,name", [(tempfile, "mkstemp"), (os, "fsync"), (os, "replace")])
+    def test_failed_write_leaves_old_pair_on_disk(self, server, tmp_path, monkeypatch, owner, name, nth):
+        """The nth call of one persistence step fails during a post: a 507 must
+        leave both the live and the reloaded (graph, epoch) at the old pair,
+        a 200 must reload as the new pair, and no temp file may remain."""
+        base, state = server
+        assert requests.post(f"{base}/graph", data=GOOD_TTL.encode("utf-8")).status_code == 200
+        old = (set(state.graph), state.epoch)
+        real = getattr(owner, name)
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == nth:
+                raise OSError(f"injected failure of {name} call {nth}")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, failing)
+        resp = requests.post(f"{base}/graph", data=MORE_TTL.encode("utf-8"), timeout=10)
+        monkeypatch.undo()
+
+        reloaded = load_state(data_path=str(state.snapshot_path))
+        if len(calls) >= nth:
+            assert resp.status_code == 507
+            assert resp.json()["error"] == "snapshot"
+            assert requests.get(f"{base}/health").json() == {"triples": 3, "epoch": 1}
+            assert (set(reloaded.graph), reloaded.epoch) == old
+        else:
+            assert resp.status_code == 200
+            assert len(state.graph) == 4
+            assert (set(reloaded.graph), reloaded.epoch) == (set(state.graph), 2)
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 class TestProcessRestart:
