@@ -42,12 +42,24 @@ def _load_schema(path: Optional[str]) -> SchemaDef:
     return schema_from_graph(doc.graph)
 
 
-def _parse_file(path: str) -> Document:
+def _not_utf8(path: str, exc: UnicodeDecodeError) -> CliError:
+    return CliError(f"{path}: not valid UTF-8 (byte {exc.start})")
+
+
+def _read_text(path: str) -> str:
     p = Path(path)
     if not p.exists():
         raise CliError(f"no such file: {path}")
     try:
-        return parse_turtle(p.read_text(encoding="utf-8"))
+        return p.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from exc
+
+
+def _parse_file(path: str) -> Document:
+    text = _read_text(path)
+    try:
+        return parse_turtle(text)
     except ParseError as exc:
         raise CliError(f"{path}: {exc}") from exc
 
@@ -89,13 +101,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    if args.query is not None:
-        text = args.query
-    else:
-        qpath = Path(args.file)
-        if not qpath.exists():
-            raise CliError(f"no such file: {args.file}")
-        text = qpath.read_text(encoding="utf-8")
+    text = args.query if args.query is not None else _read_text(args.file)
     try:
         ast = parse_query(text)
     except QueryError as exc:
@@ -125,17 +131,11 @@ def _schema_turtle(graph: Graph) -> str:
 
 def _cmd_derive_schema(args: argparse.Namespace) -> int:
     if args.triads is not None:
-        tpath = Path(args.triads)
-        if not tpath.exists():
-            raise CliError(f"no such file: {args.triads}")
-        triads = _parse_triads(tpath.read_text(encoding="utf-8"))
+        triads = _parse_triads(_read_text(args.triads))
     else:
         triads = hat.default_triads()
     if args.decisions is not None:
-        dpath = Path(args.decisions)
-        if not dpath.exists():
-            raise CliError(f"no such file: {args.decisions}")
-        table = hat.parse_decision_table(dpath.read_text(encoding="utf-8"))
+        table = hat.parse_decision_table(_read_text(args.decisions))
     else:
         table = hat.default_decision_table()
 
@@ -224,6 +224,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     except ParseError as exc:  # from loading the snapshot: a bad POST body is answered, not raised
         raise CliError(f"{args.data}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(args.data, exc) from exc
     return EXIT_OK
 
 

@@ -235,6 +235,7 @@ class Graph:
         self._spo: dict[Term, dict[Iri, set[Term]]] = {}
         self._pos: dict[Iri, dict[Term, set[Term]]] = {}
         self._osp: dict[Term, dict[Term, set[Iri]]] = {}
+        self._shared = False  # inner index containers may be another graph's too
         if triples:
             for t in triples:
                 self.add(t)
@@ -245,6 +246,8 @@ class Graph:
             raise TermError("not a triple")
         if t in self._triples:
             return False
+        if self._shared:
+            self._unshare()
         self._triples.add(t)
         s, p, o = t.subject, t.predicate, t.object
         self._spo.setdefault(s, {}).setdefault(p, set()).add(o)
@@ -256,6 +259,8 @@ class Graph:
         """Remove a triple; returns True iff it was present."""
         if t not in self._triples:
             return False
+        if self._shared:
+            self._unshare()
         self._triples.discard(t)
         s, p, o = t.subject, t.predicate, t.object
         self._prune(self._spo, s, p, o)
@@ -273,6 +278,42 @@ class Graph:
 
     def update(self, triples: Iterable[Triple]) -> int:
         return sum(1 for t in triples if self.add(t))
+
+    def union(self, triples: Iterable[Triple]) -> tuple["Graph", list[Triple]]:
+        """A new graph holding this graph's triples and ``triples``, and the
+        list of those that were not here yet.  This graph is left unchanged.
+
+        Path copying: the new graph takes C-level copies of the triple set
+        and the three outer indexes, and copies afresh only the inner dicts
+        and sets on the new triples' paths; every other inner container is
+        shared.  So the cost beyond those flat copies grows with the new
+        triples, not with the graph.  Either graph copies its shared
+        containers before it is next mutated in place.
+        """
+        out = Graph()
+        out._triples = self._triples.copy()
+        out._spo, out._pos, out._osp = self._spo.copy(), self._pos.copy(), self._osp.copy()
+        owned: set[int] = set()  # ids of the containers that are out's alone
+        added = []
+        for t in triples:
+            if not isinstance(t, Triple):
+                raise TermError("not a triple")
+            if t in out._triples:
+                continue
+            out._triples.add(t)
+            added.append(t)
+            s, p, o = t.subject, t.predicate, t.object
+            _path_add(out._spo, s, p, o, owned)
+            _path_add(out._pos, p, o, s, owned)
+            _path_add(out._osp, o, s, p, owned)
+        out._shared = self._shared = True
+        return out, added
+
+    def _unshare(self) -> None:
+        for name in ("_spo", "_pos", "_osp"):
+            index = getattr(self, name)
+            setattr(self, name, {a: {b: set(c) for b, c in inner.items()} for a, inner in index.items()})
+        self._shared = False
 
     def match(
         self,
@@ -342,45 +383,149 @@ class Graph:
         return f"<Graph of {len(self._triples)} triples>"
 
 
-def _blank_partition(graph: Graph) -> dict[Blank, str]:
-    """Canonical labels for blank nodes by iterative signature refinement.
+def _path_add(index: dict, a, b, c, owned: set[int]) -> None:
+    """``index[a][b].add(c)``, first copying each container on that path
+    that ``owned`` does not list, so no shared container is written."""
+    inner = index.get(a)
+    if inner is None or id(inner) not in owned:
+        inner = index[a] = {} if inner is None else inner.copy()
+        owned.add(id(inner))
+    leaf = inner.get(b)
+    if leaf is None or id(leaf) not in owned:
+        leaf = inner[b] = set() if leaf is None else leaf.copy()
+        owned.add(id(leaf))
+    leaf.add(c)
 
-    Each blank node's color is refined from its own color and the
-    multiset of its incident triples, with neighbouring blanks abstracted
-    to their current color.  Colors are renumbered by signature rank each
-    round, so they stay small; refinement stops once a round splits no
-    color.  Ties are broken by the original label; exact isomorphism is
-    not attempted (adequate for the small graphs here).
-    """
-    blanks = {t.subject for t in graph if isinstance(t.subject, Blank)}
-    blanks |= {t.object for t in graph if isinstance(t.object, Blank)}
-    if not blanks:
-        return {}
-    color: dict[Blank, int] = {b: 0 for b in blanks}
 
-    def render(term: Term) -> str:
-        if isinstance(term, Blank):
-            return f"~{color[term]}"
-        return term.n3()
-
+def _refine(color: dict[Blank, int], links: dict[Blank, list]) -> dict[Blank, int]:
+    """Refine a colouring by each blank's colour and its blank neighbours'
+    colours until a round splits no colour.  Colours are renumbered by
+    signature rank each round, so they stay small and ordered, and never
+    depend on the blanks' labels."""
     while True:
-        sig = {}
-        for b in blanks:
-            edges = [("s", t.predicate.n3(), render(t.object)) for t in graph.match(subject=b)]
-            edges += [("o", t.predicate.n3(), render(t.subject)) for t in graph.match(object=b)]
-            sig[b] = (color[b], tuple(sorted(edges)))
+        sig = {b: (c, tuple(sorted((d, p, color[x]) for d, p, x in links[b]))) for b, c in color.items()}
         rank = {s: i for i, s in enumerate(sorted(set(sig.values())))}
-        split = len(rank) > len(set(color.values()))
-        color = {b: rank[sig[b]] for b in blanks}
-        if not split:
-            break
-    ordered = sorted(blanks, key=lambda b: (color[b], b.label))
-    return {b: f"b{i}" for i, b in enumerate(ordered)}
+        refined = {b: rank[sig[b]] for b in color}
+        if len(rank) == len(set(color.values())):
+            return refined
+        color = refined
+
+
+def _blank_labels(graph: Graph) -> dict[Blank, str]:
+    """Canonical labels for blank nodes: colour refinement, then a search
+    over tied colours, as in Hogan, "Canonical Forms for Isomorphic and
+    Equivalent RDF Graphs" (2017).
+
+    Each connected component of blanks is labelled on its own, and the
+    components are numbered in the order of their labelled triples, so
+    equal components never branch the search.
+    """
+    incident: dict[Blank, list[Triple]] = {}
+    for t in graph:
+        for node in {t.subject, t.object}:
+            if isinstance(node, Blank):
+                incident.setdefault(node, []).append(t)
+    seen: set[Blank] = set()
+    components = []
+    for start in incident:
+        if start in seen:
+            continue
+        seen.add(start)
+        nodes = [start]
+        for node in nodes:  # grows while it is walked
+            for t in incident[node]:
+                for other in (t.subject, t.object):
+                    if isinstance(other, Blank) and other not in seen:
+                        seen.add(other)
+                        nodes.append(other)
+        components.append(_label_component(graph, nodes, incident))
+    labels: dict[Blank, str] = {}
+    for _, colors in sorted(components, key=lambda kc: kc[0]):
+        offset = len(labels)
+        labels.update((b, f"b{offset + c}") for b, c in colors.items())
+    return labels
+
+
+def _label_component(
+    graph: Graph, nodes: list[Blank], incident: dict[Blank, list[Triple]]
+) -> tuple[list, dict[Blank, int]]:
+    """The least key and its numbering for one connected set of blanks.
+
+    A blank's first colour ranks its triples to non-blank terms.  When
+    refinement leaves a colour shared by several blanks, the search
+    individualises each of them in turn and refines again.  At a leaf
+    every blank has its own colour; the leaf whose triples, relabelled
+    by colour, sort least wins.  A node is skipped when an automorphism
+    fixing the current path maps a node already tried onto it, since its
+    subtree yields the same leaves: either the exchange of the two nodes,
+    or one generated by those that two leaves with equal triples revealed.
+    """
+    triples = list({t for b in nodes for t in incident[b]})
+    fixed: dict[Blank, list] = {b: [] for b in nodes}
+    links: dict[Blank, list] = {b: [] for b in nodes}
+    for t in triples:
+        p = t.predicate.n3()
+        for node, d, other in ((t.subject, 0, t.object), (t.object, 1, t.subject)):
+            if isinstance(node, Blank):
+                if isinstance(other, Blank):
+                    links[node].append((d, p, other))
+                else:
+                    fixed[node].append((d, p, other.n3()))
+    first = {b: tuple(sorted(edges)) for b, edges in fixed.items()}
+    rank = {sig: i for i, sig in enumerate(sorted(set(first.values())))}
+    best: list = []  # [key, colours] of the least leaf so far
+    automorphisms: list[dict[Blank, Blank]] = []
+
+    def render(term: Term, color: dict[Blank, int]) -> str:
+        return f"_:b{color[term]}" if isinstance(term, Blank) else term.n3()
+
+    def twins(a: Blank, b: Blank) -> bool:
+        """Whether exchanging ``a`` and ``b`` maps the graph onto itself."""
+        swap = {a: b, b: a}
+        return all(
+            Triple(swap.get(t.subject, t.subject), t.predicate, swap.get(t.object, t.object)) in graph
+            for t in incident[a] + incident[b]
+        )
+
+    def search(color: dict[Blank, int], path: list[Blank]) -> None:
+        color = _refine(color, links)
+        classes: dict[int, list[Blank]] = {}
+        for b, c in color.items():
+            classes.setdefault(c, []).append(b)
+        tied = min((c for c, members in classes.items() if len(members) > 1), default=None)
+        if tied is None:
+            key = sorted(
+                (render(t.subject, color), t.predicate.n3(), render(t.object, color))
+                for t in triples
+            )
+            if not best or key < best[0]:
+                best[:] = [key, color]
+            elif key == best[0]:
+                node_of = {c: b for b, c in best[1].items()}
+                automorphisms.append({b: node_of[c] for b, c in color.items()})
+            return
+        tried: set[Blank] = set()
+        for b in sorted(classes[tied], key=lambda n: n.label):
+            fixing = [a for a in automorphisms if all(a[x] == x for x in path)]
+            orbit, frontier = set(tried), list(tried)
+            while frontier:
+                x = frontier.pop()
+                for a in fixing:
+                    if a[x] not in orbit:
+                        orbit.add(a[x])
+                        frontier.append(a[x])
+            if b in orbit or any(twins(a, b) for a in tried):
+                continue
+            tried.add(b)
+            search({n: 2 * c + (n != b) for n, c in color.items()}, path + [b])
+
+    search({b: rank[first[b]] for b in nodes}, [])
+    return best[0], best[1]
 
 
 def canonical_triples(graph: Graph) -> frozenset[Triple]:
     """The graph's triple set with blank nodes canonically relabeled."""
-    relabel = _blank_partition(graph)
+    relabel = _blank_labels(graph)
 
     def conv(term: Term) -> Term:
         if isinstance(term, Blank):

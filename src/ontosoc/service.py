@@ -6,15 +6,34 @@ Endpoints:
                            at most MAX_BODY_BYTES)
   GET  /health             {"triples": n, "epoch": e}
 
-Writes are serialized behind a lock and applied copy-on-write: the new
-graph is built aside, the snapshot file is written atomically (temp file,
-fsync, rename), and only then is the live (graph, epoch) pair replaced,
+Writes are serialized behind a lock.  The new graph is built aside by
+`Graph.union`, which shares every index container the delta does not
+touch, and checked by `validate_delta`, which re-checks only what the
+delta touches against the type map and violation list kept in the live
+`Snapshot` (computed in full on the first validated write).  The delta
+is made durable, and only then is the live (graph, epoch) pair replaced,
 as one value.  Readers always see a graph with its own epoch.
 
-The snapshot is one Turtle file whose first line, ``# epoch N``, is a
-comment holding the epoch, so one atomic write commits the graph and its
-epoch together and a restart loads the last fully persisted pair.  A
-file without that line (a fresh ``--data`` file) loads as epoch 0.
+The ``--data`` file is a log of records.  It starts with a full
+snapshot: a ``# epoch N`` line (a Turtle comment), the serialized graph
+and the commit line ``# epoch N`` again.  Each accepted post appends one
+record: its new triples as N-Triples lines, then the commit line
+``# epoch N`` of its epoch (a post that adds nothing appends the commit
+line alone).  A record goes out in one write and one fsync; if either
+fails, the file is truncated back to its size before the append and the
+post gets a 507.  The file as a whole is still Turtle, so blank-node
+labels keep their meaning across records.
+
+On load, everything after the last commit line is a torn tail from an
+interrupted append: it is ignored, not loaded, and the next append cuts
+it off first.  A file whose first line is not ``# epoch N`` (a fresh or
+hand-written ``--data`` file) is loaded whole at epoch 0, and one with
+no commit line after its first (written before the log) whole at its
+first line's epoch; either is rewritten whole by the next post.  The
+file is also rewritten whole, compacting the records into one snapshot,
+when the file does not exist, or when an append would take it past
+twice its size at the last whole write or at load.  A whole write goes
+to a temp file that is fsynced and renamed over the old one.
 """
 
 from __future__ import annotations
@@ -30,24 +49,27 @@ from pathlib import Path
 from typing import Optional
 from urllib.parse import parse_qs, urlparse
 
-from .rdf import Graph, PrefixMap
+from .rdf import Graph, PrefixMap, Triple
 from .schema import SchemaDef, builtin_schema, schema_prefixes
 from .sparql import QueryError, evaluate, parse_query, to_json_results
 from .turtle import Document, ParseError, parse_turtle, serialize_turtle
-from .validation import validate
+from .validation import TypeMap, ValidationReport, Violation, validate, validate_delta
 
 DEFAULT_PORT = 7474
 MAX_QUERY_LENGTH = 8192  # a longer query gets 414
 MAX_BODY_BYTES = 16 * 1024 * 1024  # a longer POST body gets 413, unread
-_EPOCH_LINE = re.compile(r"# epoch ([0-9]+)$", re.MULTILINE)
+_COMMIT = re.compile(rb"^# epoch ([0-9]+)\n", re.MULTILINE)
 
 
 @dataclass(frozen=True)
 class Snapshot:
-    """The live graph and its epoch, replaced together by one assignment."""
+    """The live graph and its epoch, replaced together by one assignment,
+    with the graph's type map and violation list once a validated write
+    has computed them."""
 
     graph: Graph
     epoch: int = 0
+    checked: Optional[tuple[TypeMap, list[Violation]]] = None
 
 
 class ServiceState:
@@ -64,6 +86,10 @@ class ServiceState:
         self.snapshot_path = snapshot_path
         self.validate_writes = validate_writes
         self.write_lock = threading.Lock()
+        # bytes of the file up to its last commit line, or None while the
+        # next write must rewrite the file whole
+        self._committed: Optional[int] = None
+        self._compact_at = 0  # an append past this size rewrites the file whole
 
     @property
     def graph(self) -> Graph:
@@ -83,32 +109,64 @@ class ServiceState:
                 {"error": "parse", "line": exc.line, "column": exc.column, "message": exc.message}
             )
         with self.write_lock:
-            merged = self.current.graph.copy()
-            added = merged.update(doc.graph)
+            current = self.current
+            merged, added = current.graph.union(doc.graph)
+            checked = None
             if self.validate_writes:
-                report = validate(merged, self.schema)
-                if not report.conforms:
-                    return 422, {"content-type": "text/plain; charset=utf-8"}, report.render_machine() + "\n"
-            epoch = self.current.epoch + 1
+                if current.checked is None:
+                    report = validate(current.graph, self.schema)
+                    checked = (report.types, report.violations)
+                    current = self.current = Snapshot(current.graph, current.epoch, checked)
+                checked = validate_delta(merged, self.schema, *current.checked, added)
+                if checked[1]:
+                    body = ValidationReport(checked[1]).render_machine() + "\n"
+                    return 422, {"content-type": "text/plain; charset=utf-8"}, body
+            epoch = current.epoch + 1
             try:
-                self._persist(merged, epoch)
+                self._persist(merged, added, epoch)
             except OSError as exc:
                 return 507, {}, json.dumps({"error": "snapshot", "message": str(exc)})
-            self.current = Snapshot(merged, epoch)
-            return 200, {}, json.dumps({"added": added, "epoch": epoch})
+            self.current = Snapshot(merged, epoch, checked)
+            return 200, {}, json.dumps({"added": len(added), "epoch": epoch})
 
-    def _persist(self, graph: Graph, epoch: int) -> None:
-        if self.snapshot_path is None:
+    def _persist(self, graph: Graph, added: list[Triple], epoch: int) -> None:
+        """Append ``added`` and the commit line of ``epoch`` to the file,
+        or rewrite it whole as ``graph`` at ``epoch``."""
+        path = self.snapshot_path
+        if path is None:
             return
+        commit = f"# epoch {epoch}\n"
+        record = "".join(t.n3() + "\n" for t in added).encode("utf-8") + commit.encode("ascii")
+        if self._committed is not None and self._committed + len(record) <= self._compact_at:
+            try:
+                fd = os.open(path, os.O_WRONLY | os.O_APPEND)
+            except FileNotFoundError:
+                pass  # removed under the service: write it whole again
+            else:
+                try:
+                    os.ftruncate(fd, self._committed)  # cut a torn tail
+                    if os.write(fd, record) != len(record):
+                        raise OSError(f"short write to {path}")
+                    os.fsync(fd)
+                except OSError:
+                    os.ftruncate(fd, self._committed)
+                    raise
+                finally:
+                    os.close(fd)
+                self._committed += len(record)
+                return
         doc = Document(graph=graph, prefixes=PrefixMap(schema_prefixes()))
-        self._atomic_write(self.snapshot_path, f"# epoch {epoch}\n" + serialize_turtle(doc))
+        data = (commit + serialize_turtle(doc) + commit).encode("utf-8")
+        self._atomic_write(path, data)
+        self._committed = len(data)
+        self._compact_at = 2 * len(data)
 
     @staticmethod
-    def _atomic_write(path: Path, text: str) -> None:
+    def _atomic_write(path: Path, data: bytes) -> None:
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)
@@ -133,23 +191,34 @@ def load_state(
     schema: Optional[SchemaDef] = None,
     validate_writes: bool = True,
 ) -> ServiceState:
-    """The service state for the snapshot at ``data_path`` (empty if the file
-    does not exist), checked against ``schema`` (None: the builtin schema)."""
-    graph, epoch = Graph(), 0
+    """The service state for the file at ``data_path`` (empty if the file
+    does not exist), checked against ``schema`` (None: the builtin schema).
+
+    Reads the file only: a torn tail is skipped here and cut off by the
+    next append.  Raises ParseError for a file that is not Turtle and
+    UnicodeDecodeError for one that is not UTF-8.
+    """
+    graph, epoch, committed = Graph(), 0, None
     snapshot = Path(data_path) if data_path is not None else None
     if snapshot is not None and snapshot.exists():
-        text = snapshot.read_text(encoding="utf-8")
-        graph = parse_turtle(text).graph
-        header = _EPOCH_LINE.match(text)
-        if header:
-            epoch = int(header.group(1))
-    return ServiceState(
+        data = snapshot.read_bytes()
+        commits = list(_COMMIT.finditer(data))
+        if commits and commits[0].start() == 0:
+            epoch = int(commits[-1].group(1))
+            if len(commits) > 1:
+                committed = commits[-1].end()
+                data = data[:committed]
+        graph = parse_turtle(data.decode("utf-8")).graph
+    state = ServiceState(
         graph=graph,
         schema=builtin_schema() if schema is None else schema,
         snapshot_path=snapshot,
         validate_writes=validate_writes,
         epoch=epoch,
     )
+    if committed is not None:
+        state._committed, state._compact_at = committed, 2 * committed
+    return state
 
 
 class _Handler(BaseHTTPRequestHandler):

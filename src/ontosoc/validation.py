@@ -12,12 +12,18 @@ Schema-vocabulary triples (type declarations, subclass, domain/range,
 disjointness, equivalence, labels) are never checked as instance data.
 Either check builds the map itself when called without one, so callers
 may pass raw graphs.
+
+`validate_delta` carries a graph's map and violation list over to the
+graph plus some new triples.  A domain/range verdict depends only on
+the triple and its endpoints' classes, and a disjointness verdict only
+on the node's classes, so it re-checks the new triples, the triples
+around each node whose classes changed, and those nodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from .rdf import (
     OWL_DISJOINT_WITH,
@@ -88,6 +94,7 @@ class ValidationReport:
     checked_triples: int = 0
     entailed_types: int = 0
     skipped_predicates: int = 0
+    types: TypeMap = field(default_factory=dict, repr=False, compare=False)  # what the checks read
 
     @property
     def conforms(self) -> bool:
@@ -124,15 +131,22 @@ class _Signatures(dict):
         return signatures
 
 
+def _grown_types(triples: Iterable[Triple], schema: SchemaDef, types: TypeMap) -> TypeMap:
+    """The nodes that the schema-class rdf:type triples among ``triples``
+    type, each with its classes in ``types`` plus the new ones and all
+    their superclasses."""
+    closures = {c.iri: frozenset(schema.superclass_closure(c.iri)) for c in schema.classes}
+    grown: TypeMap = {}
+    for t in triples:
+        if t.predicate.value == RDF_TYPE and isinstance(t.object, Iri) and t.object.value in closures:
+            grown[t.subject] = grown.get(t.subject, types.get(t.subject, _UNTYPED)) | closures[t.object.value]
+    return grown
+
+
 def entail_types(graph: Graph, schema: SchemaDef) -> TypeMap:
     """Map each typed node to its declared schema classes and all their
     superclasses.  Nodes without a schema class are absent."""
-    closures = {c.iri: frozenset(schema.superclass_closure(c.iri)) for c in schema.classes}
-    types: TypeMap = {}
-    for t in graph.match(predicate=Iri(RDF_TYPE)):
-        if isinstance(t.object, Iri) and t.object.value in closures:
-            types[t.subject] = types.get(t.subject, _UNTYPED) | closures[t.object.value]
-    return types
+    return _grown_types(graph.match(predicate=Iri(RDF_TYPE)), schema, {})
 
 
 def infer_types(graph: Graph, schema: SchemaDef) -> Graph:
@@ -145,9 +159,13 @@ def infer_types(graph: Graph, schema: SchemaDef) -> Graph:
 
 
 def check_domain_range(
-    graph: Graph, schema: SchemaDef, types: Optional[TypeMap] = None
+    graph: Graph,
+    schema: SchemaDef,
+    types: Optional[TypeMap] = None,
+    triples: Optional[Iterable[Triple]] = None,
 ) -> list[Violation]:
-    """Domain/range conformance for every schema-property triple.
+    """Domain/range conformance for every schema-property triple of
+    ``triples`` (default: all of ``graph``).
 
     A triple on a canonical predicate IRI conforms when any of its
     declared signatures is fully satisfied; reported classes come from
@@ -157,7 +175,7 @@ def check_domain_range(
         types = entail_types(graph, schema)
     signatures_of = _Signatures(schema)
     violations = []
-    for t in graph:
+    for t in graph if triples is None else triples:
         if t.predicate.value in _VOCAB_PREDICATES:
             continue
         signatures = signatures_of[t.predicate.value]
@@ -208,14 +226,18 @@ def check_domain_range(
 
 
 def check_disjointness(
-    graph: Graph, schema: SchemaDef, types: Optional[TypeMap] = None
+    graph: Graph,
+    schema: SchemaDef,
+    types: Optional[TypeMap] = None,
+    nodes: Optional[Iterable[Term]] = None,
 ) -> list[Violation]:
-    """One violation per instance per disjoint class pair it violates."""
+    """One violation per instance per disjoint class pair it violates,
+    for each typed node of ``nodes`` (default: every typed node)."""
     if types is None:
         types = entail_types(graph, schema)
     disjoint = sorted({(ax.class_a, ax.class_b) for ax in schema.disjointness})
     violations = []
-    for node in sorted(types, key=term_key):
+    for node in sorted(types if nodes is None else nodes, key=term_key):
         classes = types[node]
         for a, b in disjoint:
             if a in classes and b in classes:
@@ -245,7 +267,7 @@ def validate(graph: Graph, schema: SchemaDef) -> ValidationReport:
             checked += 1
         else:
             skipped += 1
-    report = ValidationReport()
+    report = ValidationReport(types=types)
     report.entailed_types = sum(len(classes) for classes in types.values()) - declared
     report.checked_triples = checked
     report.skipped_predicates = skipped
@@ -254,3 +276,40 @@ def validate(graph: Graph, schema: SchemaDef) -> ValidationReport:
         key=Violation.sort_key,
     )
     return report
+
+
+def validate_delta(
+    graph: Graph,
+    schema: SchemaDef,
+    types: TypeMap,
+    violations: list[Violation],
+    added: Iterable[Triple],
+) -> tuple[TypeMap, list[Violation]]:
+    """The type map and violation list of ``graph``, given those of the
+    graph it was before the triples ``added`` (all absent then) joined it.
+
+    Equal to ``entail_types(graph, schema)`` and ``validate(graph,
+    schema).violations``, in the same order.  Neither input is changed.
+    """
+    added = list(added)
+    retyped = {
+        node: classes
+        for node, classes in _grown_types(added, schema, types).items()
+        if classes != types.get(node, _UNTYPED)
+    }
+    recheck = set(added)
+    if retyped:
+        types = {**types, **retyped}
+        for node in retyped:
+            recheck.update(graph.match(subject=node))
+            recheck.update(graph.match(object=node))
+
+    def stale(v: Violation) -> bool:
+        if v.triple is None:
+            return v.instance in retyped
+        return v.triple.subject in retyped or v.triple.object in retyped
+
+    kept = [v for v in violations if not stale(v)]
+    fresh = check_domain_range(graph, schema, types, recheck)
+    fresh += check_disjointness(graph, schema, types, retyped)
+    return types, sorted(kept + fresh, key=Violation.sort_key)

@@ -65,6 +65,37 @@ class TestValidate:
         assert "Traceback" not in err
 
 
+# the 0xff at byte 28 is inside the literal
+NOT_UTF8 = b'<http://x/s> <http://x/p> "a\xffb" .\n'
+
+
+@pytest.fixture()
+def not_utf8(tmp_path):
+    path = tmp_path / "latin.ttl"
+    path.write_bytes(NOT_UTF8)
+    return str(path)
+
+
+class TestNotUtf8:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "{bad}"],
+            ["query", "--query", "SELECT ?s WHERE { ?s ?p ?o }", "{bad}"],
+            ["query", "--file", "{bad}", "{good}"],
+            ["stats", "{good}", "{bad}"],
+            ["validate", "--schema", "{bad}", "{good}"],
+        ],
+        ids=["validate", "query-data", "query-file", "stats", "schema"],
+    )
+    def test_exits_two_and_names_path_and_byte(self, not_utf8, corpus_args, capsys, argv):
+        argv = [{"{bad}": not_utf8, "{good}": corpus_args[0]}.get(a, a) for a in argv]
+        assert run(argv) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert f"error: {not_utf8}: not valid UTF-8 (byte 28)" in err
+        assert "Traceback" not in err
+
+
 class TestQuery:
     def test_shipped_query_json(self, corpus_args, capsys):
         assert (
@@ -214,6 +245,10 @@ class TestServe:
         data.write_text("# epoch 3\nex:a ex:b", encoding="utf-8")
         assert run(["serve", "--port", "0", "--data", str(data)]) == EXIT_ERROR
         assert f"error: {data}: line 2, column 1: undeclared prefix" in capsys.readouterr().err
+
+    def test_data_not_utf8(self, not_utf8, capsys):
+        assert run(["serve", "--port", "0", "--data", not_utf8]) == EXIT_ERROR
+        assert f"error: {not_utf8}: not valid UTF-8 (byte 28)" in capsys.readouterr().err
 
 
 class TestUsage:

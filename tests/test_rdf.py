@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 
@@ -22,6 +23,10 @@ from .strategies import graphs, subjects, triples
 EX = "http://example.org/"
 A, P, B = Iri(EX + "a"), Iri(EX + "p"), Iri(EX + "b")
 ONTOSOC = "http://maroua-univ/ns/ontosoc#"
+
+# few blanks and predicates, so that random pairs of graphs are often isomorphic
+_small_blanks = st.sampled_from([Blank(x) for x in "abcde"])
+_small_triples = st.builds(Triple, _small_blanks, st.sampled_from([P, B]), st.one_of(_small_blanks, st.just(A)))
 
 
 class TestTerms:
@@ -209,6 +214,119 @@ class TestGraphEqual:
             Triple(Blank(f"b{i}"), P, Blank(f"b{(i + k) % n}")) for i in range(n) for k in (1, 3)
         )
         assert graph_equal(ring, ring.copy())
+
+
+    def test_relabeled_blank_four_cycle_is_equal(self):
+        def cycle(order):
+            return Graph(Triple(Blank(order[i]), P, Blank(order[(i + 1) % 4])) for i in range(4))
+
+        assert graph_equal(cycle("abcd"), cycle("acbd"))
+
+    def test_four_cycle_differs_from_two_two_cycles(self):
+        cycle = Graph(Triple(Blank(x), P, Blank(y)) for x, y in ("ab", "bc", "cd", "da"))
+        pairs = Graph(Triple(Blank(x), P, Blank(y)) for x, y in ("ab", "ba", "cd", "dc"))
+        assert not graph_equal(cycle, pairs)
+
+    def test_relabeled_regular_digraph_is_equal(self):
+        # every node has two in- and two out-edges, so refinement splits no
+        # colour, and the nodes are not all alike: only the search tells
+        edges = [(0, 4), (0, 5), (1, 2), (1, 3), (2, 0), (2, 5), (3, 1), (3, 2), (4, 0), (4, 1), (5, 3), (5, 4)]
+        perm = [4, 5, 1, 0, 2, 3]
+        g = Graph(Triple(Blank(f"n{i}"), P, Blank(f"n{j}")) for i, j in edges)
+        h = Graph(Triple(Blank(f"n{perm[i]}"), P, Blank(f"n{perm[j]}")) for i, j in edges)
+        assert graph_equal(g, h)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            Graph(Triple(Blank(f"x{i}"), P, Literal("v")) for i in range(40)),
+            Graph(Triple(Blank(f"x{i}"), P, Blank(f"y{i}")) for i in range(20)),
+            Graph(Triple(Blank("hub"), P, Blank(f"leaf{i}")) for i in range(40)),
+            Graph(Triple(Blank(f"k{i}"), P, Blank(f"k{j}")) for i in range(12) for j in range(12) if i != j),
+            Graph(t for i in range(8) for t in (Triple(Blank("hub"), P, Blank(f"x{i}")), Triple(Blank(f"x{i}"), P, Blank(f"y{i}")))),
+        ],
+        ids=["twins", "pairs", "star", "complete", "spider"],
+    )
+    def test_symmetric_blanks_do_not_blow_up_the_search(self, graph):
+        assert graph_equal(graph, permute_blanks(graph, random.Random(7)))
+
+    @given(graphs(), st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_equal_to_any_blank_permutation(self, g, rng):
+        assert graph_equal(g, permute_blanks(g, rng))
+
+    @given(st.lists(_small_triples, max_size=9), st.randoms(use_true_random=False), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_brute_force_isomorphism(self, first, rng, data):
+        g = Graph(first)
+        h = permute_blanks(g, rng)
+        if len(h) and data.draw(st.booleans()):  # rewire one triple: often no longer isomorphic
+            rest = sorted(h, key=Triple.sort_key)
+            rest[data.draw(st.integers(0, len(rest) - 1))] = data.draw(_small_triples)
+            h = Graph(rest)
+        assert graph_equal(g, h) == brute_force_isomorphic(g, h)
+
+
+def permute_blanks(graph: Graph, rng: random.Random) -> Graph:
+    """``graph`` with its blank labels shuffled among its blanks."""
+    labels = sorted({t.label for t in _blank_terms(graph)})
+    shuffled = labels[:]
+    rng.shuffle(shuffled)
+    rename = {Blank(a): Blank(b) for a, b in zip(labels, shuffled)}
+    return Graph(Triple(rename.get(t.subject, t.subject), t.predicate, rename.get(t.object, t.object)) for t in graph)
+
+
+def brute_force_isomorphic(g: Graph, h: Graph) -> bool:
+    """Try every bijection between the two graphs' blank nodes."""
+    g_blanks, h_blanks = sorted(_blank_terms(g), key=str), sorted(_blank_terms(h), key=str)
+    if len(g_blanks) != len(h_blanks) or len(g) != len(h):
+        return False
+    for image in itertools.permutations(h_blanks):
+        m = dict(zip(g_blanks, image))
+        if {Triple(m.get(t.subject, t.subject), t.predicate, m.get(t.object, t.object)) for t in g} == set(h):
+            return True
+    return False
+
+
+def _blank_terms(graph: Graph) -> set[Blank]:
+    return {x for t in graph for x in (t.subject, t.object) if isinstance(x, Blank)}
+
+
+class TestUnion:
+    def test_source_unchanged_and_new_triples_listed(self):
+        g = Graph([Triple(A, P, B)])
+        before = g.match()
+        out, added = g.union([Triple(A, P, B), Triple(B, P, A), Triple(B, P, A)])
+        assert added == [Triple(B, P, A)]
+        assert g.match() == before and len(g) == 1
+        assert set(out) == {Triple(A, P, B), Triple(B, P, A)}
+
+    def test_untouched_inner_containers_are_shared(self):
+        g = Graph([Triple(A, P, B), Triple(B, P, A)])
+        out, _ = g.union([Triple(A, P, Literal("v"))])
+        assert out._spo[B] is g._spo[B]
+        assert out._spo[A] is not g._spo[A]
+
+    @given(graphs(), st.lists(triples, max_size=10), st.lists(triples, max_size=5))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_a_graph_built_from_scratch(self, g, new, later):
+        before = set(g)
+        out, added = g.union(new)
+        assert added == list(dict.fromkeys(t for t in new if t not in before))
+        expected = Graph(before | set(new))
+        terms = [None] + sorted({x for t in expected for x in (t.subject, t.predicate, t.object)}, key=str)[:6]
+        for s, p, o in itertools.product(terms, repeat=3):
+            assert out.match(s, p, o) == expected.match(s, p, o)
+        # mutating either graph afterwards leaves the other as it was
+        for t in later:
+            out.add(t)
+            g.remove(t)
+        assert set(g) == before - set(later)
+        assert set(out) == before | set(new) | set(later)
+        assert sorted(g.match(), key=Triple.sort_key) == Graph(before - set(later)).match()
+        for t in set(g):
+            assert g.match(t.subject) == Graph(set(g)).match(t.subject)
+            assert out.match(None, None, t.object) == Graph(set(out)).match(None, None, t.object)
 
 
 class TestPrefixMap:

@@ -13,10 +13,11 @@ from pathlib import Path
 import pytest
 import requests
 
+from ontosoc import resources, service, validation
 from ontosoc.service import MAX_BODY_BYTES, ServiceState, load_state, make_server
 from ontosoc.schema import builtin_schema
-from ontosoc.rdf import Graph
-from ontosoc.turtle import parse_turtle
+from ontosoc.rdf import Blank, Graph, graph_equal
+from ontosoc.turtle import parse_turtle, serialize_turtle
 
 GOOD_TTL = """\
 @prefix ontosoc: <http://maroua-univ/ns/ontosoc#> .
@@ -304,6 +305,126 @@ class TestSnapshot:
             assert len(state.graph) == 4
             assert (set(reloaded.graph), reloaded.epoch) == (set(state.graph), 2)
         assert not list(tmp_path.glob("*.tmp"))
+
+
+def _locality(name):
+    return f"<http://example.org/soc/{name}> a <http://maroua-univ/ns/ontosoc#Locality> ."
+
+
+def _assert_reloads_as_live(state):
+    reloaded = load_state(data_path=str(state.snapshot_path))
+    assert graph_equal(reloaded.graph, state.graph)
+    assert reloaded.epoch == state.epoch
+
+
+class TestLog:
+    """The data file as a log: one appended record per accepted post."""
+
+    @pytest.mark.parametrize(
+        "tail",
+        [
+            b'<http://x/torn> <http://x/p> "half',
+            b"<http://x/torn> <http://x/p> <http://x/o> .\n",
+            b"<http://x/torn> <http://x/p> <http://x/o> .\n# epoch 3",
+            b'<http://x/torn> <http://x/p> "\xc3',  # a UTF-8 sequence cut short
+        ],
+        ids=["mid-line", "no-commit-line", "commit-line-cut", "mid-character"],
+    )
+    def test_torn_tail_is_skipped_on_load_and_cut_by_the_next_post(self, server, tail):
+        base, state = server
+        assert requests.post(f"{base}/graph", data=GOOD_TTL.encode("utf-8")).status_code == 200
+        assert requests.post(f"{base}/graph", data=MORE_TTL.encode("utf-8")).status_code == 200
+        path = state.snapshot_path
+        with open(path, "ab") as fh:
+            fh.write(tail)
+        on_disk = path.read_bytes()
+        reloaded = load_state(data_path=str(path))
+        assert (set(reloaded.graph), reloaded.epoch) == (set(state.graph), 2)
+        assert path.read_bytes() == on_disk  # loading wrote nothing
+        resp = requests.post(f"{base}/graph", data=_locality("Garoua").encode("utf-8"))
+        assert resp.json() == {"added": 1, "epoch": 3}
+        assert b"torn" not in path.read_bytes()
+        _assert_reloads_as_live(state)
+
+    def test_compaction_past_twice_the_last_whole_write(self, server):
+        base, state = server
+        assert requests.post(f"{base}/graph", data=GOOD_TTL.encode("utf-8")).status_code == 200
+        path = state.snapshot_path
+        whole = path.stat().st_size
+        for i in range(1, 100):
+            size = path.stat().st_size
+            body = _locality(f"Town{i}")
+            assert requests.post(f"{base}/graph", data=body.encode("utf-8")).status_code == 200
+            (triple,) = parse_turtle(body).graph
+            record = len(f"{triple.n3()}\n# epoch {state.epoch}\n")
+            first_line = path.read_text(encoding="utf-8").splitlines()[0]
+            if size + record <= 2 * whole:
+                assert path.stat().st_size == size + record  # appended
+                assert first_line == "# epoch 1"
+            else:
+                assert first_line == f"# epoch {state.epoch}"
+                break
+        else:
+            pytest.fail("the file was never rewritten whole")
+        _assert_reloads_as_live(state)
+
+    def test_stray_epoch_comment_without_header(self, tmp_path):
+        data = tmp_path / "kb.ttl"
+        data.write_text(GOOD_TTL + "# epoch 9\n" + MORE_TTL.split("\n\n")[1], encoding="utf-8")
+        state = load_state(data_path=str(data))
+        assert (len(state.graph), state.epoch) == (4, 0)
+        status, _, _ = state.apply_post(_locality("Garoua"))
+        assert status == 200
+        text = data.read_text(encoding="utf-8")
+        assert text.splitlines()[0] == "# epoch 1"
+        assert "# epoch 9" not in text
+        _assert_reloads_as_live(state)
+
+    def test_file_removed_under_the_service_is_written_whole(self, server):
+        base, state = server
+        assert requests.post(f"{base}/graph", data=GOOD_TTL.encode("utf-8")).status_code == 200
+        state.snapshot_path.unlink()
+        assert requests.post(f"{base}/graph", data=MORE_TTL.encode("utf-8")).json() == {"added": 1, "epoch": 2}
+        assert state.snapshot_path.read_text(encoding="utf-8").splitlines()[0] == "# epoch 2"
+        _assert_reloads_as_live(state)
+
+    def test_blank_label_names_one_node_across_records(self, server):
+        base, state = server
+        person = "_:p a <http://maroua-univ/ns/ontosoc#Individual> ."
+        joins = "_:p <http://maroua-univ/ns/ontosoc#isMemberOf> <http://example.org/soc/Choir> ."
+        for body in (GOOD_TTL, person, joins):
+            assert requests.post(f"{base}/graph", data=body.encode("utf-8")).status_code == 200
+        reloaded = load_state(data_path=str(state.snapshot_path))
+        assert {t.subject for t in reloaded.graph if isinstance(t.subject, Blank)} == {Blank("p")}
+        assert (set(reloaded.graph), reloaded.epoch) == (set(state.graph), 3)
+
+    def test_posts_after_the_first_copy_serialize_and_validate_nothing(self, tmp_path, monkeypatch):
+        data = tmp_path / "kb.ttl"
+        data.write_text(serialize_turtle(resources.load_corpus()), encoding="utf-8")
+        state = load_state(data_path=str(data))
+        filler = "\n".join(_locality(f"Filler{i}") for i in range(100))
+        assert state.apply_post(filler)[0] == 200  # the first write: whole file, full validation
+        calls = {"copy": 0, "serialize": 0, "validate": 0, "fsync": 0}
+
+        def counting(key, real):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(Graph, "copy", counting("copy", Graph.copy))
+        monkeypatch.setattr(service, "serialize_turtle", counting("serialize", service.serialize_turtle))
+        monkeypatch.setattr(service, "validate", counting("validate", service.validate))
+        monkeypatch.setattr(validation, "validate", counting("validate", validation.validate))
+        monkeypatch.setattr(os, "fsync", counting("fsync", os.fsync))
+        for i in range(20):
+            status, _, body = state.apply_post(_locality(f"Town{i}"))
+            assert (status, json.loads(body)) == (200, {"added": 1, "epoch": i + 2})
+            assert calls == {"copy": 0, "serialize": 0, "validate": 0, "fsync": i + 1}
+        monkeypatch.undo()
+        assert data.read_text(encoding="utf-8").splitlines()[0] == "# epoch 1"  # no compaction
+        _assert_reloads_as_live(state)
 
 
 class TestProcessRestart:

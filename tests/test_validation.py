@@ -18,10 +18,13 @@ from ontosoc.validation import (
     DISJOINTNESS,
     DOMAIN,
     RANGE,
+    ValidationReport,
     check_disjointness,
     check_domain_range,
+    entail_types,
     infer_types,
     validate,
+    validate_delta,
 )
 
 from .oracles import brute_force_violation_count
@@ -264,3 +267,66 @@ def test_one_pass_validate_matches_brute_force(schema, data):
     report = validate(g, schema)
     assert len(report.violations) == brute_force_violation_count(g, schema)
     assert report.entailed_types == len(infer_types(g, schema)) - len(g)
+
+
+_NAMES = ["n1", "n2", "n3", "n4"]
+_CLASSES = ["Individual", "Community", "Role", "Resource", "Activity", "Locality", "CulturalActivity", "SportActivity"]
+_PROPS = ["isMemberOf", "plays", "isPlayedBy", "isUsedBy", "usedTool", "isRealisedBy", "isRealizeBy", "isOccurredIn"]
+
+
+def _type_triple(name, cls):
+    return Triple(_i(name), Iri(RDF_TYPE), Iri(_c(cls)))
+
+
+def _assert_delta_matches_full(schema, g, delta):
+    base = validate(g, schema)
+    types_before, violations_before = dict(base.types), list(base.violations)
+    merged, added = g.union(delta)
+    types, violations = validate_delta(merged, schema, base.types, base.violations, added)
+    full = validate(merged, schema)
+    assert violations == full.violations
+    assert ValidationReport(violations).render_machine() == full.render_machine()
+    assert types == entail_types(merged, schema)
+    assert (base.types, base.violations) == (types_before, violations_before)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_delta_validation_matches_full_validation(schema, data):
+    g = Graph()
+    for name in _NAMES:  # some nodes stay untyped
+        for cls in data.draw(st.lists(st.sampled_from(_CLASSES), max_size=2)):
+            g.add(_type_triple(name, cls))
+    for _ in range(data.draw(st.integers(0, 6))):
+        obj = data.draw(st.one_of(st.sampled_from(_NAMES).map(_i), st.just(Literal("x"))))
+        g.add(Triple(_i(data.draw(st.sampled_from(_NAMES))), Iri(_c(data.draw(st.sampled_from(_PROPS)))), obj))
+    type_triples = st.builds(_type_triple, st.sampled_from(_NAMES), st.sampled_from(_CLASSES))
+    property_triples = st.builds(
+        lambda s, p, o: Triple(_i(s), Iri(_c(p)), _i(o)),
+        st.sampled_from(_NAMES), st.sampled_from(_PROPS), st.sampled_from(_NAMES),
+    )
+    repeats = st.sampled_from(sorted(g, key=Triple.sort_key)) if len(g) else type_triples
+    delta = data.draw(st.lists(st.one_of(type_triples, property_triples, repeats), max_size=5))
+    _assert_delta_matches_full(schema, g, delta)
+
+
+@pytest.mark.parametrize(
+    "graph,delta",
+    [
+        # a type that fixes a domain violation
+        ([Triple(_i("a"), Iri(_c("isMemberOf")), _i("c")), _type_triple("c", "Community")],
+         [_type_triple("a", "Individual")]),
+        # a type that adds a class disjoint with one the node has
+        ([_type_triple("a", "Individual"), Triple(_i("a"), Iri(_c("isMemberOf")), _i("c"))],
+         [_type_triple("a", "Community")]),
+        # a type on an object that was untyped
+        ([_type_triple("a", "Individual"), Triple(_i("a"), Iri(_c("isMemberOf")), _i("c"))],
+         [_type_triple("c", "Community")]),
+        # repeats of triples already in the graph
+        ([_type_triple("a", "Individual"), Triple(_i("a"), Iri(_c("isMemberOf")), _i("c"))],
+         [_type_triple("a", "Individual"), Triple(_i("a"), Iri(_c("isMemberOf")), _i("c"))]),
+    ],
+    ids=["fixes-domain", "adds-disjoint", "types-object", "repeats"],
+)
+def test_delta_validation_cases(schema, graph, delta):
+    _assert_delta_matches_full(schema, Graph(graph), delta)
