@@ -17,7 +17,6 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from . import hat, resources
 from .rdf import RDF_TYPE, Graph, Iri, PrefixMap
 from .schema import SchemaDef, builtin_schema, schema_from_graph, schema_prefixes, schema_to_graph
 from .sparql import QueryError, evaluate, parse_query, to_json_results
@@ -130,6 +129,8 @@ def _schema_turtle(graph: Graph) -> str:
 
 
 def _cmd_derive_schema(args: argparse.Namespace) -> int:
+    from . import hat
+
     if args.triads is not None:
         triads = _parse_triads(_read_text(args.triads))
     else:
@@ -158,6 +159,8 @@ def _cmd_derive_schema(args: argparse.Namespace) -> int:
 
 
 def _parse_triads(text: str) -> set:
+    from . import hat
+
     triads = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

@@ -1,17 +1,28 @@
 """In-memory RDF model: terms, triples, prefix maps, and an indexed graph.
 
-The graph keeps three permutation indexes (subject-predicate-object,
-predicate-object-subject, object-subject-predicate) so that any pattern
-with at least one bound slot is answered without a full scan.  Match
-results are always returned sorted lexicographically by the N3 rendering
-of (subject, predicate, object), which makes query output deterministic.
+Terms are hash-consed (Filliâtre & Conchon, "Type-Safe Modular
+Hash-Consing", 2006): constructing an `Iri`, `Blank` or `Literal`
+returns the one object for its value, so equality is identity and
+hashing is by address, both in C, and each term's N3 string is built
+once.  This plays the part of the dictionary encoding of RDF-3X
+(Neumann & Weikum 2008) without changing the term API.  A `Triple` is a
+tuple of three terms.
+
+The graph holds its triples only in three permutation indexes
+(subject-predicate-object, predicate-object-subject,
+object-subject-predicate), so that any pattern with at least one bound
+slot is answered without a full scan.  Match results are always
+returned sorted lexicographically by the N3 rendering of (subject,
+predicate, object), which makes query output deterministic.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+import threading
+from operator import attrgetter, itemgetter
+from typing import Callable, Iterable, Iterator, Optional, Union
+from weakref import ref
 
 XSD = "http://www.w3.org/2001/XMLSchema#"
 XSD_STRING = XSD + "string"
@@ -38,21 +49,13 @@ class TermError(ValueError):
 
 
 def _escape(text: str) -> str:
-    out = []
-    for ch in text:
-        if ch == "\\":
-            out.append("\\\\")
-        elif ch == '"':
-            out.append('\\"')
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ch == "\t":
-            out.append("\\t")
-        else:
-            out.append(ch)
-    return "".join(out)
+    return (
+        text.replace("\\", "\\\\")
+        .replace('"', '\\"')
+        .replace("\n", "\\n")
+        .replace("\r", "\\r")
+        .replace("\t", "\\t")
+    )
 
 
 _UNESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
@@ -96,79 +99,196 @@ def unescape(text: str) -> str:
 _WHITESPACE = re.compile(r"\s")
 
 
-@dataclass(frozen=True)
-class Iri:
+class _Term:
+    """What the three term kinds share: hash-consing and immutability.
+
+    Each kind keeps its canonical terms in a weak-valued table keyed by
+    the term's value, so constructing a term returns the one object for
+    that value, and a term that nothing references leaves the table.
+    Equality and hashing are therefore identity, the inherited C
+    versions.  A miss takes the lock and looks again before it inserts,
+    so two threads never create twins.  ``_n3`` holds the term's N3
+    string, built once.
+    """
+
+    __slots__ = ("_n3", "__weakref__")
+
+    def n3(self) -> str:
+        return self._n3
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __copy__(self) -> "_Term":
+        return self
+
+    def __deepcopy__(self, memo: dict) -> "_Term":
+        return self
+
+
+class _Ref(ref):
+    """A weak reference to a canonical term that knows the term's key."""
+
+    __slots__ = ("key",)
+
+
+class _Table(dict):
+    """Key -> a weak reference to the canonical term for that key."""
+
+    __slots__ = ()
+
+    def get_term(self, key: object) -> Optional["_Term"]:
+        r = self.get(key)
+        return None if r is None else r()
+
+    def intern(self, key: object, term: "_Term") -> "_Term":
+        """The canonical term for ``key``: ``term``, unless another thread
+        has just made one."""
+        with _LOCK:
+            canonical = self.get_term(key)
+            if canonical is None:
+                canonical = term
+                r = self[key] = _Ref(term, self._forget)
+                r.key = key
+        return canonical
+
+    def _forget(self, r: _Ref) -> None:
+        """Called when a canonical term dies: drop its entry, unless a new
+        term already holds the key."""
+        with _LOCK:
+            if self.get(r.key) is r:
+                del self[r.key]
+
+
+# reentrant: a term can die, and its entry be forgotten, inside `intern`
+_LOCK = threading.RLock()
+_IRIS, _BLANKS, _LITERALS = _Table(), _Table(), _Table()
+_set = object.__setattr__  # the one way to write a term's fields
+
+
+class Iri(_Term):
+    __slots__ = ("value",)
     value: str
 
-    def __post_init__(self) -> None:
-        if not self.value:
+    def __new__(cls, value: str) -> "Iri":
+        term = _IRIS.get_term(value)
+        if term is not None:
+            return term
+        if not value:
             raise TermError("IRI must be non-empty")
-        if _WHITESPACE.search(self.value):
-            raise TermError(f"IRI contains whitespace: {self.value!r}")
+        if _WHITESPACE.search(value):
+            raise TermError(f"IRI contains whitespace: {value!r}")
+        term = object.__new__(cls)
+        _set(term, "value", value)
+        _set(term, "_n3", f"<{value}>")
+        return _IRIS.intern(value, term)
 
-    def n3(self) -> str:
-        return f"<{self.value}>"
+    def __reduce__(self) -> tuple:
+        return Iri, (self.value,)
+
+    def __repr__(self) -> str:
+        return f"Iri(value={self.value!r})"
 
 
-@dataclass(frozen=True)
-class Blank:
+class Blank(_Term):
+    __slots__ = ("label",)
     label: str
 
-    def __post_init__(self) -> None:
-        if not self.label:
+    def __new__(cls, label: str) -> "Blank":
+        term = _BLANKS.get_term(label)
+        if term is not None:
+            return term
+        if not label:
             raise TermError("blank node label must be non-empty")
+        term = object.__new__(cls)
+        _set(term, "label", label)
+        _set(term, "_n3", f"_:{label}")
+        return _BLANKS.intern(label, term)
 
-    def n3(self) -> str:
-        return f"_:{self.label}"
+    def __reduce__(self) -> tuple:
+        return Blank, (self.label,)
+
+    def __repr__(self) -> str:
+        return f"Blank(label={self.label!r})"
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(_Term):
+    __slots__ = ("lexical", "datatype", "language")
     lexical: str
-    datatype: Optional[str] = None
-    language: Optional[str] = None
+    datatype: Optional[str]
+    language: Optional[str]
 
-    def __post_init__(self) -> None:
-        if self.datatype is not None and self.language is not None:
+    def __new__(cls, lexical: str, datatype: Optional[str] = None, language: Optional[str] = None) -> "Literal":
+        if language is None:
+            # Plain literals normalize to xsd:string; language-tagged ones stay bare.
+            if datatype is None:
+                datatype = XSD_STRING
+        elif datatype is not None:
             raise TermError("literal may carry a datatype or a language tag, not both")
-        # Plain literals normalize to xsd:string; language-tagged ones stay bare.
-        if self.datatype is None and self.language is None:
-            object.__setattr__(self, "datatype", XSD_STRING)
+        key = (lexical, datatype, language)
+        term = _LITERALS.get_term(key)
+        if term is not None:
+            return term
+        n3 = f'"{_escape(lexical)}"'
+        if language is not None:
+            n3 = f"{n3}@{language}"
+        elif datatype != XSD_STRING:
+            n3 = f"{n3}^^<{datatype}>"
+        term = object.__new__(cls)
+        _set(term, "lexical", lexical)
+        _set(term, "datatype", datatype)
+        _set(term, "language", language)
+        _set(term, "_n3", n3)
+        return _LITERALS.intern(key, term)
 
-    def n3(self) -> str:
-        body = f'"{_escape(self.lexical)}"'
-        if self.language is not None:
-            return f"{body}@{self.language}"
-        if self.datatype is not None and self.datatype != XSD_STRING:
-            return f"{body}^^<{self.datatype}>"
-        return body
+    def __reduce__(self) -> tuple:
+        return Literal, (self.lexical, self.datatype, self.language)
+
+    def __repr__(self) -> str:
+        return f"Literal(lexical={self.lexical!r}, datatype={self.datatype!r}, language={self.language!r})"
 
 
 Term = Union[Iri, Blank, Literal]
 
-
-def term_key(term: Term) -> str:
-    """Sort key used for all deterministic term orderings."""
-    return term.n3()
+# Sort key used for all deterministic term orderings: the term's N3 string.
+term_key: Callable[[Term], str] = attrgetter("_n3")
 
 
-@dataclass(frozen=True)
-class Triple:
-    subject: Term
-    predicate: Term
-    object: Term
+class Triple(tuple):
+    """A (subject, predicate, object) tuple whose constructor checks that
+    the subject is no literal and the predicate an IRI."""
 
-    def __post_init__(self) -> None:
-        if isinstance(self.subject, Literal):
+    __slots__ = ()
+
+    def __new__(cls, subject: Term, predicate: Term, object: Term) -> "Triple":
+        if isinstance(subject, Literal):
             raise TermError("literal may not appear in subject position")
-        if not isinstance(self.predicate, Iri):
+        if not isinstance(predicate, Iri):
             raise TermError("predicate must be an IRI")
+        return tuple.__new__(cls, (subject, predicate, object))
+
+    subject = property(itemgetter(0))
+    predicate = property(itemgetter(1))
+    object = property(itemgetter(2))
 
     def sort_key(self) -> tuple:
-        return (term_key(self.subject), term_key(self.predicate), term_key(self.object))
+        return (self[0]._n3, self[1]._n3, self[2]._n3)
 
     def n3(self) -> str:
-        return f"{self.subject.n3()} {self.predicate.n3()} {self.object.n3()} ."
+        return f"{self[0]._n3} {self[1]._n3} {self[2]._n3} ."
+
+    def __reduce__(self) -> tuple:
+        return Triple, tuple(self)
+
+    def __repr__(self) -> str:
+        return f"Triple(subject={self[0]!r}, predicate={self[1]!r}, object={self[2]!r})"
+
+
+# builds a Triple of terms a graph already holds, which passed its checks there
+_stored = tuple.__new__
 
 
 class UndeclaredPrefixError(KeyError):
@@ -223,18 +343,22 @@ class PrefixMap:
         return f"PrefixMap({self._map!r})"
 
 
+_EMPTY: dict = {}  # the default of index lookups; never written
+
+
 class Graph:
-    """A set of triples with SPO, POS and OSP indexes kept in lockstep.
+    """A set of triples held only in SPO, POS and OSP indexes kept in
+    lockstep, with a count beside them.
 
     Set semantics throughout: adding a triple twice is a no-op.  Safe for
     many concurrent readers; mutation requires exclusive access.
     """
 
     def __init__(self, triples: Optional[Iterable[Triple]] = None):
-        self._triples: set[Triple] = set()
         self._spo: dict[Term, dict[Iri, set[Term]]] = {}
         self._pos: dict[Iri, dict[Term, set[Term]]] = {}
         self._osp: dict[Term, dict[Term, set[Iri]]] = {}
+        self._len = 0
         self._shared = False  # inner index containers may be another graph's too
         if triples:
             for t in triples:
@@ -244,28 +368,35 @@ class Graph:
         """Insert a triple; returns True iff it was absent before."""
         if not isinstance(t, Triple):
             raise TermError("not a triple")
-        if t in self._triples:
-            return False
         if self._shared:
+            if t in self:
+                return False
             self._unshare()
-        self._triples.add(t)
-        s, p, o = t.subject, t.predicate, t.object
-        self._spo.setdefault(s, {}).setdefault(p, set()).add(o)
+        return self._insert(*t)
+
+    def _insert(self, s: Term, p: Iri, o: Term) -> bool:
+        """`add` for terms that form a triple, on a graph that shares no
+        container; the Turtle parser calls it directly."""
+        objs = self._spo.setdefault(s, {}).setdefault(p, set())
+        if o in objs:
+            return False
+        objs.add(o)
         self._pos.setdefault(p, {}).setdefault(o, set()).add(s)
         self._osp.setdefault(o, {}).setdefault(s, set()).add(p)
+        self._len += 1
         return True
 
     def remove(self, t: Triple) -> bool:
         """Remove a triple; returns True iff it was present."""
-        if t not in self._triples:
+        if t not in self:
             return False
         if self._shared:
             self._unshare()
-        self._triples.discard(t)
-        s, p, o = t.subject, t.predicate, t.object
+        s, p, o = t
         self._prune(self._spo, s, p, o)
         self._prune(self._pos, p, o, s)
         self._prune(self._osp, o, s, p)
+        self._len -= 1
         return True
 
     @staticmethod
@@ -283,36 +414,33 @@ class Graph:
         """A new graph holding this graph's triples and ``triples``, and the
         list of those that were not here yet.  This graph is left unchanged.
 
-        Path copying: the new graph takes C-level copies of the triple set
-        and the three outer indexes, and copies afresh only the inner dicts
-        and sets on the new triples' paths; every other inner container is
-        shared.  So the cost beyond those flat copies grows with the new
-        triples, not with the graph.  Either graph copies its shared
-        containers before it is next mutated in place.
+        Path copying: the new graph takes C-level copies of the three
+        outer indexes, and copies afresh only the inner dicts and sets on
+        the new triples' paths; every other inner container is shared.
+        So the cost beyond those flat copies grows with the new triples,
+        not with the graph.  Either graph copies its shared containers
+        before it is next mutated in place.
         """
         out = Graph()
-        out._triples = self._triples.copy()
         out._spo, out._pos, out._osp = self._spo.copy(), self._pos.copy(), self._osp.copy()
         owned: set[int] = set()  # ids of the containers that are out's alone
         added = []
         for t in triples:
             if not isinstance(t, Triple):
                 raise TermError("not a triple")
-            if t in out._triples:
+            s, p, o = t
+            if o in out._spo.get(s, _EMPTY).get(p, ()):
                 continue
-            out._triples.add(t)
             added.append(t)
-            s, p, o = t.subject, t.predicate, t.object
             _path_add(out._spo, s, p, o, owned)
             _path_add(out._pos, p, o, s, owned)
             _path_add(out._osp, o, s, p, owned)
+        out._len = self._len + len(added)
         out._shared = self._shared = True
         return out, added
 
     def _unshare(self) -> None:
-        for name in ("_spo", "_pos", "_osp"):
-            index = getattr(self, name)
-            setattr(self, name, {a: {b: set(c) for b, c in inner.items()} for a, inner in index.items()})
+        self._spo, self._pos, self._osp = map(_copy_index, (self._spo, self._pos, self._osp))
         self._shared = False
 
     def match(
@@ -324,63 +452,82 @@ class Graph:
         """All triples matching the pattern; None is a wildcard.
 
         Picks the index with the longest bound prefix; the result is
-        sorted by (subject, predicate, object) N3 strings.
+        sorted by (subject, predicate, object) N3 strings.  Each unbound
+        position is sorted within the bound ones by its terms' cached N3
+        strings, which orders the triples the same way.
         """
         s, p, o = subject, predicate, object
-        result: list[Triple]
-        if s is not None and p is not None and o is not None:
-            # probe the index, so a pattern no triple can fill (a literal
-            # subject, a non-IRI predicate) matches nothing
-            result = [Triple(s, p, o)] if o in self._spo.get(s, {}).get(p, ()) else []
-        elif s is not None and p is not None:
-            objs = self._spo.get(s, {}).get(p, ())
-            result = [Triple(s, p, x) for x in objs]
-        elif p is not None and o is not None:
-            subs = self._pos.get(p, {}).get(o, ())
-            result = [Triple(x, p, o) for x in subs]
-        elif o is not None and s is not None:
-            preds = self._osp.get(o, {}).get(s, ())
-            result = [Triple(s, x, o) for x in preds]
-        elif s is not None:
-            result = [
-                Triple(s, pred, obj)
-                for pred, objs in self._spo.get(s, {}).items()
-                for obj in objs
+        if s is not None:
+            if p is not None:
+                objs = self._spo.get(s, _EMPTY).get(p, ())
+                if o is not None:
+                    # probe the index, so a pattern no triple can fill (a
+                    # literal subject, a non-IRI predicate) matches nothing
+                    return [_stored(Triple, (s, p, o))] if o in objs else []
+                return [_stored(Triple, (s, p, x)) for x in sorted(objs, key=term_key)]
+            if o is not None:
+                preds = self._osp.get(o, _EMPTY).get(s, ())
+                return [_stored(Triple, (s, x, o)) for x in sorted(preds, key=term_key)]
+            by_pred = self._spo.get(s, _EMPTY)
+            return [
+                _stored(Triple, (s, pred, obj))
+                for pred in sorted(by_pred, key=term_key)
+                for obj in sorted(by_pred[pred], key=term_key)
             ]
-        elif p is not None:
-            result = [
-                Triple(sub, p, obj)
-                for obj, subs in self._pos.get(p, {}).items()
-                for sub in subs
+        if p is not None:
+            by_obj = self._pos.get(p, _EMPTY)
+            if o is not None:
+                return [_stored(Triple, (x, p, o)) for x in sorted(by_obj.get(o, ()), key=term_key)]
+            return sorted(
+                (_stored(Triple, (sub, p, obj)) for obj, subs in by_obj.items() for sub in subs),
+                key=_subject_object_key,
+            )
+        if o is not None:
+            by_sub = self._osp.get(o, _EMPTY)
+            return [
+                _stored(Triple, (sub, pred, o))
+                for sub in sorted(by_sub, key=term_key)
+                for pred in sorted(by_sub[sub], key=term_key)
             ]
-        elif o is not None:
-            result = [
-                Triple(sub, pred, o)
-                for sub, preds in self._osp.get(o, {}).items()
-                for pred in preds
-            ]
-        else:
-            result = list(self._triples)
-        result.sort(key=Triple.sort_key)
-        return result
+        spo = self._spo
+        return [
+            _stored(Triple, (sub, pred, obj))
+            for sub in sorted(spo, key=term_key)
+            for pred in sorted(spo[sub], key=term_key)
+            for obj in sorted(spo[sub][pred], key=term_key)
+        ]
 
     def subjects(self) -> set[Term]:
         return set(self._spo)
 
     def copy(self) -> "Graph":
-        return Graph(self._triples)
+        out = Graph()
+        out._spo, out._pos, out._osp = map(_copy_index, (self._spo, self._pos, self._osp))
+        out._len = self._len
+        return out
 
     def __len__(self) -> int:
-        return len(self._triples)
+        return self._len
 
     def __iter__(self) -> Iterator[Triple]:
-        return iter(self._triples)
+        for s, by_pred in self._spo.items():
+            for p, objs in by_pred.items():
+                for o in objs:
+                    yield _stored(Triple, (s, p, o))
 
-    def __contains__(self, t: Triple) -> bool:
-        return t in self._triples
+    def __contains__(self, t: object) -> bool:
+        return isinstance(t, Triple) and t[2] in self._spo.get(t[0], _EMPTY).get(t[1], ())
 
     def __repr__(self) -> str:
-        return f"<Graph of {len(self._triples)} triples>"
+        return f"<Graph of {self._len} triples>"
+
+
+def _subject_object_key(t: Triple) -> tuple[str, str]:
+    return t[0]._n3, t[2]._n3
+
+
+def _copy_index(index: dict) -> dict:
+    return {a: {b: set(c) for b, c in inner.items()} for a, inner in index.items()}
 
 
 def _path_add(index: dict, a, b, c, owned: set[int]) -> None:

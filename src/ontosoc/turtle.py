@@ -6,11 +6,14 @@ names, string literals with language tags or datatype annotations,
 integers, labeled blank nodes and comments.  Collections and anonymous
 blank nodes are deliberately out.
 
-The lexer matches precompiled patterns at an offset into the text, never
-on a slice, and tracks the current line and the offset where it starts:
-only the whitespace between tokens is counted for newlines, and a column
-is the offset from the line start, plus one.  The text is split into
-lines only to give a ParseError its snippet.
+The lexer is one compiled pattern with a named group per token kind,
+run as a scanner that resumes where the last token ended.  A token
+carries its offset; only a ParseError turns an offset into a line (one
+plus the newlines before it) and a column (the offset from the line
+start, plus one), and takes that line as its snippet.  The parser keeps
+each prefixed name's IRI until the next @prefix, and builds its terms
+through the hash-consing constructors, so a term occurring many times is
+one object.
 
 The serializer emits a byte-stable layout: prefix declarations first,
 subjects sorted lexically, predicates and objects sorted within each
@@ -63,145 +66,127 @@ class Document:
 
 _PN_LOCAL = re.compile(r"[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?$|^$")
 _SCHEME = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
-# a string literal's body runs to the first unescaped quote or raw newline
-_STRING_BODY = re.compile(r'(?:[^"\\\n]|\\[\s\S])*')
 
-
-@dataclass
-class _Token:
-    kind: str
-    value: str
-    line: int
-    column: int
-
-
-# whitespace and comments between tokens
-_GAP = re.compile(r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*")
-_IRIREF = re.compile(r"<([^>\n]*)>")
-_AT_WORD = re.compile(r"@([A-Za-z][A-Za-z0-9\-]*)")
-# a trailing '.' belongs to the statement, not the label
-_BLANK_LABEL = re.compile(r"_:([A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?)")
-# tried in this order: integer, prefixed name, bare word
-_BARE = re.compile(
-    r"(?P<integer>[+-]?[0-9]+)"
-    r"|(?P<pname>(?:[A-Za-z][A-Za-z0-9_\-]*)?:(?:[A-Za-z0-9_][A-Za-z0-9_\-]*)?)"
-    r"|(?P<word>[A-Za-z][A-Za-z0-9_]*)"
+# One scanner: the gap of whitespace and comments, then one named group
+# per token kind, tried in order.  The last five groups catch what no
+# token matches, so every scan succeeds and names its error.  The gap is
+# atomic: were it not, a failed token would backtrack into a comment and
+# lex the comment's words as tokens.
+_TOKEN = re.compile(
+    r"""
+    (?>[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*)
+    (?:
+      (?P<pname>(?:[A-Za-z][A-Za-z0-9_\-]*)?:(?:[A-Za-z0-9_][A-Za-z0-9_\-]*)?)
+    | (?P<punct>[.,;])
+    | (?P<iriref><[^>\n]*>)
+    | (?P<string>"(?:[^"\\\n]|\\[\s\S])*")
+    | (?P<at>@[A-Za-z][A-Za-z0-9\-]*)
+    | (?P<dtype>\^\^)
+    | (?P<blank>_:[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?)  # a trailing '.' ends the statement
+    | (?P<integer>[+-]?[0-9]+)
+    | (?P<word>[A-Za-z][A-Za-z0-9_]*)
+    | (?P<eof>\Z)
+    | (?P<open_string>"(?:[^"\\\n]|\\[\s\S])*)
+    | (?P<open_iri><)
+    | (?P<bad_at>@)
+    | (?P<bad_blank>_:)
+    | (?P<unexpected>[\s\S])
+    )
+    """,
+    re.VERBOSE,
 )
-
-
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.line_start = 0  # offset of the current line's first character
-
-    def error(self, message: str, line: int, col: int) -> ParseError:
-        lines = self.text.split("\n")
-        snippet = lines[line - 1] if 0 < line <= len(lines) else ""
-        return ParseError(line, col, message, snippet)
-
-    def _token(self, kind: str, value: str, end: int, line: int, col: int) -> _Token:
-        self.pos = end  # no token spans a newline
-        return _Token(kind, value, line, col)
-
-    def next(self) -> _Token:
-        text, pos = self.text, self.pos
-        end = _GAP.match(text, pos).end()
-        newlines = text.count("\n", pos, end)
-        if newlines:
-            self.line += newlines
-            self.line_start = text.rfind("\n", pos, end) + 1
-        self.pos = pos = end
-        line, col = self.line, pos - self.line_start + 1
-        if pos >= len(text):
-            return _Token("eof", "", line, col)
-        ch = text[pos]
-
-        if ch == "<":
-            m = _IRIREF.match(text, pos)
-            if not m:
-                raise self.error("unterminated IRI", line, col)
-            return self._token("iriref", m.group(1), m.end(), line, col)
-
-        if ch == '"':
-            return self._string(line, col)
-
-        if ch in ".,;":
-            return self._token(ch, ch, pos + 1, line, col)
-
-        if ch == "^" and text.startswith("^^", pos):
-            return self._token("^^", "^^", pos + 2, line, col)
-
-        if ch == "@":
-            m = _AT_WORD.match(text, pos)
-            if not m:
-                raise self.error("bad '@' token", line, col)
-            word = m.group(1)
-            if word in ("prefix", "base"):
-                return self._token("@" + word, word, m.end(), line, col)
-            return self._token("langtag", word, m.end(), line, col)
-
-        if ch == "_" and text.startswith("_:", pos):
-            m = _BLANK_LABEL.match(text, pos)
-            if not m:
-                raise self.error("bad blank node label", line, col)
-            return self._token("blank", m.group(1), m.end(), line, col)
-
-        m = _BARE.match(text, pos)
-        if m:
-            return self._token(m.lastgroup, m.group(0), m.end(), line, col)
-
-        raise self.error(f"unexpected character {ch!r}", line, col)
-
-    def _string(self, line: int, col: int) -> _Token:
-        start = self.pos + 1
-        end = _STRING_BODY.match(self.text, start).end()
-        closed = self.text.startswith('"', end)
-        try:  # a bad escape is reported before a missing closing quote
-            value = unescape(self.text[start : end if closed else end + 1])
-        except EscapeError as exc:
-            raise self.error(exc.message, line, col + 1 + exc.offset) from None
-        if not closed:
-            raise self.error("unterminated string literal", line, col)
-        return self._token("string", value, end + 1, line, col)
+_SCAN_ERRORS = {
+    "open_iri": "unterminated IRI",
+    "bad_at": "bad '@' token",
+    "bad_blank": "bad blank node label",
+}
 
 
 class _Parser:
+    """A recursive-descent parser over the scanner's tokens.
+
+    The current token is ``kind``, ``value`` and ``at``, its offset into
+    the text; a line and column are computed from the offset only for a
+    ParseError.
+    """
+
     def __init__(self, text: str, base: Optional[str] = None):
-        self.lexer = _Lexer(text)
+        self.text = text
+        self._scan = _TOKEN.scanner(text).match
         self.doc = Document(base=base)
-        self.iris: dict[str, Iri] = {}  # each distinct IRI string is built and checked once
-        self.tok = self.lexer.next()
+        self.graph = self.doc.graph
+        self.pnames: dict[str, Iri] = {}  # prefixed name -> its IRI; emptied by each @prefix
+        self._next()
+
+    def error(self, message: str, at: int) -> ParseError:
+        """A ParseError at offset ``at``, with its line as the snippet."""
+        text = self.text
+        line_start = text.rfind("\n", 0, at) + 1
+        line_end = text.find("\n", at)
+        snippet = text[line_start : None if line_end == -1 else line_end]
+        return ParseError(text.count("\n", 0, at) + 1, at - line_start + 1, message, snippet)
 
     def _next(self) -> None:
-        self.tok = self.lexer.next()
+        m = self._scan()
+        kind = m.lastgroup
+        value = m.group(kind)
+        at = m.start(kind)
+        if kind == "punct":
+            kind = value
+        elif kind == "iriref":
+            value = value[1:-1]
+        elif kind == "string":
+            value = self._unescape(value[1:-1], at)
+        elif kind == "at":
+            value = value[1:]
+            kind = "@" + value if value in ("prefix", "base") else "langtag"
+        elif kind == "blank":
+            value = value[2:]
+        elif kind == "dtype":
+            kind = "^^"
+        elif kind == "open_string":
+            # a bad escape is reported before the missing closing quote
+            self._unescape(self.text[at + 1 : m.end() + 1], at)
+            raise self.error("unterminated string literal", at)
+        elif kind == "unexpected":
+            raise self.error(f"unexpected character {value!r}", at)
+        elif kind in _SCAN_ERRORS:
+            raise self.error(_SCAN_ERRORS[kind], at)
+        self.kind, self.value, self.at = kind, value, at
 
-    def _expect(self, kind: str) -> _Token:
-        if self.tok.kind != kind:
-            raise self.lexer.error(
-                f"expected {kind!r}, found {self.tok.value!r}" if self.tok.value else f"expected {kind!r}, found end of input",
-                self.tok.line,
-                self.tok.column,
-            )
-        tok = self.tok
+    def _unescape(self, body: str, at: int) -> str:
+        """The string body at offset ``at`` + 1, unescaped."""
+        try:
+            return unescape(body)
+        except EscapeError as exc:
+            raise self.error(exc.message, at + 1 + exc.offset) from None
+
+    def _found(self, what: str) -> ParseError:
+        shown = f"{self.value!r}" if self.value else "end of input"
+        return self.error(f"expected {what}, found {shown}", self.at)
+
+    def _expect(self, kind: str) -> str:
+        if self.kind != kind:
+            raise self._found(repr(kind))
+        value = self.value
         self._next()
-        return tok
+        return value
 
     def parse(self) -> Document:
-        while self.tok.kind != "eof":
-            if self.tok.kind == "@prefix":
+        while self.kind != "eof":
+            if self.kind == "@prefix":
                 self._next()
-                label_tok = self._expect("pname")
-                if not label_tok.value.endswith(":"):
-                    raise self.lexer.error("prefix label must end with ':'", label_tok.line, label_tok.column)
+                at = self.at
+                label = self._expect("pname")
+                if not label.endswith(":"):
+                    raise self.error("prefix label must end with ':'", at)
                 ns = self._expect("iriref")
-                self.doc.prefixes.declare(label_tok.value[:-1], self._resolve(ns.value))
+                self.doc.prefixes.declare(label[:-1], self._resolve(ns))
+                self.pnames.clear()
                 self._expect(".")
-            elif self.tok.kind == "@base":
+            elif self.kind == "@base":
                 self._next()
-                iri = self._expect("iriref")
-                self.doc.base = self._resolve(iri.value)
+                self.doc.base = self._resolve(self._expect("iriref"))
                 self._expect(".")
             else:
                 self._triples()
@@ -218,115 +203,108 @@ class _Parser:
         self._predicate_object_list(subject)
 
     def _predicate_object_list(self, subject: Term) -> None:
+        insert = self.graph._insert  # the grammar admits no literal subject and only IRI verbs
         while True:
             predicate = self._verb()
             while True:
-                obj = self._object()
-                try:
-                    self.doc.graph.add(Triple(subject, predicate, obj))
-                except TermError as exc:
-                    raise self.lexer.error(str(exc), self.tok.line, self.tok.column)
-                if self.tok.kind == ",":
+                insert(subject, predicate, self._object())
+                if self.kind == ",":
                     self._next()
                     continue
                 break
-            if self.tok.kind == ";":
-                while self.tok.kind == ";":
+            if self.kind == ";":
+                while self.kind == ";":
                     self._next()
-                if self.tok.kind == ".":  # trailing semicolon
+                if self.kind == ".":  # trailing semicolon
                     return
                 continue
             return
 
     def _subject(self) -> Term:
-        tok = self.tok
-        if tok.kind == "iriref":
+        kind = self.kind
+        if kind == "pname":
+            return self._pname()
+        if kind == "iriref":
+            return self._iriref()
+        if kind == "blank":
+            term = Blank(self.value)
             self._next()
-            return self._iri(self._resolve(tok.value), tok)
-        if tok.kind == "pname":
-            self._next()
-            return self._expand(tok)
-        if tok.kind == "blank":
-            self._next()
-            return Blank(tok.value)
-        raise self.lexer.error(
-            f"expected subject, found {tok.value!r}" if tok.value else "expected subject, found end of input",
-            tok.line,
-            tok.column,
-        )
+            return term
+        raise self._found("subject")
 
     def _verb(self) -> Iri:
-        tok = self.tok
-        if tok.kind == "word" and tok.value == "a":
+        kind = self.kind
+        if kind == "pname":
+            return self._pname()
+        if kind == "word" and self.value == "a":
             self._next()
-            return self._iri(RDF_TYPE, tok)
-        if tok.kind == "iriref":
-            self._next()
-            return self._iri(self._resolve(tok.value), tok)
-        if tok.kind == "pname":
-            self._next()
-            return self._expand(tok)
-        raise self.lexer.error(
-            f"expected predicate, found {tok.value!r}" if tok.value else "expected predicate, found end of input",
-            tok.line,
-            tok.column,
-        )
+            return Iri(RDF_TYPE)
+        if kind == "iriref":
+            return self._iriref()
+        raise self._found("predicate")
 
     def _object(self) -> Term:
-        tok = self.tok
-        if tok.kind == "iriref":
+        kind = self.kind
+        if kind == "pname":
+            return self._pname()
+        if kind == "iriref":
+            return self._iriref()
+        if kind == "blank":
+            term = Blank(self.value)
             self._next()
-            return self._iri(self._resolve(tok.value), tok)
-        if tok.kind == "pname":
+            return term
+        if kind == "integer":
+            term = Literal(self.value, datatype=XSD_INTEGER)
             self._next()
-            return self._expand(tok)
-        if tok.kind == "blank":
+            return term
+        if kind == "string":
+            lexical = self.value
             self._next()
-            return Blank(tok.value)
-        if tok.kind == "integer":
-            self._next()
-            return Literal(tok.value, datatype=XSD_INTEGER)
-        if tok.kind == "string":
-            self._next()
-            if self.tok.kind == "langtag":
-                lang = self.tok.value
+            if self.kind == "langtag":
+                lang = self.value
                 self._next()
-                return Literal(tok.value, language=lang)
-            if self.tok.kind == "^^":
+                return Literal(lexical, language=lang)
+            if self.kind == "^^":
                 self._next()
-                dt_tok = self.tok
-                if dt_tok.kind == "iriref":
+                if self.kind == "iriref":
+                    datatype = self._resolve(self.value)
                     self._next()
-                    return Literal(tok.value, datatype=self._resolve(dt_tok.value))
-                if dt_tok.kind == "pname":
-                    self._next()
-                    return Literal(tok.value, datatype=self._expand(dt_tok).value)
-                raise self.lexer.error("expected datatype IRI", dt_tok.line, dt_tok.column)
-            return Literal(tok.value)
-        raise self.lexer.error(
-            f"expected object, found {tok.value!r}" if tok.value else "expected object, found end of input",
-            tok.line,
-            tok.column,
-        )
+                    return Literal(lexical, datatype=datatype)
+                if self.kind == "pname":
+                    return Literal(lexical, datatype=self._pname().value)
+                raise self.error("expected datatype IRI", self.at)
+            return Literal(lexical)
+        raise self._found("object")
 
-    def _iri(self, value: str, tok: _Token) -> Iri:
-        """The parse's one Iri for ``value``; a malformed IRI is a
-        ParseError at ``tok``."""
-        iri = self.iris.get(value)
+    # Each of these reads the current token and moves past it before it
+    # resolves the token, so a scan error in the next token comes first.
+
+    def _iriref(self) -> Iri:
+        """The current iriref token's IRI, resolved against the base."""
+        value, at = self.value, self.at
+        self._next()
+        return self._iri(self._resolve(value), at)
+
+    def _pname(self) -> Iri:
+        """The current prefixed name's IRI."""
+        value, at = self.value, self.at
+        self._next()
+        iri = self.pnames.get(value)
         if iri is None:
+            label, _, local = value.partition(":")
             try:
-                iri = self.iris[value] = Iri(value)
-            except TermError as exc:
-                raise self.lexer.error(str(exc), tok.line, tok.column) from None
+                namespace = self.doc.prefixes.namespace(label)
+            except UndeclaredPrefixError as exc:
+                raise self.error(str(exc), at) from None
+            iri = self.pnames[value] = self._iri(namespace + local, at)
         return iri
 
-    def _expand(self, tok: _Token) -> Iri:
-        label, _, local = tok.value.partition(":")
+    def _iri(self, value: str, at: int) -> Iri:
+        """``Iri(value)``; a malformed IRI is a ParseError at offset ``at``."""
         try:
-            namespace = self.doc.prefixes.namespace(label)
-        except UndeclaredPrefixError as exc:
-            raise self.lexer.error(str(exc), tok.line, tok.column) from None
-        return self._iri(namespace + local, tok)
+            return Iri(value)
+        except TermError as exc:
+            raise self.error(str(exc), at) from None
 
 
 def parse_turtle(text: str, base: Optional[str] = None) -> Document:

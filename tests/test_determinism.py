@@ -1,0 +1,46 @@
+"""CLI output must not depend on the process it runs in.
+
+Terms hash by identity, so the order of a set of terms follows memory
+addresses, which differ from process to process.  Every output must
+therefore be sorted before it is printed.  Each command runs in two
+fresh interpreters with different string-hash seeds.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from ontosoc import resources
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+HASH_SEEDS = ("0", "4242")
+
+
+def _stdout(args: list[str], hash_seed: str) -> bytes:
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "ontosoc.cli", *args], env=env, capture_output=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout
+
+
+def _commands() -> list[list[str]]:
+    corpus = [str(p) for p in resources.corpus_paths()]
+    query = str(resources.community_activities_query_path())
+    return [
+        ["validate", "--format", "json", *corpus],
+        ["query", "--file", query, "--format", "json", *corpus],
+        ["stats", "--format", "json", *corpus],
+        ["export-alignment"],
+    ]
+
+
+@pytest.mark.parametrize("args", _commands(), ids=lambda args: args[0])
+def test_stdout_is_byte_identical_across_processes(args):
+    first, second = (_stdout(args, seed) for seed in HASH_SEEDS)
+    assert first and first == second

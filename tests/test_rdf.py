@@ -1,12 +1,20 @@
+import copy
+import gc
 import itertools
+import pickle
 import random
 import sys
+import threading
+import uuid
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ontosoc import rdf
 from ontosoc.rdf import (
+    XSD,
     Blank,
     Graph,
     Iri,
@@ -63,6 +71,98 @@ class TestTerms:
             Triple(A, Literal("p"), B)
         with pytest.raises(TermError):
             Triple(A, Blank("p"), B)
+
+
+THREADS = 8
+
+
+def _fresh(n: int) -> list[str]:
+    """``n`` strings no other test has made a term of."""
+    tag = uuid.uuid4().hex
+    return [f"{tag}-{i}" for i in range(n)]
+
+
+class TestInterning:
+    def test_threads_building_the_same_terms_get_the_same_objects(self):
+        names = _fresh(300)
+        barrier = threading.Barrier(THREADS)
+        results: list = [None] * THREADS
+
+        def build(slot: int) -> None:
+            barrier.wait()
+            results[slot] = [
+                (Iri(EX + name), Literal(name, language="en"), Literal(name), Blank(name))
+                for name in names
+            ]
+
+        workers = [threading.Thread(target=build, args=(i,)) for i in range(THREADS)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible, so races happen
+        try:
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join()
+        finally:
+            sys.setswitchinterval(interval)
+        first = results[0]
+        for other in results[1:]:
+            assert all(a is b for row, other_row in zip(first, other) for a, b in zip(row, other_row))
+        assert len({id(row[0]) for row in first}) == len(names)
+
+    def test_equal_values_are_one_object(self):
+        assert Iri(EX + "a") is A
+        assert Literal("x") is Literal("x", datatype=XSD + "string")
+        assert Literal("1", datatype=XSD + "integer") is not Literal("1")
+        assert Blank("x") is Blank("x")
+        assert Iri("x") is not Blank("x")
+
+    @pytest.mark.parametrize("kind,table", [(Iri, "_IRIS"), (Blank, "_BLANKS"), (Literal, "_LITERALS")])
+    def test_an_unreferenced_term_leaves_its_table(self, kind, table):
+        names = _fresh(1000)
+        before = len(getattr(rdf, table))
+        term = kind(names[0])
+        probe = weakref.ref(term)
+        del term
+        for name in names[1:]:
+            kind(name)
+        gc.collect()
+        assert probe() is None
+        assert len(getattr(rdf, table)) <= before
+
+    @pytest.mark.parametrize(
+        "term",
+        [Iri(EX + "a"), Blank("b1"), Literal("v"), Literal("v", language="fr"), Literal("7", datatype=XSD + "integer")],
+        ids=repr,
+    )
+    def test_copy_deepcopy_and_pickle_return_the_canonical_term(self, term):
+        assert copy.copy(term) is term
+        assert copy.deepcopy(term) is term
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(term, protocol)) is term
+        t = Triple(A, P, term)
+        assert copy.deepcopy(t) == t and pickle.loads(pickle.dumps(t)) == t
+        assert pickle.loads(pickle.dumps(t)).object is term
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        lit = Literal("v")
+        for term, field in ((A, "value"), (Blank("b"), "label"), (lit, "lexical"), (lit, "datatype")):
+            with pytest.raises(AttributeError):
+                setattr(term, field, "other")
+            with pytest.raises(AttributeError):
+                delattr(term, field)
+            with pytest.raises(AttributeError):
+                term.extra = 1
+        assert A.value == EX + "a" and lit.lexical == "v"
+
+    def test_triple_is_a_tuple_of_its_terms(self):
+        t = Triple(A, P, B)
+        assert isinstance(t, tuple) and tuple(t) == (A, P, B)
+        assert (t.subject, t.predicate, t.object) == (A, P, B)
+        s, p, o = t
+        assert s is A and p is P and o is B
+        with pytest.raises(AttributeError):
+            t.subject = B
 
 
 class TestGraphBasics:
@@ -184,6 +284,70 @@ def test_random_interleaving_preserves_size():
             model.discard(t)
         assert len(g) == len(model)
     assert set(g) == model
+
+
+# a small pool, so that random operations hit the same triples often
+_M_SUBJECTS = [Iri(f"http://m/{c}") for c in "abcd"] + [Blank("m1"), Blank("m2")]
+_M_PREDICATES = [Iri(f"http://m/p{i}") for i in range(3)]
+_M_OBJECTS = _M_SUBJECTS + [Literal("v"), Literal("v", language="en")]
+# what each position of a pattern may be bound to: the terms that can
+# stand there, and one that no triple can fill there
+_M_BINDINGS = (_M_SUBJECTS + [Literal("v")], _M_PREDICATES + [Blank("m1")], _M_OBJECTS)
+_model_triples = st.tuples(
+    st.sampled_from(_M_SUBJECTS), st.sampled_from(_M_PREDICATES), st.sampled_from(_M_OBJECTS)
+)
+_graph_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), _model_triples),
+        st.tuples(st.just("remove"), _model_triples),
+        st.tuples(st.just("union"), st.lists(_model_triples, max_size=6)),
+    ),
+    max_size=40,
+)
+
+
+def _n3_order(spo: tuple) -> tuple:
+    return tuple(x.n3() for x in spo)
+
+
+def _assert_graph_is(g: Graph, model: set) -> None:
+    """``g`` against a set of (s, p, o) tuples: size, membership,
+    iteration and every bound/unbound shape of ``match``."""
+    assert len(g) == len(model)
+    listed = [tuple(t) for t in g]
+    assert len(listed) == len(model) and set(listed) == model
+    for spo in itertools.product(_M_SUBJECTS, _M_PREDICATES, _M_OBJECTS):
+        assert (Triple(*spo) in g) == (spo in model)
+    for bound in itertools.product((False, True), repeat=3):
+        slots = [terms if b else [None] for b, terms in zip(bound, _M_BINDINGS)]
+        for pattern in itertools.product(*slots):
+            expected = sorted(
+                (spo for spo in model if all(x is None or x is y for x, y in zip(pattern, spo))),
+                key=_n3_order,
+            )
+            assert [tuple(t) for t in g.match(*pattern)] == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(_graph_ops)
+def test_graph_agrees_with_a_set_of_tuples(ops):
+    g, model = Graph(), set()
+    sources = []  # (graph, its triples) before each union
+    for op, arg in ops:
+        if op == "add":
+            assert g.add(Triple(*arg)) == (arg not in model)
+            model.add(arg)
+        elif op == "remove":
+            assert g.remove(Triple(*arg)) == (arg in model)
+            model.discard(arg)
+        else:
+            out, added = g.union([Triple(*spo) for spo in arg])
+            assert [tuple(t) for t in added] == [spo for spo in dict.fromkeys(arg) if spo not in model]
+            sources.append((g, set(model)))
+            g, model = out, model | set(arg)
+        _assert_graph_is(g, model)
+    for source, triples in sources:
+        _assert_graph_is(source, triples)
 
 
 class TestGraphEqual:
