@@ -142,8 +142,6 @@ class _Parser:
             kind = "@" + value if value in ("prefix", "base") else "langtag"
         elif kind == "blank":
             value = value[2:]
-        elif kind == "dtype":
-            kind = "^^"
         elif kind == "open_string":
             # a bad escape is reported before the missing closing quote
             self._unescape(self.text[at + 1 : m.end() + 1], at)
@@ -264,7 +262,7 @@ class _Parser:
                 lang = self.value
                 self._next()
                 return Literal(lexical, language=lang)
-            if self.kind == "^^":
+            if self.kind == "dtype":
                 self._next()
                 if self.kind == "iriref":
                     datatype = self._resolve(self.value)
