@@ -22,7 +22,7 @@ import re
 import threading
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Union
-from weakref import ref
+from weakref import WeakValueDictionary
 
 XSD = "http://www.w3.org/2001/XMLSchema#"
 XSD_STRING = XSD + "string"
@@ -129,43 +129,10 @@ class _Term:
         return self
 
 
-class _Ref(ref):
-    """A weak reference to a canonical term that knows the term's key."""
-
-    __slots__ = ("key",)
-
-
-class _Table(dict):
-    """Key -> a weak reference to the canonical term for that key."""
-
-    __slots__ = ()
-
-    def get_term(self, key: object) -> Optional["_Term"]:
-        r = self.get(key)
-        return None if r is None else r()
-
-    def intern(self, key: object, term: "_Term") -> "_Term":
-        """The canonical term for ``key``: ``term``, unless another thread
-        has just made one."""
-        with _LOCK:
-            canonical = self.get_term(key)
-            if canonical is None:
-                canonical = term
-                r = self[key] = _Ref(term, self._forget)
-                r.key = key
-        return canonical
-
-    def _forget(self, r: _Ref) -> None:
-        """Called when a canonical term dies: drop its entry, unless a new
-        term already holds the key."""
-        with _LOCK:
-            if self.get(r.key) is r:
-                del self[r.key]
-
-
-# reentrant: a term can die, and its entry be forgotten, inside `intern`
-_LOCK = threading.RLock()
-_IRIS, _BLANKS, _LITERALS = _Table(), _Table(), _Table()
+_LOCK = threading.Lock()
+_IRIS: WeakValueDictionary = WeakValueDictionary()
+_BLANKS: WeakValueDictionary = WeakValueDictionary()
+_LITERALS: WeakValueDictionary = WeakValueDictionary()
 _set = object.__setattr__  # the one way to write a term's fields
 
 
@@ -174,7 +141,7 @@ class Iri(_Term):
     value: str
 
     def __new__(cls, value: str) -> "Iri":
-        term = _IRIS.get_term(value)
+        term = _IRIS.get(value)
         if term is not None:
             return term
         if not value:
@@ -184,7 +151,8 @@ class Iri(_Term):
         term = object.__new__(cls)
         _set(term, "value", value)
         _set(term, "_n3", f"<{value}>")
-        return _IRIS.intern(value, term)
+        with _LOCK:  # another thread may have just made the same term
+            return _IRIS.setdefault(value, term)
 
     def __reduce__(self) -> tuple:
         return Iri, (self.value,)
@@ -198,7 +166,7 @@ class Blank(_Term):
     label: str
 
     def __new__(cls, label: str) -> "Blank":
-        term = _BLANKS.get_term(label)
+        term = _BLANKS.get(label)
         if term is not None:
             return term
         if not label:
@@ -206,7 +174,8 @@ class Blank(_Term):
         term = object.__new__(cls)
         _set(term, "label", label)
         _set(term, "_n3", f"_:{label}")
-        return _BLANKS.intern(label, term)
+        with _LOCK:
+            return _BLANKS.setdefault(label, term)
 
     def __reduce__(self) -> tuple:
         return Blank, (self.label,)
@@ -229,7 +198,7 @@ class Literal(_Term):
         elif datatype is not None:
             raise TermError("literal may carry a datatype or a language tag, not both")
         key = (lexical, datatype, language)
-        term = _LITERALS.get_term(key)
+        term = _LITERALS.get(key)
         if term is not None:
             return term
         n3 = f'"{_escape(lexical)}"'
@@ -242,7 +211,8 @@ class Literal(_Term):
         _set(term, "datatype", datatype)
         _set(term, "language", language)
         _set(term, "_n3", n3)
-        return _LITERALS.intern(key, term)
+        with _LOCK:
+            return _LITERALS.setdefault(key, term)
 
     def __reduce__(self) -> tuple:
         return Literal, (self.lexical, self.datatype, self.language)
@@ -368,23 +338,29 @@ class Graph:
         """Insert a triple; returns True iff it was absent before."""
         if not isinstance(t, Triple):
             raise TermError("not a triple")
-        if self._shared:
-            if t in self:
-                return False
-            self._unshare()
-        return self._insert(*t)
-
-    def _insert(self, s: Term, p: Iri, o: Term) -> bool:
-        """`add` for terms that form a triple, on a graph that shares no
-        container; the Turtle parser calls it directly."""
-        objs = self._spo.setdefault(s, {}).setdefault(p, set())
-        if o in objs:
+        if self._shared and t in self:
             return False
-        objs.add(o)
-        self._pos.setdefault(p, {}).setdefault(o, set()).add(s)
-        self._osp.setdefault(o, {}).setdefault(s, set()).add(p)
-        self._len += 1
-        return True
+        return self.bulk_insert((t,)) == 1
+
+    def bulk_insert(self, triples: Iterable[tuple[Term, Iri, Term]]) -> int:
+        """Insert (subject, predicate, object) tuples of terms without the
+        checks of `add`; returns how many were new.  For readers whose
+        grammar already admits no literal subject and only IRI predicates,
+        such as the Turtle parser."""
+        if self._shared:
+            self._unshare()
+        spo, pos, osp = self._spo, self._pos, self._osp
+        added = 0
+        for s, p, o in triples:
+            objs = spo.setdefault(s, {}).setdefault(p, set())
+            if o in objs:
+                continue
+            objs.add(o)
+            pos.setdefault(p, {}).setdefault(o, set()).add(s)
+            osp.setdefault(o, {}).setdefault(s, set()).add(p)
+            added += 1
+        self._len += added
+        return added
 
     def remove(self, t: Triple) -> bool:
         """Remove a triple; returns True iff it was present."""
@@ -452,50 +428,45 @@ class Graph:
         """All triples matching the pattern; None is a wildcard.
 
         Picks the index with the longest bound prefix; the result is
-        sorted by (subject, predicate, object) N3 strings.  Each unbound
-        position is sorted within the bound ones by its terms' cached N3
-        strings, which orders the triples the same way.
+        sorted by (subject, predicate, object) N3 strings.
         """
         s, p, o = subject, predicate, object
-        if s is not None:
-            if p is not None:
-                objs = self._spo.get(s, _EMPTY).get(p, ())
-                if o is not None:
-                    # probe the index, so a pattern no triple can fill (a
-                    # literal subject, a non-IRI predicate) matches nothing
-                    return [_stored(Triple, (s, p, o))] if o in objs else []
-                return [_stored(Triple, (s, p, x)) for x in sorted(objs, key=term_key)]
-            if o is not None:
-                preds = self._osp.get(o, _EMPTY).get(s, ())
-                return [_stored(Triple, (s, x, o)) for x in sorted(preds, key=term_key)]
-            by_pred = self._spo.get(s, _EMPTY)
-            return [
+        result: list[Triple]
+        if s is not None and p is not None and o is not None:
+            # probe the index, so a pattern no triple can fill (a literal
+            # subject, a non-IRI predicate) matches nothing
+            return [_stored(Triple, (s, p, o))] if o in self._spo.get(s, _EMPTY).get(p, ()) else []
+        if s is not None and p is not None:
+            objs = self._spo.get(s, _EMPTY).get(p, ())
+            result = [_stored(Triple, (s, p, x)) for x in objs]
+        elif p is not None and o is not None:
+            subs = self._pos.get(p, _EMPTY).get(o, ())
+            result = [_stored(Triple, (x, p, o)) for x in subs]
+        elif o is not None and s is not None:
+            preds = self._osp.get(o, _EMPTY).get(s, ())
+            result = [_stored(Triple, (s, x, o)) for x in preds]
+        elif s is not None:
+            result = [
                 _stored(Triple, (s, pred, obj))
-                for pred in sorted(by_pred, key=term_key)
-                for obj in sorted(by_pred[pred], key=term_key)
+                for pred, objs in self._spo.get(s, _EMPTY).items()
+                for obj in objs
             ]
-        if p is not None:
-            by_obj = self._pos.get(p, _EMPTY)
-            if o is not None:
-                return [_stored(Triple, (x, p, o)) for x in sorted(by_obj.get(o, ()), key=term_key)]
-            return sorted(
-                (_stored(Triple, (sub, p, obj)) for obj, subs in by_obj.items() for sub in subs),
-                key=_subject_object_key,
-            )
-        if o is not None:
-            by_sub = self._osp.get(o, _EMPTY)
-            return [
+        elif p is not None:
+            result = [
+                _stored(Triple, (sub, p, obj))
+                for obj, subs in self._pos.get(p, _EMPTY).items()
+                for sub in subs
+            ]
+        elif o is not None:
+            result = [
                 _stored(Triple, (sub, pred, o))
-                for sub in sorted(by_sub, key=term_key)
-                for pred in sorted(by_sub[sub], key=term_key)
+                for sub, preds in self._osp.get(o, _EMPTY).items()
+                for pred in preds
             ]
-        spo = self._spo
-        return [
-            _stored(Triple, (sub, pred, obj))
-            for sub in sorted(spo, key=term_key)
-            for pred in sorted(spo[sub], key=term_key)
-            for obj in sorted(spo[sub][pred], key=term_key)
-        ]
+        else:
+            result = list(self)
+        result.sort(key=Triple.sort_key)
+        return result
 
     def subjects(self) -> set[Term]:
         return set(self._spo)
@@ -520,10 +491,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"<Graph of {self._len} triples>"
-
-
-def _subject_object_key(t: Triple) -> tuple[str, str]:
-    return t[0]._n3, t[2]._n3
 
 
 def _copy_index(index: dict) -> dict:

@@ -13,7 +13,8 @@ plus the newlines before it) and a column (the offset from the line
 start, plus one), and takes that line as its snippet.  The parser keeps
 each prefixed name's IRI until the next @prefix, and builds its terms
 through the hash-consing constructors, so a term occurring many times is
-one object.
+one object.  It collects the triples and hands them to the graph in one
+`Graph.bulk_insert`, which skips the checks its grammar already makes.
 
 The serializer emits a byte-stable layout: prefix declarations first,
 subjects sorted lexically, predicates and objects sorted within each
@@ -70,11 +71,13 @@ _SCHEME = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
 # One scanner: the gap of whitespace and comments, then one named group
 # per token kind, tried in order.  The last five groups catch what no
 # token matches, so every scan succeeds and names its error.  The gap is
-# atomic: were it not, a failed token would backtrack into a comment and
-# lex the comment's words as tokens.
+# atomic, so no token can start inside a comment and a comment's words
+# are never lexed: a lookahead captures the gap once and the
+# backreference consumes it without backtracking (`(?>...)` would need
+# Python 3.11).
 _TOKEN = re.compile(
     r"""
-    (?>[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*)
+    (?=(?P<gap>[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*))(?P=gap)
     (?:
       (?P<pname>(?:[A-Za-z][A-Za-z0-9_\-]*)?:(?:[A-Za-z0-9_][A-Za-z0-9_\-]*)?)
     | (?P<punct>[.,;])
@@ -114,7 +117,7 @@ class _Parser:
         self.text = text
         self._scan = _TOKEN.scanner(text).match
         self.doc = Document(base=base)
-        self.graph = self.doc.graph
+        self.triples: list[tuple[Term, Iri, Term]] = []  # what the statements state, in order
         self.pnames: dict[str, Iri] = {}  # prefixed name -> its IRI; emptied by each @prefix
         self._next()
 
@@ -189,6 +192,8 @@ class _Parser:
             else:
                 self._triples()
                 self._expect(".")
+        # the grammar admits no literal subject and only IRI verbs
+        self.doc.graph.bulk_insert(self.triples)
         return self.doc
 
     def _resolve(self, iri: str) -> str:
@@ -201,11 +206,11 @@ class _Parser:
         self._predicate_object_list(subject)
 
     def _predicate_object_list(self, subject: Term) -> None:
-        insert = self.graph._insert  # the grammar admits no literal subject and only IRI verbs
+        append = self.triples.append
         while True:
             predicate = self._verb()
             while True:
-                insert(subject, predicate, self._object())
+                append((subject, predicate, self._object()))
                 if self.kind == ",":
                     self._next()
                     continue

@@ -301,6 +301,7 @@ _graph_ops = st.lists(
         st.tuples(st.just("add"), _model_triples),
         st.tuples(st.just("remove"), _model_triples),
         st.tuples(st.just("union"), st.lists(_model_triples, max_size=6)),
+        st.tuples(st.just("bulk"), st.lists(_model_triples, max_size=6)),
     ),
     max_size=40,
 )
@@ -340,6 +341,9 @@ def test_graph_agrees_with_a_set_of_tuples(ops):
         elif op == "remove":
             assert g.remove(Triple(*arg)) == (arg in model)
             model.discard(arg)
+        elif op == "bulk":
+            assert g.bulk_insert(arg) == len(set(arg) - model)
+            model.update(arg)
         else:
             out, added = g.union([Triple(*spo) for spo in arg])
             assert [tuple(t) for t in added] == [spo for spo in dict.fromkeys(arg) if spo not in model]

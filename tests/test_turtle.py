@@ -166,6 +166,13 @@ class TestErrorPositions:
         assert exc.value.message == "expected object, found end of input"
         assert exc.value.snippet == text
 
+    @pytest.mark.parametrize("bad", ["<open", '"open', "@", "_:", "!"])
+    def test_a_comment_word_after_a_failed_token_is_never_lexed(self, bad):
+        text = f"# leading comment\n{bad}"
+        with pytest.raises(ParseError) as exc:
+            parse_turtle(text)
+        assert (exc.value.line, exc.value.column, exc.value.snippet) == (2, 1, bad)
+
     def test_tab_before_token_counts_as_one_column(self):
         text = (
             "@prefix ex: <http://example.org/> .\n"
