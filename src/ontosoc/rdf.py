@@ -13,7 +13,10 @@ The graph holds its triples only in three permutation indexes
 object-subject-predicate), so that any pattern with at least one bound
 slot is answered without a full scan.  Match results are always
 returned sorted lexicographically by the N3 rendering of (subject,
-predicate, object), which makes query output deterministic.
+predicate, object), which makes query output deterministic.  Bulk
+readers that sort, or need no order, read one predicate's slice of the
+POS index unsorted instead, as Hexastore does (Weiss, Karras &
+Bernstein 2008).
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from __future__ import annotations
 import re
 import threading
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, Iterator, Optional, Union
+from types import MappingProxyType
+from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Optional, Union
 from weakref import WeakValueDictionary
 
 XSD = "http://www.w3.org/2001/XMLSchema#"
@@ -470,6 +474,16 @@ class Graph:
 
     def subjects(self) -> set[Term]:
         return set(self._spo)
+
+    def predicates(self) -> list[Iri]:
+        """The distinct predicates, unsorted."""
+        return list(self._pos)
+
+    def subjects_by_object(self, predicate: Term) -> Mapping[Term, AbstractSet[Term]]:
+        """The triples on ``predicate``: its slice of the POS index, a
+        read-only map from each object to the set of its subjects,
+        unsorted.  The sets are the graph's own and must not be changed."""
+        return MappingProxyType(self._pos.get(predicate, _EMPTY))
 
     def copy(self) -> "Graph":
         out = Graph()

@@ -353,7 +353,9 @@ def schema_from_graph(graph: Graph, namespace: str = ONTOSOC_NS) -> SchemaDef:
     )
     alias_of: dict[str, str] = {}
     for t in graph.match(predicate=Iri(OWL_EQUIVALENT_PROPERTY)):
-        if isinstance(t.object, Iri) and in_ns(t.object.value) and t.subject.value in prop_iris:
+        if not isinstance(t.subject, Iri) or not isinstance(t.object, Iri):
+            continue
+        if in_ns(t.object.value) and t.subject.value in prop_iris:
             alias_of[t.subject.value] = t.object.value
 
     def signature(iri: str) -> tuple[str, str]:
@@ -361,7 +363,10 @@ def schema_from_graph(graph: Graph, namespace: str = ONTOSOC_NS) -> SchemaDef:
         rans = graph.match(subject=Iri(iri), predicate=Iri(RDFS_RANGE))
         if not doms or not rans:
             raise SchemaError(f"property {iri} lacks a domain or range")
-        return doms[0].object.value, rans[0].object.value
+        domain, range_ = doms[0].object, rans[0].object
+        if not isinstance(domain, Iri) or not isinstance(range_, Iri):
+            raise SchemaError(f"property {iri} has a domain or range that is not an IRI")
+        return domain.value, range_.value
 
     properties = []
     for iri in prop_iris:

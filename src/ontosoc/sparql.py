@@ -491,30 +491,44 @@ def _vars_in_appearance_order(group: GroupPattern) -> list[str]:
     return seen
 
 
+_quote = json.encoder.encode_basestring_ascii  # json.dumps's own string encoder, in C
+_FIELD = ",\n          "  # between the fields of a binding object
+
+
+def _json_term(term: Term) -> str:
+    """A term's binding object, as nested in `to_json_results`."""
+    if isinstance(term, Iri):
+        fields = f'"type": "uri"{_FIELD}"value": {_quote(term.value)}'
+    elif isinstance(term, Blank):
+        fields = f'"type": "bnode"{_FIELD}"value": {_quote(term.label)}'
+    else:
+        fields = f'"type": "literal"{_FIELD}"value": {_quote(term.lexical)}'
+        if term.language is not None:
+            fields += f'{_FIELD}"xml:lang": {_quote(term.language)}'
+        elif term.datatype is not None and term.datatype != XSD_STRING:
+            fields += f'{_FIELD}"datatype": {_quote(term.datatype)}'
+    return f"{{\n          {fields}\n        }}"
+
+
+def _json_list(items: list[str]) -> str:
+    return "[\n" + ",\n".join(items) + "\n    ]" if items else "[]"
+
+
 def to_json_results(table: SolutionTable) -> str:
-    """Standard SPARQL JSON results rendering."""
-    bindings = []
+    """Standard SPARQL JSON results rendering.
+
+    The text is what ``json.dumps(..., indent=2)`` makes of the results
+    object, written directly: with an indent, `json` always runs its
+    pure-Python encoder."""
+    keys = {var: f"        {_quote(var)}: " for var in table.header}  # a repeated variable binds once
+    rows = []
     for row in table.rows:
-        binding = {}
-        for var in table.header:
-            if var not in row:
-                continue
-            term = row[var]
-            if isinstance(term, Iri):
-                binding[var] = {"type": "uri", "value": term.value}
-            elif isinstance(term, Blank):
-                binding[var] = {"type": "bnode", "value": term.label}
-            else:
-                entry: dict = {"type": "literal", "value": term.lexical}
-                if term.language is not None:
-                    entry["xml:lang"] = term.language
-                elif term.datatype is not None and term.datatype != XSD_STRING:
-                    entry["datatype"] = term.datatype
-                binding[var] = entry
-        bindings.append(binding)
-    return json.dumps(
-        {"head": {"vars": table.header}, "results": {"bindings": bindings}},
-        indent=2,
+        entries = [key + _json_term(row[var]) for var, key in keys.items() if var in row]
+        rows.append("      {\n" + ",\n".join(entries) + "\n      }" if entries else "      {}")
+    variables = _json_list([f"      {_quote(var)}" for var in table.header])
+    return (
+        f'{{\n  "head": {{\n    "vars": {variables}\n  }},\n'
+        f'  "results": {{\n    "bindings": {_json_list(rows)}\n  }}\n}}'
     )
 
 

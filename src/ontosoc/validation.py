@@ -1,12 +1,21 @@
 """Instance-graph checking against a schema.
 
-Type entailment runs once: `entail_types` walks the rdf:type triples
-and maps each node to its schema classes, closed upward along
-rdfs:subClassOf.  Two checks read that map: domain/range conformance of
-every triple whose predicate is a schema property, and disjointness of
-each instance's classes.  Typing is closed: an untyped subject or object
-of a schema property is itself a violation (found classes empty), since
-silence would hide population mistakes.
+Type entailment runs once: `entail_types` walks the rdf:type slice of
+the graph's predicate-object-subject index and maps each node to its
+schema classes, closed upward along rdfs:subClassOf.  Two checks read
+that map: domain/range conformance of every triple whose predicate is a
+schema property, and disjointness of each instance's classes.  Typing is
+closed: an untyped subject or object of a schema property is itself a
+violation (found classes empty), since silence would hide population
+mistakes.
+
+Both checks work per group rather than per triple, reading the index
+one predicate at a time, as Hexastore does (Weiss, Karras & Bernstein
+2008).  Domain/range looks up a predicate's signatures once and tests
+each (subject, object) pair of its slice against the type map;
+disjointness tests the axioms once per distinct class set.  A `Triple`
+is built only for a violation, and only violations are sorted.  `validate` takes its counts
+from the sizes of the same slices.
 
 Schema-vocabulary triples (type declarations, subclass, domain/range,
 disjointness, equivalence, labels) are never checked as instance data.
@@ -23,7 +32,7 @@ around each node whose classes changed, and those nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import AbstractSet, Iterable, Mapping, Optional
 
 from .rdf import (
     OWL_DISJOINT_WITH,
@@ -118,35 +127,31 @@ class ValidationReport:
 TypeMap = dict[Term, frozenset]
 _UNTYPED: frozenset = frozenset()
 
-
-class _Signatures(dict):
-    """`SchemaDef.signatures_for`, looked up once per distinct predicate."""
-
-    def __init__(self, schema: SchemaDef):
-        super().__init__()
-        self.schema = schema
-
-    def __missing__(self, iri: str) -> list[PropertyDef]:
-        self[iri] = signatures = self.schema.signatures_for(iri)
-        return signatures
+# one predicate's triples: each object and the set of its subjects
+Slice = Mapping[Term, AbstractSet[Term]]
 
 
-def _grown_types(triples: Iterable[Triple], schema: SchemaDef, types: TypeMap) -> TypeMap:
-    """The nodes that the schema-class rdf:type triples among ``triples``
-    type, each with its classes in ``types`` plus the new ones and all
-    their superclasses."""
+def _grown_types(typings: Iterable[tuple[Term, Term]], schema: SchemaDef, types: TypeMap) -> TypeMap:
+    """The nodes that ``typings``, the (node, class) pairs of rdf:type
+    triples, give a schema class, each with its classes in ``types`` plus
+    the new ones and all their superclasses.  A node new to one class
+    takes that class's closure itself, so equal class sets are mostly one
+    object."""
     closures = {c.iri: frozenset(schema.superclass_closure(c.iri)) for c in schema.classes}
     grown: TypeMap = {}
-    for t in triples:
-        if t.predicate.value == RDF_TYPE and isinstance(t.object, Iri) and t.object.value in closures:
-            grown[t.subject] = grown.get(t.subject, types.get(t.subject, _UNTYPED)) | closures[t.object.value]
+    for node, cls in typings:
+        closure = closures.get(cls.value) if isinstance(cls, Iri) else None
+        if closure is not None:
+            known = grown.get(node, types.get(node))
+            grown[node] = closure if known is None else known | closure
     return grown
 
 
 def entail_types(graph: Graph, schema: SchemaDef) -> TypeMap:
     """Map each typed node to its declared schema classes and all their
     superclasses.  Nodes without a schema class are absent."""
-    return _grown_types(graph.match(predicate=Iri(RDF_TYPE)), schema, {})
+    by_class = graph.subjects_by_object(Iri(RDF_TYPE))
+    return _grown_types(((node, cls) for cls, nodes in by_class.items() for node in nodes), schema, {})
 
 
 def infer_types(graph: Graph, schema: SchemaDef) -> Graph:
@@ -155,6 +160,58 @@ def infer_types(graph: Graph, schema: SchemaDef) -> Graph:
     for node, classes in entail_types(graph, schema).items():
         for cls in classes:
             out.add(Triple(node, Iri(RDF_TYPE), Iri(cls)))
+    return out
+
+
+def _slices(graph: Graph, triples: Optional[Iterable[Triple]]) -> Iterable[tuple[Iri, Slice]]:
+    """Each predicate with its slice: of the whole graph, or of ``triples``."""
+    if triples is None:
+        return ((p, graph.subjects_by_object(p)) for p in graph.predicates())
+    grouped: dict[Iri, dict[Term, set[Term]]] = {}
+    for s, p, o in triples:
+        grouped.setdefault(p, {}).setdefault(o, set()).add(s)
+    return grouped.items()
+
+
+def _triple_violations(
+    t: Triple, signatures: list[PropertyDef], s_types: frozenset, o_types: frozenset
+) -> list[Violation]:
+    """The violations of a triple that none of ``signatures`` fits, as
+    judged against the signature it comes closest to."""
+    best = max(signatures, key=lambda sig: (sig.domain in s_types) + (sig.range in o_types))
+    out = []
+    if best.domain not in s_types:
+        out.append(
+            Violation(
+                DOMAIN,
+                f"subject of {t.predicate.value} must be a {best.domain}; "
+                f"found {{{', '.join(sorted(s_types)) or ''}}} on {t.subject.n3()}",
+                triple=t,
+                expected=best.domain,
+                found=s_types,
+            )
+        )
+    if isinstance(t.object, Literal):
+        out.append(
+            Violation(
+                RANGE,
+                f"object of object property {t.predicate.value} is a literal; "
+                f"expected a {best.range}",
+                triple=t,
+                expected=best.range,
+            )
+        )
+    elif best.range not in o_types:
+        out.append(
+            Violation(
+                RANGE,
+                f"object of {t.predicate.value} must be a {best.range}; "
+                f"found {{{', '.join(sorted(o_types)) or ''}}} on {t.object.n3()}",
+                triple=t,
+                expected=best.range,
+                found=o_types,
+            )
+        )
     return out
 
 
@@ -169,59 +226,31 @@ def check_domain_range(
 
     A triple on a canonical predicate IRI conforms when any of its
     declared signatures is fully satisfied; reported classes come from
-    the best-matching signature.  Violations come sorted by triple.
+    the best-matching signature.  The triples are walked one predicate
+    at a time, so the signatures are looked up once per predicate, and
+    a `Triple` is built only for a violation.  Violations come sorted by
+    triple.
     """
     if types is None:
         types = entail_types(graph, schema)
-    signatures_of = _Signatures(schema)
+    type_of = types.get
     violations = []
-    for t in graph if triples is None else triples:
-        if t.predicate.value in _VOCAB_PREDICATES:
+    for p, by_object in _slices(graph, triples):
+        if p.value in _VOCAB_PREDICATES:
             continue
-        signatures = signatures_of[t.predicate.value]
+        signatures = schema.signatures_for(p.value)
         if not signatures:
             continue
-        s_types = types.get(t.subject, _UNTYPED)
-        o_types = types.get(t.object, _UNTYPED)  # never a literal's: no literal is typed
-
-        def score(sig: PropertyDef) -> int:
-            return (sig.domain in s_types) + (sig.range in o_types)
-
-        best = max(signatures, key=score)
-        if score(best) == 2:
-            continue
-        if best.domain not in s_types:
-            violations.append(
-                Violation(
-                    DOMAIN,
-                    f"subject of {t.predicate.value} must be a {best.domain}; "
-                    f"found {{{', '.join(sorted(s_types)) or ''}}} on {t.subject.n3()}",
-                    triple=t,
-                    expected=best.domain,
-                    found=s_types,
-                )
-            )
-        if isinstance(t.object, Literal):
-            violations.append(
-                Violation(
-                    RANGE,
-                    f"object of object property {t.predicate.value} is a literal; "
-                    f"expected a {best.range}",
-                    triple=t,
-                    expected=best.range,
-                )
-            )
-        elif best.range not in o_types:
-            violations.append(
-                Violation(
-                    RANGE,
-                    f"object of {t.predicate.value} must be a {best.range}; "
-                    f"found {{{', '.join(sorted(o_types)) or ''}}} on {t.object.n3()}",
-                    triple=t,
-                    expected=best.range,
-                    found=o_types,
-                )
-            )
+        ends = [(sig.domain, sig.range) for sig in signatures]
+        for o, subjects in by_object.items():
+            o_types = type_of(o, _UNTYPED)  # never a literal's: no literal is typed
+            for s in subjects:
+                s_types = type_of(s, _UNTYPED)
+                for domain, range_ in ends:
+                    if domain in s_types and range_ in o_types:
+                        break
+                else:
+                    violations += _triple_violations(Triple(s, p, o), signatures, s_types, o_types)
     return sorted(violations, key=Violation.sort_key)
 
 
@@ -232,41 +261,53 @@ def check_disjointness(
     nodes: Optional[Iterable[Term]] = None,
 ) -> list[Violation]:
     """One violation per instance per disjoint class pair it violates,
-    for each typed node of ``nodes`` (default: every typed node)."""
+    for each typed node of ``nodes`` (default: every typed node).
+
+    The clashing pairs are worked out once per distinct class set, and
+    only the nodes that clash are sorted."""
     if types is None:
         types = entail_types(graph, schema)
     disjoint = sorted({(ax.class_a, ax.class_b) for ax in schema.disjointness})
-    violations = []
-    for node in sorted(types if nodes is None else nodes, key=term_key):
+    clashes: dict[frozenset, list[tuple[str, str]]] = {}
+    clashing = []
+    for node in types if nodes is None else nodes:
         classes = types[node]
-        for a, b in disjoint:
-            if a in classes and b in classes:
-                violations.append(
-                    Violation(
-                        DISJOINTNESS,
-                        f"{node.n3()} is typed with disjoint classes {a} and {b}",
-                        instance=node,
-                        found=frozenset((a, b)),
-                    )
-                )
-    return violations
+        pairs = clashes.get(classes)
+        if pairs is None:
+            pairs = clashes[classes] = [(a, b) for a, b in disjoint if a in classes and b in classes]
+        if pairs:
+            clashing.append(node)
+    return [
+        Violation(
+            DISJOINTNESS,
+            f"{node.n3()} is typed with disjoint classes {a} and {b}",
+            instance=node,
+            found=frozenset((a, b)),
+        )
+        for node in sorted(clashing, key=term_key)
+        for a, b in clashes[types[node]]
+    ]
 
 
 def validate(graph: Graph, schema: SchemaDef) -> ValidationReport:
-    """Entail types once, run both checks on the map, aggregate counts."""
+    """Entail types once, run both checks on the map, aggregate counts.
+
+    The counts come from the sizes of the predicates' slices."""
     types = entail_types(graph, schema)
     class_iris = schema.class_iris()
-    signatures_of = _Signatures(schema)
     declared = checked = skipped = 0
-    for t in graph:
-        if t.predicate.value == RDF_TYPE:
-            declared += isinstance(t.object, Iri) and t.object.value in class_iris
-        elif t.predicate.value in _VOCAB_PREDICATES:
+    for p in graph.predicates():
+        by_object = graph.subjects_by_object(p)
+        if p.value == RDF_TYPE:
+            declared = sum(
+                len(nodes) for cls, nodes in by_object.items() if isinstance(cls, Iri) and cls.value in class_iris
+            )
+        elif p.value in _VOCAB_PREDICATES:
             continue
-        elif signatures_of[t.predicate.value]:
-            checked += 1
+        elif schema.signatures_for(p.value):
+            checked += sum(map(len, by_object.values()))
         else:
-            skipped += 1
+            skipped += sum(map(len, by_object.values()))
     report = ValidationReport(types=types)
     report.entailed_types = sum(len(classes) for classes in types.values()) - declared
     report.checked_triples = checked
@@ -292,9 +333,10 @@ def validate_delta(
     schema).violations``, in the same order.  Neither input is changed.
     """
     added = list(added)
+    typings = [(t.subject, t.object) for t in added if t.predicate.value == RDF_TYPE]
     retyped = {
         node: classes
-        for node, classes in _grown_types(added, schema, types).items()
+        for node, classes in _grown_types(typings, schema, types).items()
         if classes != types.get(node, _UNTYPED)
     }
     recheck = set(added)

@@ -4,9 +4,10 @@ These stay deliberately naive: linear scans and exhaustive enumeration,
 with no use of the engine's indexes or join machinery.
 """
 
+import json
 from itertools import product
 
-from ontosoc.rdf import Blank, Graph, Iri, Literal, Term, Triple
+from ontosoc.rdf import XSD_STRING, Blank, Graph, Iri, Literal, Term, Triple
 from ontosoc.sparql import TriplePattern, Var
 
 
@@ -58,21 +59,22 @@ def _grounded(pattern: TriplePattern, binding: dict):
     return Triple(s, p, o)
 
 
-def brute_force_violation_count(graph: Graph, schema) -> int:
-    """Re-count violations by scanning every triple against the signature
-    table and every typed node against the disjointness axioms."""
-    from ontosoc.rdf import RDF_TYPE
+RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
+_VOCAB = {
+    RDF_TYPE,
+    "http://www.w3.org/2000/01/rdf-schema#subClassOf",
+    "http://www.w3.org/2000/01/rdf-schema#domain",
+    "http://www.w3.org/2000/01/rdf-schema#range",
+    "http://www.w3.org/2000/01/rdf-schema#label",
+    "http://www.w3.org/2002/07/owl#disjointWith",
+    "http://www.w3.org/2002/07/owl#equivalentClass",
+    "http://www.w3.org/2002/07/owl#equivalentProperty",
+}
 
-    vocab = {
-        "http://www.w3.org/1999/02/22-rdf-syntax-ns#type",
-        "http://www.w3.org/2000/01/rdf-schema#subClassOf",
-        "http://www.w3.org/2000/01/rdf-schema#domain",
-        "http://www.w3.org/2000/01/rdf-schema#range",
-        "http://www.w3.org/2000/01/rdf-schema#label",
-        "http://www.w3.org/2002/07/owl#disjointWith",
-        "http://www.w3.org/2002/07/owl#equivalentClass",
-        "http://www.w3.org/2002/07/owl#equivalentProperty",
-    }
+
+def _types_by_scan(graph: Graph, schema):
+    """A function from a node to its schema classes and their
+    superclasses, each call scanning every triple."""
     class_iris = schema.class_iris()
 
     def types_of(node) -> set[str]:
@@ -88,32 +90,76 @@ def brute_force_violation_count(graph: Graph, schema) -> int:
                     found.add(sup)
         return found
 
-    count = 0
+    return types_of
+
+
+def json_dumps_results(table) -> str:
+    """SPARQL JSON results built as a dict and rendered by the standard
+    library's indenting encoder."""
+    bindings = []
+    for row in table.rows:
+        binding = {}
+        for var in table.header:
+            if var not in row:
+                continue
+            term = row[var]
+            if isinstance(term, Iri):
+                binding[var] = {"type": "uri", "value": term.value}
+            elif isinstance(term, Blank):
+                binding[var] = {"type": "bnode", "value": term.label}
+            else:
+                entry = {"type": "literal", "value": term.lexical}
+                if term.language is not None:
+                    entry["xml:lang"] = term.language
+                elif term.datatype != XSD_STRING:
+                    entry["datatype"] = term.datatype
+                binding[var] = entry
+        bindings.append(binding)
+    return json.dumps({"head": {"vars": table.header}, "results": {"bindings": bindings}}, indent=2)
+
+
+def brute_force_violations(graph: Graph, schema) -> list[str]:
+    """Every violation's machine line, in report order: by the N3 of the
+    triple's subject, predicate and object (a node alone sorts before its
+    triples), then by kind, then by the clashing classes.  Each triple is
+    checked on its own against every signature of its predicate."""
+    types_of = _types_by_scan(graph, schema)
+
+    def found(classes) -> str:
+        return ",".join(sorted(classes)) or "-"
+
+    keyed = []
     for t in graph:
-        if t.predicate.value in vocab:
+        if t.predicate.value in _VOCAB:
             continue
         sigs = schema.signatures_for(t.predicate.value)
         if not sigs:
             continue
+        literal = isinstance(t.object, Literal)
         s_types = types_of(t.subject)
-        o_types = types_of(t.object) if not isinstance(t.object, Literal) else set()
-        fits = [
-            (sig.domain in s_types)
-            and (not isinstance(t.object, Literal) and sig.range in o_types)
-            for sig in sigs
-        ]
-        if any(fits):
+        o_types = set() if literal else types_of(t.object)
+        if any(sig.domain in s_types and sig.range in o_types for sig in sigs):
             continue
-        best = max(sigs, key=lambda sig: (sig.domain in s_types) + (not isinstance(t.object, Literal) and sig.range in o_types))
+        best = sigs[0]  # the first signature with the most ends satisfied
+        for sig in sigs:
+            if (sig.domain in s_types) + (sig.range in o_types) > (best.domain in s_types) + (best.range in o_types):
+                best = sig
+        ends = (t.subject.n3(), t.predicate.n3(), t.object.n3())
+        fields = "\t".join(ends)
         if best.domain not in s_types:
-            count += 1
-        if isinstance(t.object, Literal) or best.range not in o_types:
-            count += 1
+            keyed.append((ends + ("domain",), f"domain\t{fields}\t{best.domain}\t{found(s_types)}"))
+        if literal:
+            keyed.append((ends + ("range",), f"range\t{fields}\t{best.range}\t-"))
+        elif best.range not in o_types:
+            keyed.append((ends + ("range",), f"range\t{fields}\t{best.range}\t{found(o_types)}"))
+    for node in {t.subject for t in graph if t.predicate.value == RDF_TYPE}:
+        classes = types_of(node)
+        for a, b in {(ax.class_a, ax.class_b) for ax in schema.disjointness}:
+            if a in classes and b in classes:
+                line = f"disjointness\t{node.n3()}\t-\t-\t-\t{a},{b}"
+                keyed.append(((node.n3(), "", "", "disjointness", a, b), line))
+    return [line for _, line in sorted(keyed)]
 
-    typed = {t.subject for t in graph if t.predicate.value == RDF_TYPE}
-    for node in typed:
-        types = types_of(node)
-        for ax in schema.disjointness:
-            if ax.class_a in types and ax.class_b in types:
-                count += 1
-    return count
+
+def brute_force_violation_count(graph: Graph, schema) -> int:
+    return len(brute_force_violations(graph, schema))

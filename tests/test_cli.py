@@ -1,9 +1,11 @@
+import gc
 import json
 
 import pytest
 
 from ontosoc import resources, service
 from ontosoc.cli import EXIT_ERROR, EXIT_OK, EXIT_VIOLATIONS, run
+from ontosoc.validation import validate
 
 
 @pytest.fixture()
@@ -181,6 +183,10 @@ class TestDeriveSchema:
         run(["derive-schema", "--out", str(out_path)])
         assert run(["validate", "--schema", str(out_path), *corpus_args]) == EXIT_OK
 
+    def test_default_run_prints_no_note(self, capsys):
+        assert run(["derive-schema"]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
     def test_missing_decisions_file(self, capsys):
         assert run(["derive-schema", "--decisions", "nope.txt"]) == EXIT_ERROR
         assert "nope.txt" in capsys.readouterr().err
@@ -249,6 +255,81 @@ class TestServe:
     def test_data_not_utf8(self, not_utf8, capsys):
         assert run(["serve", "--port", "0", "--data", not_utf8]) == EXIT_ERROR
         assert f"error: {not_utf8}: not valid UTF-8 (byte 28)" in capsys.readouterr().err
+
+
+class TestSchemaFile:
+    @pytest.fixture()
+    def derived(self, tmp_path, capsys):
+        path = tmp_path / "schema.ttl"
+        run(["derive-schema", "--out", str(path)])
+        capsys.readouterr()
+        return path
+
+    def test_blank_alias_subject_is_ignored(self, derived, corpus_args, capsys):
+        with derived.open("a", encoding="utf-8") as f:
+            f.write("_:x owl:equivalentProperty ontosoc:isMemberOf .\n")
+        assert run(["validate", "--schema", str(derived), *corpus_args]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+    def test_literal_domain_exits_two(self, derived, corpus_args, capsys):
+        with derived.open("a", encoding="utf-8") as f:
+            f.write('ontosoc:extra a owl:ObjectProperty ; rdfs:domain "x" ; rdfs:range ontosoc:Role .\n')
+        assert run(["validate", "--schema", str(derived), *corpus_args]) == EXIT_ERROR
+        assert "not an IRI" in capsys.readouterr().err
+
+    def test_schema_breaking_an_invariant_exits_two(self, tmp_path, corpus_args, capsys):
+        path = tmp_path / "schema.ttl"
+        path.write_text("<http://maroua-univ/ns/ontosoc#A> a <http://www.w3.org/2002/07/owl#Class> .\n", encoding="utf-8")
+        assert run(["validate", "--schema", str(path), *corpus_args]) == EXIT_ERROR
+        assert f"error: {path}: expected exactly 7 upper-level classes" in capsys.readouterr().err
+
+
+class TestCollector:
+    """Batch commands run with the cyclic collector off and leave it as
+    they found it; `serve` keeps it on."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collecting(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @pytest.fixture()
+    def unparsable(self, tmp_path):
+        path = tmp_path / "bad.ttl"
+        path.write_text("ex:a ex:b", encoding="utf-8")
+        return str(path)
+
+    def test_state_restored_after_success(self, collecting, corpus_args, capsys):
+        assert run(["validate", *corpus_args]) == EXIT_OK
+        assert gc.isenabled() is collecting
+
+    def test_state_restored_after_violations(self, collecting, bad_data, capsys):
+        assert run(["validate", bad_data]) == EXIT_VIOLATIONS
+        assert gc.isenabled() is collecting
+
+    def test_state_restored_after_parse_error(self, collecting, unparsable, capsys):
+        assert run(["validate", unparsable]) == EXIT_ERROR
+        assert gc.isenabled() is collecting
+
+    def test_off_while_a_batch_command_runs(self, monkeypatch, corpus_args, capsys):
+        seen = []
+
+        def recording(graph, schema):
+            seen.append(gc.isenabled())
+            return validate(graph, schema)
+
+        monkeypatch.setattr("ontosoc.cli.validate", recording)
+        assert run(["validate", *corpus_args]) == EXIT_OK
+        assert seen == [False] and gc.isenabled()
+
+    def test_on_while_serving(self, monkeypatch, capsys):
+        monkeypatch.delenv("ONTOSOC_SCHEMA", raising=False)
+        seen = []
+        monkeypatch.setattr(service, "serve", lambda **kwargs: seen.append(gc.isenabled()))
+        assert run(["serve", "--port", "0"]) == EXIT_OK
+        assert seen == [True]
 
 
 class TestUsage:

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ontosoc import resources
-from ontosoc.rdf import Graph, Iri, Literal, Triple
+from ontosoc.rdf import Blank, Graph, Iri, Literal, Triple
 from ontosoc.sparql import (
     Filter,
     GroupPattern,
@@ -19,8 +19,8 @@ from ontosoc.sparql import (
     to_json_results,
 )
 
-from .oracles import brute_force_bgp
-from .strategies import pool_graphs
+from .oracles import brute_force_bgp, json_dumps_results
+from .strategies import blanks, iris, literals, pool_graphs
 
 EX = "http://example.org/"
 
@@ -213,6 +213,31 @@ class TestJsonResults:
         assert set(payload["results"]["bindings"][0]) == {
             "Communities", "Activity", "task", "person", "tools",
         }
+
+
+
+_JSON_VARS = st.sampled_from(["x", "y", "z\u00e9", "w_1"])
+_JSON_TERMS = st.one_of(
+    iris,
+    blanks,
+    literals,
+    st.builds(lambda s: Iri("http://t/\u00e9" + s), st.text(alphabet="ab\u00fc\u4e2d\U0001f600\"\\", max_size=5)),
+    st.builds(Blank, st.text(alphabet="ab\u00fc\u4e2d", min_size=1, max_size=4)),
+    st.builds(lambda s: Literal(s, datatype="http://t/d\u00e9"), st.text(max_size=6)),
+)
+
+
+@st.composite
+def _json_tables(draw):
+    header = draw(st.lists(_JSON_VARS, max_size=4))  # may repeat a variable, or be empty
+    row = st.dictionaries(st.sampled_from(header), _JSON_TERMS) if header else st.just({})
+    return SolutionTable(header, draw(st.lists(row, max_size=5)))
+
+
+@given(_json_tables())
+@settings(max_examples=300, deadline=None)
+def test_json_results_equal_the_standard_encoder(table):
+    assert to_json_results(table) == json_dumps_results(table)
 
 
 class TestPrinter:

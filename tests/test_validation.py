@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ontosoc.rdf import RDF_TYPE, Graph, Iri, Literal, Triple
+from ontosoc.rdf import RDF_TYPE, RDFS_LABEL, Blank, Graph, Iri, Literal, Triple
 from ontosoc.schema import (
     ONTOSOC_NS,
     ClassDef,
@@ -27,7 +27,7 @@ from ontosoc.validation import (
     validate_delta,
 )
 
-from .oracles import brute_force_violation_count
+from .oracles import brute_force_violation_count, brute_force_violations
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -330,3 +330,50 @@ def test_delta_validation_matches_full_validation(schema, data):
 )
 def test_delta_validation_cases(schema, graph, delta):
     _assert_delta_matches_full(schema, Graph(graph), delta)
+
+
+# nodes of every kind an instance graph holds, some typed with several classes
+_ORACLE_NODES = [_i("n1"), _i("n2"), _i("n3"), Blank("b1"), Blank("b2")]
+_ORACLE_OBJECTS = _ORACLE_NODES + [Literal("x"), Literal("7", datatype="http://www.w3.org/2001/XMLSchema#integer")]
+_ORACLE_PREDICATES = [Iri(_c(p)) for p in _PROPS] + [Iri("http://example.org/soc/unknown"), Iri(RDFS_LABEL)]
+_ORACLE_CLASSES = [Iri(_c(c)) for c in _CLASSES] + [Iri("http://xmlns.com/foaf/0.1/Person"), Literal("Role")]
+
+
+@st.composite
+def _instance_triples(draw):
+    """Type triples (schema classes, a foreign class, a literal) and
+    property triples (canonical, alias, unknown and vocabulary
+    predicates; IRI, blank and literal objects), some nodes untyped."""
+    out = [
+        Triple(node, Iri(RDF_TYPE), cls)
+        for node in _ORACLE_NODES
+        for cls in draw(st.lists(st.sampled_from(_ORACLE_CLASSES), max_size=3))
+    ]
+    out += draw(
+        st.lists(
+            st.builds(
+                Triple,
+                st.sampled_from(_ORACLE_NODES),
+                st.sampled_from(_ORACLE_PREDICATES),
+                st.sampled_from(_ORACLE_OBJECTS),
+            ),
+            max_size=10,
+        )
+    )
+    return out
+
+
+@given(_instance_triples())
+@settings(max_examples=300, deadline=None)
+def test_violations_equal_the_per_triple_oracle(schema, triples):
+    report = validate(Graph(triples), schema)
+    assert [v.machine_line() for v in report.violations] == brute_force_violations(Graph(triples), schema)
+
+
+@given(_instance_triples(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_delta_validation_matches_validate_on_random_splits(schema, triples, data):
+    later = data.draw(st.lists(st.booleans(), min_size=len(triples), max_size=len(triples)))
+    base = [t for t, moved in zip(triples, later) if not moved]
+    delta = [t for t, moved in zip(triples, later) if moved]
+    _assert_delta_matches_full(schema, Graph(base), delta)
