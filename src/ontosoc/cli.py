@@ -138,28 +138,25 @@ def _cmd_derive_schema(args: argparse.Namespace) -> int:
     from . import hat
 
     default_triads = hat.default_triads()
-    if args.triads is not None:
-        triads = _parse_triads(_read_text(args.triads))
-    else:
-        triads = default_triads
-    if args.decisions is not None:
-        table = hat.parse_decision_table(_read_text(args.decisions))
-    else:
-        table = hat.default_decision_table()
+    try:
+        triads = default_triads if args.triads is None else _parse_triads(_read_text(args.triads))
+        if args.decisions is not None:
+            table = hat.parse_decision_table(_read_text(args.decisions))
+        else:
+            table = hat.default_decision_table()
+        pairs, stats = hat.dedupe_pairs(hat.candidate_relations(triads))
+        final = hat.full_relation_set(hat.apply_decisions(pairs, table))
+        schema = None if args.out is None else hat.schema_from_relations(final)
+    except ValueError as exc:  # the default inputs always fit: name the given ones
+        raise CliError(", ".join(p for p in (args.triads, args.decisions) if p) + f": {exc}") from exc
 
-    impl = hat.implication_table(triads, hat.default_use_cases()) if triads == default_triads else None
-    candidates = hat.candidate_relations(triads)
-    pairs, stats = hat.dedupe_pairs(candidates)
-    final = hat.full_relation_set(hat.apply_decisions(pairs, table))
-    schema = hat.derive_schema(triads, table)
-
-    if impl is not None:
-        print(impl.render())
+    if triads == default_triads:
+        print(hat.implication_table(triads, hat.default_use_cases()).render())
         print()
     if stats.triads != len(default_triads):
         print(f"note: {stats.triads} triads in play", file=sys.stderr)
     print(f"{stats.summary()} final={len(final)}")
-    if args.out is not None:
+    if schema is not None:
         Path(args.out).write_text(_schema_turtle(schema_to_graph(schema)), encoding="utf-8")
         print(f"schema written to {args.out}", file=sys.stderr)
     return EXIT_OK
@@ -173,11 +170,10 @@ def _parse_triads(text: str) -> set:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        poles = [hat.Pole.parse(p) for p in line.split(",")]
         try:
-            triads.add(hat.triad(*poles))
+            triads.add(hat.triad(*(hat.Pole.parse(p) for p in line.split(","))))
         except ValueError as exc:
-            raise CliError(f"triads file line {lineno}: {exc}") from exc
+            raise ValueError(f"triads file line {lineno}: {exc}") from exc
     return triads
 
 

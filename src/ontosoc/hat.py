@@ -402,9 +402,12 @@ def derive_schema(
         triads = default_triads()
     if table is None:
         table = default_decision_table()
-    candidates = candidate_relations(triads)
-    pairs, _ = dedupe_pairs(candidates)
-    relations = full_relation_set(apply_decisions(pairs, table))
+    pairs, _ = dedupe_pairs(candidate_relations(triads))
+    return schema_from_relations(full_relation_set(apply_decisions(pairs, table)))
+
+
+def schema_from_relations(relations: list[DirectedRelation]) -> SchemaDef:
+    """The builtin schema with the domains and ranges of ``relations``."""
     derived = {p.iri: p for p in map_to_concepts(relations)}
     curated = builtin_schema()
     properties = tuple(

@@ -10,7 +10,7 @@ Writes are serialized behind a lock.  The new graph is built aside by
 `Graph.union`, which shares every index container the delta does not
 touch, and checked by `validate_delta`, which re-checks only what the
 delta touches against the type map and violation list kept in the live
-`Snapshot` (computed in full on the first validated write).  The delta
+`Snapshot` (computed in full when the state is built).  The delta
 is made durable, and only then is the live (graph, epoch) pair replaced,
 as one value.  Readers always see a graph with its own epoch.
 
@@ -38,6 +38,7 @@ to a temp file that is fsynced and renamed over the old one.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
@@ -64,8 +65,8 @@ _COMMIT = re.compile(rb"^# epoch ([0-9]+)\n", re.MULTILINE)
 @dataclass(frozen=True)
 class Snapshot:
     """The live graph and its epoch, replaced together by one assignment,
-    with the graph's type map and violation list once a validated write
-    has computed them."""
+    with the graph's type map and violation list when writes are
+    validated."""
 
     graph: Graph
     epoch: int = 0
@@ -81,10 +82,13 @@ class ServiceState:
         validate_writes: bool = True,
         epoch: int = 0,
     ):
-        self.current = Snapshot(graph, epoch)
+        checked = None
+        if validate_writes:
+            report = validate(graph, schema)
+            checked = (report.types, report.violations)
+        self.current = Snapshot(graph, epoch, checked)
         self.schema = schema
         self.snapshot_path = snapshot_path
-        self.validate_writes = validate_writes
         self.write_lock = threading.Lock()
         # bytes of the file up to its last commit line, or None while the
         # next write must rewrite the file whole
@@ -111,13 +115,9 @@ class ServiceState:
         with self.write_lock:
             current = self.current
             merged, added = current.graph.union(doc.graph)
-            checked = None
-            if self.validate_writes:
-                if current.checked is None:
-                    report = validate(current.graph, self.schema)
-                    checked = (report.types, report.violations)
-                    current = self.current = Snapshot(current.graph, current.epoch, checked)
-                checked = validate_delta(merged, self.schema, *current.checked, added)
+            checked = current.checked  # None when writes are not validated
+            if checked is not None:
+                checked = validate_delta(merged, self.schema, *checked, added)
                 if checked[1]:
                     body = ValidationReport(checked[1]).render_machine() + "\n"
                     return 422, {"content-type": "text/plain; charset=utf-8"}, body
@@ -289,7 +289,13 @@ def serve(
     schema: Optional[SchemaDef] = None,
     validate_writes: bool = True,
 ) -> None:
-    state = load_state(data_path, schema, validate_writes)
+    collecting = gc.isenabled()
+    gc.disable()  # it would only rescan the loaded graph, which has no cycles
+    try:
+        state = load_state(data_path, schema, validate_writes)
+    finally:
+        if collecting:
+            gc.enable()
     server = make_server(state, port)
     print(f"listening on 127.0.0.1:{server.server_address[1]}", flush=True)
     try:

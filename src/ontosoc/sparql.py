@@ -3,9 +3,11 @@ patterns, OPTIONAL, FILTER (in)equality, ORDER BY, LIMIT and OFFSET.
 
 Evaluation is deliberately simple: patterns join left to right with
 index-backed matching, each OPTIONAL is a left outer join, and filters
-run innermost group first.  Bag semantics; no DISTINCT.  ORDER BY uses
-a fixed total order over terms: unbound < blank < IRI < literal, with
-lexical comparison inside each kind.
+run innermost group first.  Rows stream through these steps in
+nested-loop order, pulled by the consumer as in Graefe's Volcano, so
+without ORDER BY the joins stop at OFFSET + LIMIT rows.  Bag semantics;
+no DISTINCT.  ORDER BY collects every row and sorts by a fixed total
+order over terms: unbound < blank < IRI < literal, lexical within each.
 
 Unsupported query forms (CONSTRUCT, ASK, DESCRIBE, UNION, property
 paths, ...) are rejected with a named error rather than misparsed.
@@ -16,7 +18,9 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from functools import partial
+from itertools import islice
+from typing import Iterable, Iterator, Optional, Union
 
 from .rdf import (
     RDF_TYPE,
@@ -74,23 +78,6 @@ class GroupPattern:
     required: list[TriplePattern] = field(default_factory=list)
     optionals: list["GroupPattern"] = field(default_factory=list)
     filters: list[Filter] = field(default_factory=list)
-
-    def variables(self) -> set[str]:
-        out = set()
-        for tp in self.required:
-            out |= tp.variables()
-        for opt in self.optionals:
-            out |= opt.variables()
-        return out
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GroupPattern):
-            return NotImplemented
-        return (
-            self.required == other.required
-            and self.optionals == other.optionals
-            and self.filters == other.filters
-        )
 
 
 @dataclass
@@ -251,8 +238,8 @@ class _QueryParser:
         while self._keyword() in ("LIMIT", "OFFSET"):
             kw = self._keyword()
             self._next()
-            if self.tok.kind != "integer":
-                raise self._error(f"expected integer after {kw}")
+            if self.tok.kind != "integer" or self.tok.value.startswith("-"):
+                raise self._error(f"expected non-negative integer after {kw}")
             value = int(self._next().value)
             if kw == "LIMIT":
                 limit = value
@@ -264,7 +251,7 @@ class _QueryParser:
 
         ast = QueryAST(self.prefixes, projection, pattern, order_by, limit, offset)
         if projection is not None:
-            pattern_vars = pattern.variables()
+            pattern_vars = set(_vars_in_appearance_order(pattern))
             for name in projection:
                 if name not in pattern_vars:
                     ast.warnings.append(f"projected variable ?{name} is never bound")
@@ -409,86 +396,92 @@ def _substitute(slot: Slot, row: Row) -> Optional[Term]:
     return slot
 
 
-def _match_pattern(graph: Graph, pattern: TriplePattern, row: Row) -> list[Row]:
-    s = _substitute(pattern.subject, row)
-    p = _substitute(pattern.predicate, row)
-    o = _substitute(pattern.object, row)
-    out = []
-    for t in graph.match(s, p, o):
+def _matches(pattern: TriplePattern, graph: Graph, row: Row) -> Iterator[Row]:
+    """``row`` extended with each triple ``pattern`` matches under it."""
+    slots = s, p, o = pattern.subject, pattern.predicate, pattern.object
+    for t in graph.match(_substitute(s, row), _substitute(p, row), _substitute(o, row)):
         extended = dict(row)
-        ok = True
-        for slot, value in ((pattern.subject, t.subject), (pattern.predicate, t.predicate), (pattern.object, t.object)):
+        for slot, value in zip(slots, t):
             if isinstance(slot, Var):
                 bound = extended.get(slot.name)
                 if bound is None:
                     extended[slot.name] = value
                 elif bound != value:
-                    ok = False
-                    break
-        if ok:
-            out.append(extended)
-    return out
+                    break  # a repeated variable meets two terms
+        else:
+            yield extended
 
 
-def _apply_filter(rows: list[Row], flt: Filter) -> list[Row]:
-    out = []
-    for row in rows:
+def _filter_row(filters: list[Filter], row: Row) -> list[Row]:
+    """``[row]`` if every filter holds for it, else ``[]``."""
+    for flt in filters:
         left = _substitute(flt.left, row)
         right = _substitute(flt.right, row)
-        if left is None or right is None:
-            continue  # errors eliminate the solution
-        equal = left == right
-        if (flt.op == "=" and equal) or (flt.op == "!=" and not equal):
-            out.append(row)
-    return out
+        if left is None or right is None or (left == right) != (flt.op == "="):
+            return []  # an unbound side is an error, which eliminates the solution
+    return [row]
 
 
-def _eval_group(group: GroupPattern, graph: Graph, rows: list[Row]) -> list[Row]:
-    for pattern in group.required:
-        rows = [ext for row in rows for ext in _match_pattern(graph, pattern, row)]
-    for optional in group.optionals:
-        joined = []
-        for row in rows:
-            extensions = _eval_group(optional, graph, [row])
-            joined.extend(extensions if extensions else [row])
-        rows = joined
-    for flt in group.filters:
-        rows = _apply_filter(rows, flt)
-    return rows
+def _steps(group: GroupPattern, graph: Graph) -> list:
+    """The steps of ``group``: per pattern, a function from a row to its
+    extensions; per OPTIONAL, its own steps (a list: a left join); then one
+    for the FILTERs."""
+    steps: list = [partial(_matches, pattern, graph) for pattern in group.required]
+    for optional in group.optionals:  # a comprehension would add a frame per nested group
+        steps.append(_steps(optional, graph))
+    if group.filters:
+        steps.append(partial(_filter_row, group.filters))
+    return steps or [lambda row: (row,)]  # an empty group passes each row on
+
+
+def _nested_loops(rows: Iterable[Row], steps: list) -> Iterator[Row]:
+    """Each row extended through every step, depth first, as pulled.  The
+    loops' iterators sit on a list, so steps add no frames; each nested
+    OPTIONAL adds one, as parsing it does."""
+    depth = len(steps)
+    loops = [iter(rows)]
+    while loops:
+        for row in loops[-1]:
+            step = steps[len(loops) - 1]
+            if isinstance(step, list):  # an OPTIONAL: its extensions, or the row alone
+                extensions = list(_nested_loops((row,), step)) or [row]
+            else:
+                extensions = step(row)
+            if len(loops) == depth:
+                yield from extensions
+            else:
+                loops.append(iter(extensions))
+                break
+        else:
+            loops.pop()
+
+
+def _eval_group(group: GroupPattern, graph: Graph, rows: Iterable[Row]) -> Iterator[Row]:
+    return _nested_loops(rows, _steps(group, graph))
 
 
 def evaluate(ast: QueryAST, graph: Graph) -> SolutionTable:
     """Run a parsed query against a graph."""
     rows = _eval_group(ast.pattern, graph, [{}])
-
     for var, ascending in reversed(ast.order_by):
-        rows.sort(key=lambda r: _term_order_key(r.get(var)), reverse=not ascending)
+        rows = sorted(rows, key=lambda r: _term_order_key(r.get(var)), reverse=not ascending)
 
     if ast.projection is None:
         header = _vars_in_appearance_order(ast.pattern)
     else:
         header = list(ast.projection)
-    projected = [{v: row[v] for v in header if v in row} for row in rows]
-
     start = ast.offset or 0
-    end = start + ast.limit if ast.limit is not None else None
-    projected = projected[start:end]
+    stop = start + ast.limit if ast.limit is not None else None
+    projected = [{v: row[v] for v in header if v in row} for row in islice(rows, start, stop)]
     return SolutionTable(header, projected)
 
 
 def _vars_in_appearance_order(group: GroupPattern) -> list[str]:
-    seen: list[str] = []
-
-    def visit(g: GroupPattern) -> None:
-        for tp in g.required:
-            for slot in (tp.subject, tp.predicate, tp.object):
-                if isinstance(slot, Var) and slot.name not in seen:
-                    seen.append(slot.name)
-        for opt in g.optionals:
-            visit(opt)
-
-    visit(group)
-    return seen
+    slots = [slot for tp in group.required for slot in (tp.subject, tp.predicate, tp.object)]
+    names = [slot.name for slot in slots if isinstance(slot, Var)]
+    for optional in group.optionals:
+        names += _vars_in_appearance_order(optional)
+    return list(dict.fromkeys(names))
 
 
 _quote = json.encoder.encode_basestring_ascii  # json.dumps's own string encoder, in C

@@ -49,6 +49,37 @@ def brute_force_bgp(graph: Graph, patterns: list[TriplePattern]) -> set[frozense
     return solutions
 
 
+def nested_loop_rows(graph: Graph, required: list[TriplePattern], optional=None) -> list[dict]:
+    """The solutions of ``required``, then left-joined with the patterns in
+    ``optional`` (if given), in nested-loop order: each pattern, left to
+    right, extends each row with the triples a linear scan finds under
+    it, taken in `Triple.sort_key` order."""
+
+    def join(rows, patterns):
+        for pattern in patterns:
+            rows = [ext for row in rows for ext in _extensions(graph, pattern, row)]
+        return rows
+
+    rows = join([{}], required)
+    if optional is not None:
+        rows = [ext for row in rows for ext in (join([row], optional) or [row])]
+    return rows
+
+
+def _extensions(graph: Graph, pattern: TriplePattern, row: dict) -> list[dict]:
+    slots = (pattern.subject, pattern.predicate, pattern.object)
+    bound = [row.get(s.name) if isinstance(s, Var) else s for s in slots]
+    out = []
+    for t in sorted(brute_force_match(graph, *bound), key=Triple.sort_key):
+        extended = dict(row)
+        for slot, value in zip(slots, (t.subject, t.predicate, t.object)):
+            if isinstance(slot, Var) and extended.setdefault(slot.name, value) != value:
+                break
+        else:
+            out.append(extended)
+    return out
+
+
 def _grounded(pattern: TriplePattern, binding: dict):
     def sub(slot):
         return binding[slot.name] if isinstance(slot, Var) else slot

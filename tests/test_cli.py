@@ -191,6 +191,45 @@ class TestDeriveSchema:
         assert run(["derive-schema", "--decisions", "nope.txt"]) == EXIT_ERROR
         assert "nope.txt" in capsys.readouterr().err
 
+    @staticmethod
+    def _dropping_community_object() -> str:
+        shipped = resources.decision_table_path().read_text(encoding="utf-8")
+        keep = "Community,Object | keep | isOrganisedBy | Object->Community |"
+        assert keep in shipped
+        return shipped.replace(keep, "Community,Object | drop | | |")
+
+    @pytest.mark.parametrize(
+        "option,text,message",
+        [
+            ("--triads", "Community,Object,Subject\n", "derived relation set does not match"),
+            ("--decisions", None, "derived relation set does not match"),
+            ("--triads", "Community,Bogus,Subject\n", "triads file line 1: unknown pole: 'Bogus'"),
+            ("--decisions", "Community,Object | keep\n", "decision table line 1: expected 5 fields, got 2"),
+        ],
+        ids=["core-triad-only", "pair-dropped", "unknown-pole", "two-fields"],
+    )
+    def test_bad_input_exits_two_naming_the_file(self, tmp_path, capsys, option, text, message):
+        path, out = tmp_path / "input.txt", tmp_path / "schema.ttl"
+        path.write_text(text or self._dropping_community_object(), encoding="utf-8")
+        assert run(["derive-schema", option, str(path), "--out", str(out)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert f"error: {path}: {message}" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_pipeline_runs_once(self, tmp_path, capsys):
+        path = tmp_path / "decisions.txt"
+        path.write_text(self._dropping_community_object(), encoding="utf-8")
+        assert run(["derive-schema", "--decisions", str(path)]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == "warning: expected 7 pole-level relations, got 6\n"
+        assert captured.out.endswith("candidates=30 pairs=12 reduction=60% final=9\n")
+
+    def test_triad_subset_without_out_builds_no_schema(self, tmp_path, capsys):
+        path = tmp_path / "triads.txt"
+        path.write_text("Community,Object,Subject\n", encoding="utf-8")
+        assert run(["derive-schema", "--triads", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out == "candidates=3 pairs=3 reduction=0% final=5\n"
+
 
 class TestExportAlignment:
     def test_prints_alignment_turtle(self, capsys):
@@ -330,6 +369,29 @@ class TestCollector:
         monkeypatch.setattr(service, "serve", lambda **kwargs: seen.append(gc.isenabled()))
         assert run(["serve", "--port", "0"]) == EXIT_OK
         assert seen == [True]
+
+    def test_off_while_serve_loads_and_on_while_it_serves(self, collecting, monkeypatch, capsys):
+        seen = []
+        load_state = service.load_state
+
+        def loading(*args):
+            seen.append(("load", gc.isenabled()))
+            return load_state(*args)
+
+        class Server:
+            server_address = ("127.0.0.1", 0)
+
+            def serve_forever(self):
+                seen.append(("serve", gc.isenabled()))
+
+            def server_close(self):
+                pass
+
+        monkeypatch.setattr(service, "load_state", loading)
+        monkeypatch.setattr(service, "make_server", lambda state, port: Server())
+        service.serve(port=0)
+        assert seen == [("load", False), ("serve", collecting)]
+        assert gc.isenabled() is collecting
 
 
 class TestUsage:

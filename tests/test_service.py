@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 import requests
 
+from bench.gen import make_corpus
 from ontosoc import resources, service, validation
 from ontosoc.service import MAX_BODY_BYTES, ServiceState, load_state, make_server
 from ontosoc.schema import builtin_schema
@@ -425,6 +426,41 @@ class TestLog:
         monkeypatch.undo()
         assert data.read_text(encoding="utf-8").splitlines()[0] == "# epoch 1"  # no compaction
         _assert_reloads_as_live(state)
+
+
+    def test_state_is_checked_when_built_not_by_the_first_post(self, tmp_path, monkeypatch):
+        data = tmp_path / "kb.ttl"
+        data.write_text(serialize_turtle(resources.load_corpus()), encoding="utf-8")
+        assert load_state(data_path=str(data), validate_writes=False).current.checked is None
+        state = load_state(data_path=str(data))
+        types, violations = state.current.checked
+        assert types and violations == []
+
+        def refusing(*args):
+            raise AssertionError("a post ran a full validate")
+
+        monkeypatch.setattr(service, "validate", refusing)
+        monkeypatch.setattr(validation, "validate", refusing)
+        assert state.apply_post(_locality("Town"))[0] == 200
+        assert state.apply_post(BAD_TTL)[0] == 422
+
+
+def test_cross_product_with_limit_answers_one_row_and_health_still_answers(tmp_path):
+    corpus, data = make_corpus(1, 5, True), tmp_path / "kb.ttl"
+    data.write_text(corpus.turtle(), encoding="utf-8")
+    srv = make_server(load_state(data_path=str(data)), port=0)
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    try:
+        base = f"http://127.0.0.1:{srv.server_address[1]}"
+        resp = requests.get(_query_url(base, "SELECT * WHERE { ?a ?b ?c . ?d ?e ?f } LIMIT 1"), timeout=30)
+        assert resp.status_code == 200
+        assert len(resp.json()["results"]["bindings"]) == 1
+        assert requests.get(f"{base}/health", timeout=5).json() == {"triples": corpus.triples, "epoch": 0}
+    finally:
+        srv.shutdown()
+        srv.server_close()
+        thread.join(timeout=5)
 
 
 class TestProcessRestart:

@@ -1,14 +1,18 @@
 import json
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bench.gen import make_corpus
 from ontosoc import resources
-from ontosoc.rdf import Blank, Graph, Iri, Literal, Triple
+from ontosoc.rdf import Blank, Graph, Iri, Literal, PrefixMap, Triple
 from ontosoc.sparql import (
     Filter,
     GroupPattern,
+    QueryAST,
     QueryError,
     SolutionTable,
     TriplePattern,
@@ -18,8 +22,9 @@ from ontosoc.sparql import (
     print_query,
     to_json_results,
 )
+from ontosoc.turtle import parse_turtle
 
-from .oracles import brute_force_bgp, json_dumps_results
+from .oracles import brute_force_bgp, json_dumps_results, nested_loop_rows
 from .strategies import blanks, iris, literals, pool_graphs
 
 EX = "http://example.org/"
@@ -86,6 +91,12 @@ class TestParse:
     def test_unbound_projection_warns(self):
         ast = parse_query("SELECT ?x ?gone WHERE { ?x <http://p/q> ?y }")
         assert any("?gone" in w for w in ast.warnings)
+
+    @pytest.mark.parametrize("modifier", ["LIMIT -1", "LIMIT 5 OFFSET -2"])
+    def test_negative_limit_or_offset_is_an_error(self, modifier):
+        with pytest.raises(QueryError) as exc:
+            parse_query(f"SELECT * WHERE {{ ?s ?p ?o }} {modifier}")
+        assert "non-negative integer" in exc.value.message
 
     def test_filter_limit_offset(self):
         ast = parse_query(
@@ -275,7 +286,7 @@ def test_bgp_equals_brute_force(graph, patterns):
     ast_pattern = GroupPattern(required=patterns)
     from ontosoc.sparql import _eval_group
 
-    rows = _eval_group(ast_pattern, graph, [{}])
+    rows = list(_eval_group(ast_pattern, graph, [{}]))
     got = {frozenset(r.items()) for r in rows}
     assert got == brute_force_bgp(graph, patterns)
     # bag vs set: joins over set-semantics graphs cannot duplicate full rows
@@ -288,8 +299,8 @@ def test_optional_law(graph, mandatory, optional):
     group = GroupPattern(required=mandatory, optionals=[GroupPattern(required=optional)])
     from ontosoc.sparql import _eval_group
 
-    mandatory_rows = _eval_group(GroupPattern(required=mandatory), graph, [{}])
-    full_rows = _eval_group(group, graph, [{}])
+    mandatory_rows = list(_eval_group(GroupPattern(required=mandatory), graph, [{}]))
+    full_rows = list(_eval_group(group, graph, [{}]))
     assert len(full_rows) >= len(mandatory_rows)
     mand_vars = {v for p in mandatory for v in p.variables()}
 
@@ -301,6 +312,80 @@ def test_optional_law(graph, mandatory, optional):
         return set(out)
 
     assert project(full_rows) == project(mandatory_rows)
+
+
+_NODES = [Iri(f"http://p/{c}") for c in "abcd"]
+_PREDICATES = [Iri("http://p/p0"), Iri("http://p/p1")]
+# graphs over 32 possible triples, dense enough that most joins find rows
+_dense_graphs = st.lists(
+    st.builds(Triple, st.sampled_from(_NODES), st.sampled_from(_PREDICATES), st.sampled_from(_NODES)),
+    min_size=8,
+    max_size=32,
+).map(Graph)
+
+
+def _open_patterns(max_size):
+    """Patterns over the dense graphs' terms, with a variable in about
+    half of their slots.  Predicate variables have names of their own,
+    since no predicate is a node."""
+    nodes = st.sampled_from([Var("v0"), Var("v1"), Var("v2"), *_NODES])
+    predicates = st.sampled_from([Var("q0"), Var("q1"), *_PREDICATES])
+    pattern = st.builds(TriplePattern, nodes, predicates, nodes)
+    return st.lists(pattern, min_size=1, max_size=max_size)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _dense_graphs,
+    _open_patterns(max_size=3),
+    st.none() | _open_patterns(max_size=2),
+    st.none() | st.integers(0, 10),
+    st.none() | st.integers(0, 10),
+)
+def test_streamed_rows_follow_nested_loop_order(graph, required, optional, limit, offset):
+    optionals = [] if optional is None else [GroupPattern(required=optional)]
+    ast = QueryAST(PrefixMap(), None, GroupPattern(required, optionals), limit=limit, offset=offset)
+    table = evaluate(ast, graph)
+    assert set(table.header) == {v for p in required + (optional or []) for v in p.variables()}
+    start = offset or 0
+    expected = nested_loop_rows(graph, required, optional)[start : None if limit is None else start + limit]
+    assert table.rows == [{v: row[v] for v in table.header if v in row} for row in expected]
+
+
+def test_limit_stops_a_cross_product_early(monkeypatch):
+    graph = parse_turtle(make_corpus(1, 5, True).turtle()).graph
+    calls = []
+    match = Graph.match
+    monkeypatch.setattr(Graph, "match", lambda self, *args: calls.append(args) or match(self, *args))
+    ast = parse_query("SELECT * WHERE { ?a ?b ?c . ?d ?e ?f } LIMIT 1")
+    tracemalloc.start()
+    try:
+        table = evaluate(ast, graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table.rows) == 1 and len(calls) <= 2
+    assert peak < 1_000_000
+
+
+_LONG = sys.getrecursionlimit() + 100  # more steps than frames
+_DEEP = sys.getrecursionlimit() * 6 // 10  # nested groups that leave the parser room
+
+
+@pytest.mark.parametrize(
+    "where",
+    [
+        "?a ?b ?c . " * _LONG,
+        "OPTIONAL { ?a ?b ?c } " * _LONG,
+        "FILTER ( ?a = ?a ) " * _LONG,
+        "OPTIONAL { ?a ?b ?c " * _DEEP + "}" * _DEEP,
+    ],
+    ids=["patterns", "optionals", "filters", "nested-optionals"],
+)
+def test_a_long_or_deep_query_evaluates(where):
+    graph = Graph([Triple(_p("s"), _p("p"), _p(f"o{i}")) for i in range(3)])
+    table = evaluate(parse_query(f"SELECT * WHERE {{ ?a ?b ?c . {where} }} LIMIT 2"), graph)
+    assert table.rows == [{"a": _p("s"), "b": _p("p"), "c": _p(f"o{i}")} for i in (0, 1)]
 
 
 @settings(max_examples=50, deadline=None)
