@@ -2,7 +2,8 @@
 
 Subcommands: validate, query, derive-schema, export-alignment, stats,
 serve.  Results go to stdout, diagnostics to stderr.  Exit codes:
-0 success, 1 validation violations, 2 usage/parse/missing-file errors.
+0 success, 1 validation violations, 2 usage/parse/missing-file errors
+and a stdout closed before the output was written (as by `| head`).
 
 The schema defaults to the builtin one; a replacement Turtle schema may
 be given with --schema or the ONTOSOC_SCHEMA environment variable.
@@ -188,13 +189,14 @@ def _cmd_export_alignment(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     doc = _merge_files(args.files)
     graph = doc.graph
-    by_class: dict[str, int] = {}
-    for t in graph.match(predicate=Iri(RDF_TYPE)):
-        if isinstance(t.object, Iri):
-            by_class[t.object.value] = by_class.get(t.object.value, 0) + 1
-    by_predicate: dict[str, int] = {}
-    for t in graph:
-        by_predicate[t.predicate.value] = by_predicate.get(t.predicate.value, 0) + 1
+    by_class = {
+        cls.value: len(nodes)
+        for cls, nodes in graph.subjects_by_object(Iri(RDF_TYPE)).items()
+        if isinstance(cls, Iri)
+    }
+    by_predicate = {
+        p.value: sum(map(len, graph.subjects_by_object(p).values())) for p in graph.predicates()
+    }
     if args.format == "json":
         print(
             json.dumps(
@@ -292,7 +294,16 @@ def run(argv: Optional[list[str]] = None) -> int:
     if args.command != "serve":
         gc.disable()
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader left: send what is still buffered nowhere, so the
+        # interpreter's flush at exit raises no second error
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_ERROR
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

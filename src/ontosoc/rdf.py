@@ -8,14 +8,13 @@ once.  This plays the part of the dictionary encoding of RDF-3X
 (Neumann & Weikum 2008) without changing the term API.  A `Triple` is a
 tuple of three terms.
 
-The graph holds its triples only in three permutation indexes
-(subject-predicate-object, predicate-object-subject,
-object-subject-predicate), so that any pattern with at least one bound
-slot is answered without a full scan.  Match results are always
-returned sorted lexicographically by the N3 rendering of (subject,
-predicate, object), which makes query output deterministic.  Bulk
-readers that sort, or need no order, read one predicate's slice of the
-POS index unsorted instead, as Hexastore does (Weiss, Karras &
+The graph holds its triples only in two permutation indexes,
+subject-predicate-object and predicate-object-subject; a pattern that
+binds only the object probes each predicate's POS slice.  Match results
+are always returned sorted lexicographically by the N3 rendering of
+(subject, predicate, object), which makes query output deterministic.
+Bulk readers that sort, or need no order, read one predicate's slice of
+the POS index unsorted instead, as Hexastore does (Weiss, Karras &
 Bernstein 2008).
 """
 
@@ -321,7 +320,7 @@ _EMPTY: dict = {}  # the default of index lookups; never written
 
 
 class Graph:
-    """A set of triples held only in SPO, POS and OSP indexes kept in
+    """A set of triples held only in SPO and POS indexes kept in
     lockstep, with a count beside them.
 
     Set semantics throughout: adding a triple twice is a no-op.  Safe for
@@ -331,7 +330,6 @@ class Graph:
     def __init__(self, triples: Optional[Iterable[Triple]] = None):
         self._spo: dict[Term, dict[Iri, set[Term]]] = {}
         self._pos: dict[Iri, dict[Term, set[Term]]] = {}
-        self._osp: dict[Term, dict[Term, set[Iri]]] = {}
         self._len = 0
         self._shared = False  # inner index containers may be another graph's too
         if triples:
@@ -353,7 +351,7 @@ class Graph:
         such as the Turtle parser."""
         if self._shared:
             self._unshare()
-        spo, pos, osp = self._spo, self._pos, self._osp
+        spo, pos = self._spo, self._pos
         added = 0
         for s, p, o in triples:
             objs = spo.setdefault(s, {}).setdefault(p, set())
@@ -361,7 +359,6 @@ class Graph:
                 continue
             objs.add(o)
             pos.setdefault(p, {}).setdefault(o, set()).add(s)
-            osp.setdefault(o, {}).setdefault(s, set()).add(p)
             added += 1
         self._len += added
         return added
@@ -375,7 +372,6 @@ class Graph:
         s, p, o = t
         self._prune(self._spo, s, p, o)
         self._prune(self._pos, p, o, s)
-        self._prune(self._osp, o, s, p)
         self._len -= 1
         return True
 
@@ -394,7 +390,7 @@ class Graph:
         """A new graph holding this graph's triples and ``triples``, and the
         list of those that were not here yet.  This graph is left unchanged.
 
-        Path copying: the new graph takes C-level copies of the three
+        Path copying: the new graph takes C-level copies of the two
         outer indexes, and copies afresh only the inner dicts and sets on
         the new triples' paths; every other inner container is shared.
         So the cost beyond those flat copies grows with the new triples,
@@ -402,7 +398,7 @@ class Graph:
         before it is next mutated in place.
         """
         out = Graph()
-        out._spo, out._pos, out._osp = self._spo.copy(), self._pos.copy(), self._osp.copy()
+        out._spo, out._pos = self._spo.copy(), self._pos.copy()
         owned: set[int] = set()  # ids of the containers that are out's alone
         added = []
         for t in triples:
@@ -414,13 +410,12 @@ class Graph:
             added.append(t)
             _path_add(out._spo, s, p, o, owned)
             _path_add(out._pos, p, o, s, owned)
-            _path_add(out._osp, o, s, p, owned)
         out._len = self._len + len(added)
         out._shared = self._shared = True
         return out, added
 
     def _unshare(self) -> None:
-        self._spo, self._pos, self._osp = map(_copy_index, (self._spo, self._pos, self._osp))
+        self._spo, self._pos = _copy_index(self._spo), _copy_index(self._pos)
         self._shared = False
 
     def match(
@@ -431,8 +426,9 @@ class Graph:
     ) -> list[Triple]:
         """All triples matching the pattern; None is a wildcard.
 
-        Picks the index with the longest bound prefix; the result is
-        sorted by (subject, predicate, object) N3 strings.
+        Reads SPO when the subject is bound, else POS, and scans SPO when
+        nothing is; the result is sorted by (subject, predicate, object)
+        N3 strings.
         """
         s, p, o = subject, predicate, object
         result: list[Triple]
@@ -447,8 +443,7 @@ class Graph:
             subs = self._pos.get(p, _EMPTY).get(o, ())
             result = [_stored(Triple, (x, p, o)) for x in subs]
         elif o is not None and s is not None:
-            preds = self._osp.get(o, _EMPTY).get(s, ())
-            result = [_stored(Triple, (s, x, o)) for x in preds]
+            result = [_stored(Triple, (s, x, o)) for x, objs in self._spo.get(s, _EMPTY).items() if o in objs]
         elif s is not None:
             result = [
                 _stored(Triple, (s, pred, obj))
@@ -464,16 +459,13 @@ class Graph:
         elif o is not None:
             result = [
                 _stored(Triple, (sub, pred, o))
-                for sub, preds in self._osp.get(o, _EMPTY).items()
-                for pred in preds
+                for pred, by_obj in self._pos.items()
+                for sub in by_obj.get(o, ())
             ]
         else:
             result = list(self)
         result.sort(key=Triple.sort_key)
         return result
-
-    def subjects(self) -> set[Term]:
-        return set(self._spo)
 
     def predicates(self) -> list[Iri]:
         """The distinct predicates, unsorted."""
@@ -487,7 +479,7 @@ class Graph:
 
     def copy(self) -> "Graph":
         out = Graph()
-        out._spo, out._pos, out._osp = map(_copy_index, (self._spo, self._pos, self._osp))
+        out._spo, out._pos = _copy_index(self._spo), _copy_index(self._pos)
         out._len = self._len
         return out
 

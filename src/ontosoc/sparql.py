@@ -10,7 +10,8 @@ no DISTINCT.  ORDER BY collects every row and sorts by a fixed total
 order over terms: unbound < blank < IRI < literal, lexical within each.
 
 Unsupported query forms (CONSTRUCT, ASK, DESCRIBE, UNION, property
-paths, ...) are rejected with a named error rather than misparsed.
+paths, ...) are rejected with a named error rather than misparsed, and
+so are groups nested deeper than `MAX_GROUP_DEPTH`.
 """
 
 from __future__ import annotations
@@ -36,6 +37,12 @@ from .rdf import (
     UndeclaredPrefixError,
     unescape,
 )
+
+
+# Parsing and evaluating a query take a frame per nested group, so this
+# bound keeps any query that parses well inside Python's default limit of
+# 1,000 frames, also on a server thread's deeper stack.
+MAX_GROUP_DEPTH = 700
 
 
 class QueryError(Exception):
@@ -257,7 +264,9 @@ class _QueryParser:
                     ast.warnings.append(f"projected variable ?{name} is never bound")
         return ast
 
-    def _group(self) -> GroupPattern:
+    def _group(self, depth: int = 1) -> GroupPattern:
+        if depth > MAX_GROUP_DEPTH:
+            raise self._error(f"groups nested deeper than {MAX_GROUP_DEPTH}")
         self._expect_punct("{")
         group = GroupPattern()
         while True:
@@ -267,7 +276,7 @@ class _QueryParser:
             kw = self._keyword()
             if kw == "OPTIONAL":
                 self._next()
-                group.optionals.append(self._group())
+                group.optionals.append(self._group(depth + 1))
             elif kw == "FILTER":
                 self._next()
                 group.filters.append(self._filter())
@@ -275,7 +284,7 @@ class _QueryParser:
                 raise self._error(f"unsupported feature: {kw}")
             elif self.tok.kind == "punct" and self.tok.value == "{":
                 # A bare nested group only occurs in alternation; name it.
-                self._group()
+                self._group(depth + 1)
                 if self._keyword() == "UNION":
                     raise self._error("unsupported feature: UNION")
                 raise self._error("unsupported feature: nested group pattern")

@@ -1,11 +1,18 @@
 import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from ontosoc import resources, service
 from ontosoc.cli import EXIT_ERROR, EXIT_OK, EXIT_VIOLATIONS, run
+from ontosoc.sparql import MAX_GROUP_DEPTH
 from ontosoc.validation import validate
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture()
@@ -145,6 +152,44 @@ class TestQuery:
         captured = capsys.readouterr()
         assert code == EXIT_OK
         assert "?nope" in captured.err
+
+    def test_groups_nested_past_the_bound_exit_two_without_traceback(self, tmp_path, corpus_args, capsys):
+        query = tmp_path / "deep.rq"
+        query.write_text("SELECT * WHERE { " + "OPTIONAL { " * 1000 + "}" * 1001, encoding="utf-8")
+        assert run(["query", "--file", str(query), *corpus_args]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        column = len("SELECT * WHERE { ") + len("OPTIONAL { ") * (MAX_GROUP_DEPTH - 1) + len("OPTIONAL ") + 1
+        assert f"line 1, column {column}: groups nested deeper than" in err  # the first { too deep
+        assert "Traceback" not in err
+
+    def test_the_deepest_nesting_that_parses_evaluates(self, corpus_args, capsys):
+        optionals = MAX_GROUP_DEPTH - 1  # inside the outer group
+        query = "SELECT * WHERE { ?a ?b ?c " + "OPTIONAL { ?a ?b ?c " * optionals + "}" * (optionals + 1) + " LIMIT 2"
+        assert run(["query", "--query", query, "--format", "json", *corpus_args]) == EXIT_OK
+        assert len(json.loads(capsys.readouterr().out)["results"]["bindings"]) == 2
+
+    def test_a_closed_stdout_exits_two_without_traceback(self, tmp_path):
+        data = tmp_path / "big.ttl"  # its rows fill more than a pipe's 64 KiB buffer
+        data.write_text(
+            "".join(f"<http://example.org/s{i}> <http://example.org/p> <http://example.org/o{i}> .\n" for i in range(5000)),
+            encoding="utf-8",
+        )
+        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ontosoc.cli", "query", "--query", "SELECT * WHERE { ?s ?p ?o }", str(data)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        try:
+            assert proc.stdout.readline().startswith(b"?s")
+            proc.stdout.close()  # as `| head -1` does
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == EXIT_ERROR
+        finally:
+            proc.kill()
+            proc.wait()
+        assert b"Traceback" not in err, err.decode()
 
     def test_repeat_runs_byte_identical(self, corpus_args, capsys):
         argv = [

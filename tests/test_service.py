@@ -17,6 +17,7 @@ from bench.gen import make_corpus
 from ontosoc import resources, service, validation
 from ontosoc.service import MAX_BODY_BYTES, ServiceState, load_state, make_server
 from ontosoc.schema import builtin_schema
+from ontosoc.sparql import MAX_GROUP_DEPTH
 from ontosoc.rdf import Blank, Graph, graph_equal
 from ontosoc.turtle import parse_turtle, serialize_turtle
 
@@ -461,6 +462,29 @@ def test_cross_product_with_limit_answers_one_row_and_health_still_answers(tmp_p
         srv.shutdown()
         srv.server_close()
         thread.join(timeout=5)
+
+
+class TestNestedGroups:
+    def test_past_the_bound_get_400_and_health_still_answers(self, server):
+        base, _ = server
+        query = "SELECT * WHERE " + "{" * 1200
+        assert len(query) == 1215
+        resp = requests.get(_query_url(base, query), timeout=30)
+        assert resp.status_code == 400
+        payload = resp.json()
+        assert payload["message"] == f"groups nested deeper than {MAX_GROUP_DEPTH}"
+        assert (payload["line"], payload["column"]) == (1, 16 + MAX_GROUP_DEPTH)  # the first { too deep
+        assert requests.get(f"{base}/health", timeout=5).json() == {"triples": 0, "epoch": 0}
+
+    def test_the_deepest_nesting_that_parses_evaluates_in_the_handler_thread(self, server):
+        base, _ = server
+        assert requests.post(f"{base}/graph", data=GOOD_TTL.encode("utf-8")).status_code == 200
+        optionals = MAX_GROUP_DEPTH - 1  # inside the outer group
+        query = "SELECT * WHERE { ?a ?b ?c " + "OPTIONAL{" * optionals + "}" * (optionals + 1)
+        assert len(query) <= service.MAX_QUERY_LENGTH
+        resp = requests.get(_query_url(base, query), timeout=30)
+        assert resp.status_code == 200
+        assert len(resp.json()["results"]["bindings"]) == 3
 
 
 class TestProcessRestart:
