@@ -9,6 +9,8 @@ The schema defaults to the builtin one; a replacement Turtle schema may
 be given with --schema or the ONTOSOC_SCHEMA environment variable.
 
 Every command but `serve` runs with the cyclic garbage collector off.
+Each command imports the modules it runs when it runs, so a cold
+`stats` loads only the graph and the Turtle reader.
 """
 
 from __future__ import annotations
@@ -19,13 +21,13 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .rdf import RDF_TYPE, Graph, Iri, PrefixMap
-from .schema import SchemaDef, SchemaError, builtin_schema, schema_from_graph, schema_prefixes, schema_to_graph
-from .sparql import QueryError, evaluate, parse_query, to_json_results
+from .rdf import RDF_TYPE, Blank, Graph, Iri, PrefixMap, Triple
 from .turtle import Document, ParseError, parse_turtle, serialize_turtle
-from .validation import validate
+
+if TYPE_CHECKING:
+    from .schema import SchemaDef
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -37,6 +39,8 @@ class CliError(Exception):
 
 
 def _load_schema(path: Optional[str]) -> SchemaDef:
+    from .schema import SchemaError, builtin_schema, schema_from_graph
+
     if path is None:
         path = os.environ.get("ONTOSOC_SCHEMA") or None
     if path is None:
@@ -71,17 +75,39 @@ def _parse_file(path: str) -> Document:
 
 
 def _merge_files(paths: list[str]) -> Document:
+    """The files' graphs merged as RDF merges them: a blank node label
+    names one node within its file only, so a label that an earlier file
+    used is renamed in each later file that uses it too."""
     merged = _parse_file(paths[0])
     merged.base = None  # a merge of files has no single base
+    taken = _blank_labels(merged.graph) if len(paths) > 1 else set()
     for path in paths[1:]:
         doc = _parse_file(path)
         for label, ns in doc.prefixes.items():
             merged.prefixes.declare(label, ns)
-        merged.graph.update(doc.graph)
+        own = _blank_labels(doc.graph)
+        rename = {}
+        for label in sorted(own & taken):
+            n = 2
+            while f"{label}_{n}" in taken or f"{label}_{n}" in own:
+                n += 1
+            rename[Blank(label)] = Blank(f"{label}_{n}")
+            taken.add(f"{label}_{n}")
+        taken |= own
+        merged.graph.update(
+            t if not rename else Triple(rename.get(t[0], t[0]), t[1], rename.get(t[2], t[2]))
+            for t in doc.graph
+        )
     return merged
 
 
+def _blank_labels(graph: Graph) -> set[str]:
+    return {term.label for t in graph for term in (t[0], t[2]) if isinstance(term, Blank)}
+
+
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from .validation import validate
+
     schema = _load_schema(args.schema)
     doc = _merge_files(args.files)
     report = validate(doc.graph, schema)
@@ -107,6 +133,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
+    from .sparql import QueryError, evaluate, parse_query, to_json_results
+
     text = args.query if args.query is not None else _read_text(args.file)
     try:
         ast = parse_query(text)
@@ -131,6 +159,8 @@ def _write_or_print(text: str, out: Optional[str]) -> None:
 
 
 def _schema_turtle(graph: Graph) -> str:
+    from .schema import schema_prefixes
+
     doc = Document(graph=graph, prefixes=PrefixMap(schema_prefixes()))
     return serialize_turtle(doc)
 
@@ -158,6 +188,8 @@ def _cmd_derive_schema(args: argparse.Namespace) -> int:
         print(f"note: {stats.triads} triads in play", file=sys.stderr)
     print(f"{stats.summary()} final={len(final)}")
     if schema is not None:
+        from .schema import schema_to_graph
+
         Path(args.out).write_text(_schema_turtle(schema_to_graph(schema)), encoding="utf-8")
         print(f"schema written to {args.out}", file=sys.stderr)
     return EXIT_OK
@@ -307,7 +339,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (ParseError, QueryError) as exc:
+    except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     finally:

@@ -5,8 +5,11 @@ Hash-Consing", 2006): constructing an `Iri`, `Blank` or `Literal`
 returns the one object for its value, so equality is identity and
 hashing is by address, both in C, and each term's N3 string is built
 once.  This plays the part of the dictionary encoding of RDF-3X
-(Neumann & Weikum 2008) without changing the term API.  A `Triple` is a
-tuple of three terms.
+(Neumann & Weikum 2008) without changing the term API.  Each kind's
+intern table is a plain dict from a value to a weak reference to its
+term: a hit is one dict lookup and one call, a miss publishes the new
+term with one `dict.setdefault`, and a term's death removes its entry.
+A `Triple` is a tuple of three terms.
 
 The graph holds its triples only in two permutation indexes,
 subject-predicate-object and predicate-object-subject; a pattern that
@@ -21,11 +24,12 @@ Bernstein 2008).
 from __future__ import annotations
 
 import re
-import threading
 from operator import attrgetter, itemgetter
 from types import MappingProxyType
 from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Optional, Union
-from weakref import WeakValueDictionary
+from weakref import ref
+
+from _weakref import _remove_dead_weakref  # what WeakValueDictionary removes entries with
 
 XSD = "http://www.w3.org/2001/XMLSchema#"
 XSD_STRING = XSD + "string"
@@ -105,13 +109,16 @@ _WHITESPACE = re.compile(r"\s")
 class _Term:
     """What the three term kinds share: hash-consing and immutability.
 
-    Each kind keeps its canonical terms in a weak-valued table keyed by
-    the term's value, so constructing a term returns the one object for
-    that value, and a term that nothing references leaves the table.
+    Each kind keeps its canonical terms in an intern table, a plain dict
+    from the term's value to a weak reference to the term, so
+    constructing a term returns the one object for that value.
     Equality and hashing are therefore identity, the inherited C
-    versions.  A miss takes the lock and looks again before it inserts,
-    so two threads never create twins.  ``_n3`` holds the term's N3
-    string, built once.
+    versions.  A hit is a dict lookup and a call of the reference.  A
+    miss builds the term and publishes it with `_intern`, whose steps
+    are each one C call, atomic under the interpreter lock, so two
+    threads never create twins.  When a term dies, its reference's
+    callback removes the table entry, so a term that nothing references
+    leaves the table.  ``_n3`` holds the term's N3 string, built once.
     """
 
     __slots__ = ("_n3", "__weakref__")
@@ -132,10 +139,38 @@ class _Term:
         return self
 
 
-_LOCK = threading.Lock()
-_IRIS: WeakValueDictionary = WeakValueDictionary()
-_BLANKS: WeakValueDictionary = WeakValueDictionary()
-_LITERALS: WeakValueDictionary = WeakValueDictionary()
+class _Entry(ref):
+    """An intern-table entry: a weak reference to a term that knows where it is filed."""
+
+    __slots__ = ("table", "key")
+
+
+def _forget(entry: _Entry, remove: Callable = _remove_dead_weakref) -> None:
+    """The callback of a dying term's entry.  It deletes the entry only if
+    it is still a dead reference, in one C call, so a live term published
+    since under the same key stays.  ``remove`` is bound as a default so
+    that it still runs while the interpreter exits."""
+    remove(entry.table, entry.key)
+
+
+def _intern(table: dict, key: object, term: "_Term") -> "_Term":
+    """The term published under ``key``: ``term``, unless another thread
+    published a live one first."""
+    entry = _Entry(term, _forget)
+    entry.table, entry.key = table, key
+    while True:
+        found = table.setdefault(key, entry)  # atomic: the key is a str or a tuple of them
+        if found is entry:
+            return term
+        other = found()
+        if other is not None:
+            return other
+        _remove_dead_weakref(table, key)  # an entry whose callback has not run yet
+
+
+_IRIS: dict = {}
+_BLANKS: dict = {}
+_LITERALS: dict = {}
 _set = object.__setattr__  # the one way to write a term's fields
 
 
@@ -144,8 +179,8 @@ class Iri(_Term):
     value: str
 
     def __new__(cls, value: str) -> "Iri":
-        term = _IRIS.get(value)
-        if term is not None:
+        entry = _IRIS.get(value)
+        if entry is not None and (term := entry()) is not None:
             return term
         if not value:
             raise TermError("IRI must be non-empty")
@@ -154,8 +189,7 @@ class Iri(_Term):
         term = object.__new__(cls)
         _set(term, "value", value)
         _set(term, "_n3", f"<{value}>")
-        with _LOCK:  # another thread may have just made the same term
-            return _IRIS.setdefault(value, term)
+        return _intern(_IRIS, value, term)
 
     def __reduce__(self) -> tuple:
         return Iri, (self.value,)
@@ -169,16 +203,15 @@ class Blank(_Term):
     label: str
 
     def __new__(cls, label: str) -> "Blank":
-        term = _BLANKS.get(label)
-        if term is not None:
+        entry = _BLANKS.get(label)
+        if entry is not None and (term := entry()) is not None:
             return term
         if not label:
             raise TermError("blank node label must be non-empty")
         term = object.__new__(cls)
         _set(term, "label", label)
         _set(term, "_n3", f"_:{label}")
-        with _LOCK:
-            return _BLANKS.setdefault(label, term)
+        return _intern(_BLANKS, label, term)
 
     def __reduce__(self) -> tuple:
         return Blank, (self.label,)
@@ -201,8 +234,8 @@ class Literal(_Term):
         elif datatype is not None:
             raise TermError("literal may carry a datatype or a language tag, not both")
         key = (lexical, datatype, language)
-        term = _LITERALS.get(key)
-        if term is not None:
+        entry = _LITERALS.get(key)
+        if entry is not None and (term := entry()) is not None:
             return term
         n3 = f'"{_escape(lexical)}"'
         if language is not None:
@@ -214,8 +247,7 @@ class Literal(_Term):
         _set(term, "datatype", datatype)
         _set(term, "language", language)
         _set(term, "_n3", n3)
-        with _LOCK:
-            return _LITERALS.setdefault(key, term)
+        return _intern(_LITERALS, key, term)
 
     def __reduce__(self) -> tuple:
         return Literal, (self.lexical, self.datatype, self.language)
@@ -353,12 +385,26 @@ class Graph:
             self._unshare()
         spo, pos = self._spo, self._pos
         added = 0
+        # get before set: `setdefault` would build an empty container per call
         for s, p, o in triples:
-            objs = spo.setdefault(s, {}).setdefault(p, set())
-            if o in objs:
+            by_p = spo.get(s)
+            if by_p is None:
+                by_p = spo[s] = {}
+            objs = by_p.get(p)
+            if objs is None:
+                by_p[p] = {o}
+            elif o in objs:
                 continue
-            objs.add(o)
-            pos.setdefault(p, {}).setdefault(o, set()).add(s)
+            else:
+                objs.add(o)
+            by_o = pos.get(p)
+            if by_o is None:
+                by_o = pos[p] = {}
+            subs = by_o.get(o)
+            if subs is None:
+                by_o[o] = {s}
+            else:
+                subs.add(s)
             added += 1
         self._len += added
         return added
@@ -515,150 +561,3 @@ def _path_add(index: dict, a, b, c, owned: set[int]) -> None:
         leaf = inner[b] = set() if leaf is None else leaf.copy()
         owned.add(id(leaf))
     leaf.add(c)
-
-
-def _refine(color: dict[Blank, int], links: dict[Blank, list]) -> dict[Blank, int]:
-    """Refine a colouring by each blank's colour and its blank neighbours'
-    colours until a round splits no colour.  Colours are renumbered by
-    signature rank each round, so they stay small and ordered, and never
-    depend on the blanks' labels."""
-    while True:
-        sig = {b: (c, tuple(sorted((d, p, color[x]) for d, p, x in links[b]))) for b, c in color.items()}
-        rank = {s: i for i, s in enumerate(sorted(set(sig.values())))}
-        refined = {b: rank[sig[b]] for b in color}
-        if len(rank) == len(set(color.values())):
-            return refined
-        color = refined
-
-
-def _blank_labels(graph: Graph) -> dict[Blank, str]:
-    """Canonical labels for blank nodes: colour refinement, then a search
-    over tied colours, as in Hogan, "Canonical Forms for Isomorphic and
-    Equivalent RDF Graphs" (2017).
-
-    Each connected component of blanks is labelled on its own, and the
-    components are numbered in the order of their labelled triples, so
-    equal components never branch the search.
-    """
-    incident: dict[Blank, list[Triple]] = {}
-    for t in graph:
-        for node in {t.subject, t.object}:
-            if isinstance(node, Blank):
-                incident.setdefault(node, []).append(t)
-    seen: set[Blank] = set()
-    components = []
-    for start in incident:
-        if start in seen:
-            continue
-        seen.add(start)
-        nodes = [start]
-        for node in nodes:  # grows while it is walked
-            for t in incident[node]:
-                for other in (t.subject, t.object):
-                    if isinstance(other, Blank) and other not in seen:
-                        seen.add(other)
-                        nodes.append(other)
-        components.append(_label_component(graph, nodes, incident))
-    labels: dict[Blank, str] = {}
-    for _, colors in sorted(components, key=lambda kc: kc[0]):
-        offset = len(labels)
-        labels.update((b, f"b{offset + c}") for b, c in colors.items())
-    return labels
-
-
-def _label_component(
-    graph: Graph, nodes: list[Blank], incident: dict[Blank, list[Triple]]
-) -> tuple[list, dict[Blank, int]]:
-    """The least key and its numbering for one connected set of blanks.
-
-    A blank's first colour ranks its triples to non-blank terms.  When
-    refinement leaves a colour shared by several blanks, the search
-    individualises each of them in turn and refines again.  At a leaf
-    every blank has its own colour; the leaf whose triples, relabelled
-    by colour, sort least wins.  A node is skipped when an automorphism
-    fixing the current path maps a node already tried onto it, since its
-    subtree yields the same leaves: either the exchange of the two nodes,
-    or one generated by those that two leaves with equal triples revealed.
-    """
-    triples = list({t for b in nodes for t in incident[b]})
-    fixed: dict[Blank, list] = {b: [] for b in nodes}
-    links: dict[Blank, list] = {b: [] for b in nodes}
-    for t in triples:
-        p = t.predicate.n3()
-        for node, d, other in ((t.subject, 0, t.object), (t.object, 1, t.subject)):
-            if isinstance(node, Blank):
-                if isinstance(other, Blank):
-                    links[node].append((d, p, other))
-                else:
-                    fixed[node].append((d, p, other.n3()))
-    first = {b: tuple(sorted(edges)) for b, edges in fixed.items()}
-    rank = {sig: i for i, sig in enumerate(sorted(set(first.values())))}
-    best: list = []  # [key, colours] of the least leaf so far
-    automorphisms: list[dict[Blank, Blank]] = []
-
-    def render(term: Term, color: dict[Blank, int]) -> str:
-        return f"_:b{color[term]}" if isinstance(term, Blank) else term.n3()
-
-    def twins(a: Blank, b: Blank) -> bool:
-        """Whether exchanging ``a`` and ``b`` maps the graph onto itself."""
-        swap = {a: b, b: a}
-        return all(
-            Triple(swap.get(t.subject, t.subject), t.predicate, swap.get(t.object, t.object)) in graph
-            for t in incident[a] + incident[b]
-        )
-
-    def search(color: dict[Blank, int], path: list[Blank]) -> None:
-        color = _refine(color, links)
-        classes: dict[int, list[Blank]] = {}
-        for b, c in color.items():
-            classes.setdefault(c, []).append(b)
-        tied = min((c for c, members in classes.items() if len(members) > 1), default=None)
-        if tied is None:
-            key = sorted(
-                (render(t.subject, color), t.predicate.n3(), render(t.object, color))
-                for t in triples
-            )
-            if not best or key < best[0]:
-                best[:] = [key, color]
-            elif key == best[0]:
-                node_of = {c: b for b, c in best[1].items()}
-                automorphisms.append({b: node_of[c] for b, c in color.items()})
-            return
-        tried: set[Blank] = set()
-        for b in sorted(classes[tied], key=lambda n: n.label):
-            fixing = [a for a in automorphisms if all(a[x] == x for x in path)]
-            orbit, frontier = set(tried), list(tried)
-            while frontier:
-                x = frontier.pop()
-                for a in fixing:
-                    if a[x] not in orbit:
-                        orbit.add(a[x])
-                        frontier.append(a[x])
-            if b in orbit or any(twins(a, b) for a in tried):
-                continue
-            tried.add(b)
-            search({n: 2 * c + (n != b) for n, c in color.items()}, path + [b])
-
-    search({b: rank[first[b]] for b in nodes}, [])
-    return best[0], best[1]
-
-
-def canonical_triples(graph: Graph) -> frozenset[Triple]:
-    """The graph's triple set with blank nodes canonically relabeled."""
-    relabel = _blank_labels(graph)
-
-    def conv(term: Term) -> Term:
-        if isinstance(term, Blank):
-            return Blank(relabel[term])
-        return term
-
-    return frozenset(
-        Triple(conv(t.subject), t.predicate, conv(t.object)) for t in graph
-    )
-
-
-def graph_equal(g1: Graph, g2: Graph) -> bool:
-    """True iff the triple sets agree up to a blank-node bijection."""
-    if len(g1) != len(g2):
-        return False
-    return canonical_triples(g1) == canonical_triples(g2)

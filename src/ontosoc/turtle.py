@@ -7,24 +7,36 @@ integers, labeled blank nodes and comments.  Collections and anonymous
 blank nodes are deliberately out.
 
 The lexer is one compiled pattern with a named group per token kind,
-run as a scanner that resumes where the last token ended.  A token
-carries its offset; only a ParseError turns an offset into a line (one
-plus the newlines before it) and a column (the offset from the line
-start, plus one), and takes that line as its snippet.  The parser keeps
-each prefixed name's IRI until the next @prefix, and builds its terms
-through the hash-consing constructors, so a term occurring many times is
-one object.  It collects the triples and hands them to the graph in one
-`Graph.bulk_insert`, which skips the checks its grammar already makes.
+matched at the offset where the last token ended.  A token carries its
+offset; only a ParseError turns an offset into a line (one plus the
+newlines before it) and a column (the offset from the line start, plus
+one), and takes that line as its snippet.
+
+Most of a data file is `verb object punct` units: `ex:p ex:o ;`.  The
+parser reads such a unit with a second pattern, the fused unit, in one
+match after a subject, a ';' or a ','.  The unit covers prefixed names,
+`a` and IRIREFs, built from the scanner's own token patterns, so it
+reads the tokens the scanner would.  A unit that does not match (a
+literal, a blank node, a fault), or whose names do not resolve, is read
+again token by token, and only that path raises a ParseError, so the
+errors, their order and their positions are the scanner's.
+
+The parser keeps each prefixed name's IRI until the next @prefix, and
+builds its terms through the hash-consing constructors, so a term
+occurring many times is one object.  It collects the triples and hands
+them to the graph in one `Graph.bulk_insert`, which skips the checks its
+grammar already makes.
 
 The serializer emits a byte-stable layout: prefix declarations first,
 subjects sorted lexically, predicates and objects sorted within each
-subject block.  Serializer output always re-parses to an equal graph.
+subject block.  Every literal is written with the escapes of its N3
+string, so `rdf._escape` is the one encoder.  Serializer output always
+re-parses to an equal graph.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Optional
 from urllib.parse import urljoin
 
@@ -58,15 +70,27 @@ class ParseError(Exception):
         self.snippet = snippet
 
 
-@dataclass
 class Document:
-    graph: Graph = field(default_factory=Graph)
-    prefixes: PrefixMap = field(default_factory=PrefixMap)
-    base: Optional[str] = None
+    """A Turtle file's content: its graph, its prefixes and its base."""
+
+    __slots__ = ("graph", "prefixes", "base")
+
+    def __init__(self, graph: Optional[Graph] = None, prefixes: Optional[PrefixMap] = None, base: Optional[str] = None):
+        self.graph = Graph() if graph is None else graph
+        self.prefixes = PrefixMap() if prefixes is None else prefixes
+        self.base = base
+
+    def __repr__(self) -> str:
+        return f"Document(graph={self.graph!r}, prefixes={self.prefixes!r}, base={self.base!r})"
 
 
 _PN_LOCAL = re.compile(r"[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?$|^$")
 _SCHEME = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
+
+# Token patterns the scanner and the fused unit share.
+_GAP = r"[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*"
+_PNAME = r"(?:[A-Za-z][A-Za-z0-9_\-]*)?:(?:[A-Za-z0-9_][A-Za-z0-9_\-]*)?"
+_IRI_BODY = r"[^>\n]*"  # between < and >
 
 # One scanner: the gap of whitespace and comments, then one named group
 # per token kind, tried in order.  The last five groups catch what no
@@ -76,12 +100,12 @@ _SCHEME = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
 # backreference consumes it without backtracking (`(?>...)` would need
 # Python 3.11).
 _TOKEN = re.compile(
-    r"""
-    (?=(?P<gap>[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*))(?P=gap)
+    rf"""
+    (?=(?P<gap>{_GAP}))(?P=gap)
     (?:
-      (?P<pname>(?:[A-Za-z][A-Za-z0-9_\-]*)?:(?:[A-Za-z0-9_][A-Za-z0-9_\-]*)?)
+      (?P<pname>{_PNAME})
     | (?P<punct>[.,;])
-    | (?P<iriref><[^>\n]*>)
+    | (?P<iriref><{_IRI_BODY}>)
     | (?P<string>"(?:[^"\\\n]|\\[\s\S])*")
     | (?P<at>@[A-Za-z][A-Za-z0-9\-]*)
     | (?P<dtype>\^\^)
@@ -98,6 +122,28 @@ _TOKEN = re.compile(
     """,
     re.VERBOSE,
 )
+
+# The fused unit: an optional verb (a prefixed name, `a` or an IRIREF),
+# an object (a prefixed name or an IRIREF) and the punct after it, each
+# after its gap, in one match.  Each piece is the scanner's own pattern;
+# a name must not be followed by a character that would lengthen it or
+# start a prefixed name, so when the unit matches, the scanner would
+# read the same tokens at the same offsets.  Each gap is atomic, as in
+# `_TOKEN`.
+_NAME_END = r"(?![A-Za-z0-9_\-:])"
+_UNIT = re.compile(
+    rf"""
+    (?=(?P<gap1>{_GAP}))(?P=gap1)
+    (?:
+      (?: (?P<vname>{_PNAME}){_NAME_END} | (?P<a>a){_NAME_END} | <(?P<viri>{_IRI_BODY})> )
+      (?=(?P<gap2>{_GAP}))(?P=gap2)
+    )?
+    (?: (?P<oname>{_PNAME}){_NAME_END} | <(?P<oiri>{_IRI_BODY})> )
+    (?=(?P<gap3>{_GAP}))(?P=gap3)
+    (?P<punct>[.,;])
+    """,
+    re.VERBOSE,
+)
 _SCAN_ERRORS = {
     "open_iri": "unterminated IRI",
     "bad_at": "bad '@' token",
@@ -106,19 +152,20 @@ _SCAN_ERRORS = {
 
 
 class _Parser:
-    """A recursive-descent parser over the scanner's tokens.
+    """A recursive-descent parser over the scanner's tokens, with a fused
+    fast path for the common `verb object punct` unit.
 
     The current token is ``kind``, ``value`` and ``at``, its offset into
-    the text; a line and column are computed from the offset only for a
-    ParseError.
+    the text, and ``end``, where the next token's gap starts; a line and
+    column are computed from an offset only for a ParseError.
     """
 
     def __init__(self, text: str, base: Optional[str] = None):
         self.text = text
-        self._scan = _TOKEN.scanner(text).match
         self.doc = Document(base=base)
         self.triples: list[tuple[Term, Iri, Term]] = []  # what the statements state, in order
         self.pnames: dict[str, Iri] = {}  # prefixed name -> its IRI; emptied by each @prefix
+        self.end = 0
         self._next()
 
     def error(self, message: str, at: int) -> ParseError:
@@ -130,7 +177,7 @@ class _Parser:
         return ParseError(text.count("\n", 0, at) + 1, at - line_start + 1, message, snippet)
 
     def _next(self) -> None:
-        m = self._scan()
+        m = _TOKEN.match(self.text, self.end)
         kind = m.lastgroup
         value = m.group(kind)
         at = m.start(kind)
@@ -153,7 +200,7 @@ class _Parser:
             raise self.error(f"unexpected character {value!r}", at)
         elif kind in _SCAN_ERRORS:
             raise self.error(_SCAN_ERRORS[kind], at)
-        self.kind, self.value, self.at = kind, value, at
+        self.kind, self.value, self.at, self.end = kind, value, at, m.end()
 
     def _unescape(self, body: str, at: int) -> str:
         """The string body at offset ``at`` + 1, unescaped."""
@@ -191,7 +238,6 @@ class _Parser:
                 self._expect(".")
             else:
                 self._triples()
-                self._expect(".")
         # the grammar admits no literal subject and only IRI verbs
         self.doc.graph.bulk_insert(self.triples)
         return self.doc
@@ -202,26 +248,86 @@ class _Parser:
         return urljoin(self.doc.base, iri)
 
     def _triples(self) -> None:
-        subject = self._subject()
-        self._predicate_object_list(subject)
+        """A subject and its predicate-object list, through the closing '.'.
 
-    def _predicate_object_list(self, subject: Term) -> None:
-        append = self.triples.append
+        On entry the current token is the subject; at the top of the loop
+        it is the subject, a ';' or a ','.  Each turn first reads the unit
+        after it with `_UNIT`; a unit that does not match, or whose terms
+        do not resolve, is read again by the token path, which raises
+        every ParseError.  A unit is resolved only once its closing punct
+        is matched, as the token path scans each token before it resolves
+        the one before, so both paths meet each error in the same order.
+        """
+        text, append, unit, pnames = self.text, self.triples.append, _UNIT.match, self.pnames
+        subject = predicate = None
         while True:
-            predicate = self._verb()
-            while True:
-                append((subject, predicate, self._object()))
-                if self.kind == ",":
-                    self._next()
-                    continue
-                break
-            if self.kind == ";":
+            m = unit(text, self.end)
+            if m is not None:
+                _, vname, vtype, viri, _, oname, oiri, _, punct = m.groups()  # gaps unused
+                listing = self.kind == ","  # then an object alone follows, else a verb too
+                if (vname is None and vtype is None and viri is None) == listing:
+                    s = subject or self._quiet_subject()
+                    if listing:
+                        p = predicate
+                    else:
+                        p = _RDF_TYPE if vtype else pnames.get(vname) or self._quiet_iri(vname, viri)
+                    o = pnames.get(oname) or self._quiet_iri(oname, oiri)
+                    if s and p and o:
+                        subject, predicate = s, p
+                        append((s, p, o))
+                        self.kind = self.value = punct
+                        self.at, self.end = m.start("punct"), m.end()
+                        if punct == ".":
+                            self._next()
+                            return
+                        continue
+            # the token path, for one verb and its object list
+            if subject is None:
+                subject = self._subject()
+                predicate = self._verb()
+            elif self.kind == ",":
+                self._next()
+            else:  # a run of ';'
                 while self.kind == ";":
                     self._next()
                 if self.kind == ".":  # trailing semicolon
-                    return
-                continue
-            return
+                    break
+                predicate = self._verb()
+            append((subject, predicate, self._object()))
+            if self.kind != "," and self.kind != ";":
+                break
+        self._expect(".")
+
+    def _quiet_iri(self, pname: Optional[str], iriref: Optional[str]) -> Optional[Iri]:
+        """The IRI of a prefixed name or IRIREF body read by `_UNIT`, or
+        None where `_pname` or `_iriref` would raise."""
+        if pname is not None:
+            iri = self.pnames.get(pname)
+            if iri is None:
+                label, _, local = pname.partition(":")
+                try:
+                    iri = self.pnames[pname] = Iri(self.doc.prefixes.namespace(label) + local)
+                except (UndeclaredPrefixError, TermError):
+                    return None
+            return iri
+        if iriref is None:
+            return None
+        try:
+            return Iri(self._resolve(iriref))
+        except ValueError:
+            return None
+
+    def _quiet_subject(self) -> Optional[Term]:
+        """The term of the current subject token, or None where
+        `_subject` would raise or not read it."""
+        kind = self.kind
+        if kind == "pname":
+            return self._quiet_iri(self.value, None)
+        if kind == "iriref":
+            return self._quiet_iri(None, self.value)
+        if kind == "blank":
+            return Blank(self.value)
+        return None
 
     def _subject(self) -> Term:
         kind = self.kind
@@ -310,6 +416,9 @@ class _Parser:
             raise self.error(str(exc), at) from None
 
 
+_RDF_TYPE = Iri(RDF_TYPE)
+
+
 def parse_turtle(text: str, base: Optional[str] = None) -> Document:
     """Parse Turtle text; raises ParseError at the first offense."""
     return _Parser(text, base=base).parse()
@@ -330,8 +439,11 @@ def _compress(iri: Iri, prefixes: PrefixMap) -> str:
 def _render(term: Term, prefixes: PrefixMap) -> str:
     if isinstance(term, Iri):
         return _compress(term, prefixes)
-    if isinstance(term, Literal) and term.datatype not in (None, XSD_STRING) and term.language is None:
-        return f'"{term.lexical}"^^{_compress(Iri(term.datatype), prefixes)}' if '"' not in term.lexical and "\\" not in term.lexical and "\n" not in term.lexical else term.n3()
+    if isinstance(term, Literal) and term.datatype not in (None, XSD_STRING):
+        # the N3 string ends with ^^<datatype>; what comes before it is the
+        # lexical form as `rdf._escape` quotes it
+        quoted = term.n3()[: -len(term.datatype) - 4]
+        return f"{quoted}^^{_compress(Iri(term.datatype), prefixes)}"
     return term.n3()
 
 

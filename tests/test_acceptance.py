@@ -16,7 +16,8 @@ import requests
 from hypothesis import given, settings
 
 from ontosoc import hat, resources
-from ontosoc.rdf import Graph, graph_equal
+from ontosoc.canonical import graph_equal
+from ontosoc.rdf import Graph
 from ontosoc.schema import ONTOSOC_NS, builtin_schema
 from ontosoc.service import load_state, make_server
 from ontosoc.sparql import GroupPattern, TriplePattern, Var, evaluate, parse_query, to_json_results, _eval_group

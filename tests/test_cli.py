@@ -308,6 +308,68 @@ class TestStats:
         assert capsys.readouterr().out == once
 
 
+class TestMergeFiles:
+    """Each file's blank node labels name nodes of that file only."""
+
+    @pytest.fixture()
+    def one_label_two_classes(self, tmp_path):
+        paths = []
+        for name, cls in (("a", "Individual"), ("b", "Community")):
+            path = tmp_path / f"{name}.ttl"
+            path.write_text(f"@prefix ontosoc: <http://maroua-univ/ns/ontosoc#> .\n_:x a ontosoc:{cls} .\n", encoding="utf-8")
+            paths.append(str(path))
+        return paths
+
+    def test_a_shared_label_names_two_nodes(self, one_label_two_classes, capsys):
+        for path in one_label_two_classes:
+            assert run(["validate", path]) == EXIT_OK
+        assert run(["validate", *one_label_two_classes]) == EXIT_OK
+        capsys.readouterr()
+        assert run(["query", "--query", "SELECT ?s ?c WHERE { ?s a ?c }", *one_label_two_classes]) == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split()[0] for row in rows] == ["_:x", "_:x_2"]
+
+    def test_a_renamed_label_skips_labels_already_used(self, tmp_path, capsys):
+        first = tmp_path / "first.ttl"
+        first.write_text("_:x <http://x/p> _:x_2 .\n", encoding="utf-8")
+        second = tmp_path / "second.ttl"
+        second.write_text("_:x <http://x/q> _:x_3 .\n", encoding="utf-8")
+        assert run(["query", "--query", "SELECT * WHERE { ?s ?p ?o }", str(first), str(second)]) == EXIT_OK
+        rows = [row.split() for row in capsys.readouterr().out.splitlines()[1:]]
+        assert rows == [["_:x", "<http://x/p>", "_:x_2"], ["_:x_4", "<http://x/q>", "_:x_3"]]
+
+
+def _modules_after(argv: list[str]) -> set[str]:
+    """The modules loaded once a fresh interpreter has run ``ontosoc`` with ``argv``."""
+    probe = (
+        "import sys\n"
+        "from ontosoc.cli import run\n"
+        "status = run(sys.argv[1:])\n"
+        "sys.stdout.flush()\n"
+        "sys.stderr.write('\\nMODULES ' + ' '.join(sorted(sys.modules)))\n"
+        "sys.exit(status)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, env=env, timeout=120)
+    assert proc.returncode in (EXIT_OK, EXIT_VIOLATIONS), proc.stderr.decode()
+    return set(proc.stderr.decode().rpartition("MODULES ")[2].split())
+
+
+class TestColdImports:
+    """A command loads only the modules it runs."""
+
+    def test_stats_loads_the_graph_and_the_reader_only(self, corpus_args):
+        loaded = _modules_after(["stats", "--format", "json", *corpus_args])
+        assert {"ontosoc.rdf", "ontosoc.turtle"} <= loaded
+        unused = {"schema", "validation", "sparql", "service", "hat", "canonical"}
+        assert loaded.isdisjoint({f"ontosoc.{name}" for name in unused} | {"dataclasses"})
+
+    def test_validate_loads_no_query_engine_or_service(self, corpus_args):
+        loaded = _modules_after(["validate", *corpus_args])
+        assert "ontosoc.validation" in loaded
+        assert loaded.isdisjoint({"ontosoc.sparql", "ontosoc.service"})
+
+
 class TestServe:
     """Each load failure exits 2 before the server starts."""
 
@@ -404,7 +466,7 @@ class TestCollector:
             seen.append(gc.isenabled())
             return validate(graph, schema)
 
-        monkeypatch.setattr("ontosoc.cli.validate", recording)
+        monkeypatch.setattr("ontosoc.validation.validate", recording)  # cli imports it per command
         assert run(["validate", *corpus_args]) == EXIT_OK
         assert seen == [False] and gc.isenabled()
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ontosoc import rdf
+from ontosoc.canonical import graph_equal
 from ontosoc.rdf import (
     XSD,
     Blank,
@@ -23,7 +24,6 @@ from ontosoc.rdf import (
     TermError,
     Triple,
     UndeclaredPrefixError,
-    graph_equal,
 )
 
 from .strategies import graphs, subjects, triples

@@ -1,5 +1,6 @@
 import pytest
 
+from ontosoc.canonical import graph_equal
 from ontosoc.rdf import (
     OWL_DISJOINT_WITH,
     OWL_EQUIVALENT_CLASS,
@@ -9,7 +10,6 @@ from ontosoc.rdf import (
     Iri,
     PrefixMap,
     Triple,
-    graph_equal,
 )
 from ontosoc.schema import (
     FOAF_NS,

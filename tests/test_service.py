@@ -18,7 +18,8 @@ from ontosoc import resources, service, validation
 from ontosoc.service import MAX_BODY_BYTES, ServiceState, load_state, make_server
 from ontosoc.schema import builtin_schema
 from ontosoc.sparql import MAX_GROUP_DEPTH
-from ontosoc.rdf import Blank, Graph, graph_equal
+from ontosoc.canonical import graph_equal
+from ontosoc.rdf import Blank, Graph
 from ontosoc.turtle import parse_turtle, serialize_turtle
 
 GOOD_TTL = """\
