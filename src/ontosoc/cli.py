@@ -10,7 +10,8 @@ be given with --schema or the ONTOSOC_SCHEMA environment variable.
 
 Every command but `serve` runs with the cyclic garbage collector off.
 Each command imports the modules it runs when it runs, so a cold
-`stats` loads only the graph and the Turtle reader.
+`stats` loads only the graph and the Turtle reader.  `main` ends the
+process with `os._exit` once the output is flushed; `run` returns.
 """
 
 from __future__ import annotations
@@ -348,7 +349,16 @@ def run(argv: Optional[list[str]] = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    """The `ontosoc` script and `python -m ontosoc.cli`: `run`, flush,
+    then `os._exit`, skipping the interpreter's teardown, which would
+    only free one by one the objects that the process exit frees."""
+    status = run()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):
+        sys.exit(status)  # the interpreter's own exit reports the failed flush
+    os._exit(status)
 
 
 if __name__ == "__main__":

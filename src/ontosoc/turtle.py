@@ -6,26 +6,36 @@ names, string literals with language tags or datatype annotations,
 integers, labeled blank nodes and comments.  Collections and anonymous
 blank nodes are deliberately out.
 
-The lexer is one compiled pattern with a named group per token kind,
-matched at the offset where the last token ended.  A token carries its
-offset; only a ParseError turns an offset into a line (one plus the
-newlines before it) and a column (the offset from the line start, plus
-one), and takes that line as its snippet.
+`parse_turtle` first tries the whole-document reader, `_read`.  It
+cuts the text at each '"' into code and string literal bodies, in turn,
+cuts the comments out of the code, and splits the code on whitespace
+with `str.split`, a lone '"' standing where each literal stood.  It then
+walks the tokens through the grammar, resolving each distinct token
+once per @prefix scope, and hands the triples, in document order, to one
+`Graph.bulk_insert`, which skips the checks the grammar already makes.
+It reads prefixed names, `a`, IRIREFs, blank node labels, integers,
+string literals (plain, with a language tag or with a datatype), ',',
+';' and '.', and comments; where punctuation is glued to a token, as in
+`ex:o.`, it splits the code again with '.', ',' and ';' split off.  It
+raises nothing: on anything it cannot read it returns None, and the
+token path parses the whole text from the start.  It leaves to the
+token path a text with an escaped quote, with a whitespace character
+other than space, tab, CR and LF, with a '"' inside a comment or an
+IRIREF, or with `@base` (and any call with a ``base``); any token that
+does not resolve (an undeclared prefix, a malformed IRI or escape);
+and any fault of the grammar.  So the token path alone raises every
+ParseError.
 
-Most of a data file is `verb object punct` units: `ex:p ex:o ;`.  The
-parser reads such a unit with a second pattern, the fused unit, in one
-match after a subject, a ';' or a ','.  The unit covers prefixed names,
-`a` and IRIREFs, built from the scanner's own token patterns, so it
-reads the tokens the scanner would.  A unit that does not match (a
-literal, a blank node, a fault), or whose names do not resolve, is read
-again token by token, and only that path raises a ParseError, so the
-errors, their order and their positions are the scanner's.
+The token path is a recursive-descent parser over a scanner, one
+pattern with a named group per token kind, matched at the offset where
+the last token ended; it is compiled on the path's first use.  A token
+carries its offset; only a ParseError turns an offset into a line (one
+plus the newlines before it) and a column (the offset from the line
+start, plus one), and takes that line as its snippet.  It keeps each
+prefixed name's IRI until the next @prefix.
 
-The parser keeps each prefixed name's IRI until the next @prefix, and
-builds its terms through the hash-consing constructors, so a term
-occurring many times is one object.  It collects the triples and hands
-them to the graph in one `Graph.bulk_insert`, which skips the checks its
-grammar already makes.
+Both paths build terms through the hash-consing constructors, so a term
+occurring many times is one object.
 
 The serializer emits a byte-stable layout: prefix declarations first,
 subjects sorted lexically, predicates and objects sorted within each
@@ -37,6 +47,7 @@ re-parses to an equal graph.
 from __future__ import annotations
 
 import re
+from functools import cache
 from typing import Optional
 from urllib.parse import urljoin
 
@@ -87,30 +98,31 @@ class Document:
 _PN_LOCAL = re.compile(r"[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?$|^$")
 _SCHEME = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
 
-# Token patterns the scanner and the fused unit share.
-_GAP = r"[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*"
+# Token patterns the scanner and the reader share.
 _PNAME = r"(?:[A-Za-z][A-Za-z0-9_\-]*)?:(?:[A-Za-z0-9_][A-Za-z0-9_\-]*)?"
-_IRI_BODY = r"[^>\n]*"  # between < and >
+_BLANK = r"_:[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?"  # a trailing '.' ends the statement
+_INTEGER = r"[+-]?[0-9]+"
+_LANGTAG = r"[A-Za-z][A-Za-z0-9\-]*"
 
-# One scanner: the gap of whitespace and comments, then one named group
+# The scanner: the gap of whitespace and comments, then one named group
 # per token kind, tried in order.  The last five groups catch what no
 # token matches, so every scan succeeds and names its error.  The gap is
 # atomic, so no token can start inside a comment and a comment's words
 # are never lexed: a lookahead captures the gap once and the
 # backreference consumes it without backtracking (`(?>...)` would need
-# Python 3.11).
-_TOKEN = re.compile(
-    rf"""
-    (?=(?P<gap>{_GAP}))(?P=gap)
+# Python 3.11).  Only the token path uses it, so `_scanner` compiles it
+# on that path's first use.
+_TOKEN = rf"""
+    (?=(?P<gap>[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*))(?P=gap)
     (?:
       (?P<pname>{_PNAME})
     | (?P<punct>[.,;])
-    | (?P<iriref><{_IRI_BODY}>)
+    | (?P<iriref><[^>\n]*>)
     | (?P<string>"(?:[^"\\\n]|\\[\s\S])*")
-    | (?P<at>@[A-Za-z][A-Za-z0-9\-]*)
+    | (?P<at>@{_LANGTAG})
     | (?P<dtype>\^\^)
-    | (?P<blank>_:[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?)  # a trailing '.' ends the statement
-    | (?P<integer>[+-]?[0-9]+)
+    | (?P<blank>{_BLANK})
+    | (?P<integer>{_INTEGER})
     | (?P<word>[A-Za-z][A-Za-z0-9_]*)
     | (?P<eof>\Z)
     | (?P<open_string>"(?:[^"\\\n]|\\[\s\S])*)
@@ -119,31 +131,7 @@ _TOKEN = re.compile(
     | (?P<bad_blank>_:)
     | (?P<unexpected>[\s\S])
     )
-    """,
-    re.VERBOSE,
-)
-
-# The fused unit: an optional verb (a prefixed name, `a` or an IRIREF),
-# an object (a prefixed name or an IRIREF) and the punct after it, each
-# after its gap, in one match.  Each piece is the scanner's own pattern;
-# a name must not be followed by a character that would lengthen it or
-# start a prefixed name, so when the unit matches, the scanner would
-# read the same tokens at the same offsets.  Each gap is atomic, as in
-# `_TOKEN`.
-_NAME_END = r"(?![A-Za-z0-9_\-:])"
-_UNIT = re.compile(
-    rf"""
-    (?=(?P<gap1>{_GAP}))(?P=gap1)
-    (?:
-      (?: (?P<vname>{_PNAME}){_NAME_END} | (?P<a>a){_NAME_END} | <(?P<viri>{_IRI_BODY})> )
-      (?=(?P<gap2>{_GAP}))(?P=gap2)
-    )?
-    (?: (?P<oname>{_PNAME}){_NAME_END} | <(?P<oiri>{_IRI_BODY})> )
-    (?=(?P<gap3>{_GAP}))(?P=gap3)
-    (?P<punct>[.,;])
-    """,
-    re.VERBOSE,
-)
+    """
 _SCAN_ERRORS = {
     "open_iri": "unterminated IRI",
     "bad_at": "bad '@' token",
@@ -151,9 +139,13 @@ _SCAN_ERRORS = {
 }
 
 
+@cache
+def _scanner() -> re.Pattern:
+    return re.compile(_TOKEN, re.VERBOSE)
+
+
 class _Parser:
-    """A recursive-descent parser over the scanner's tokens, with a fused
-    fast path for the common `verb object punct` unit.
+    """A recursive-descent parser over the scanner's tokens.
 
     The current token is ``kind``, ``value`` and ``at``, its offset into
     the text, and ``end``, where the next token's gap starts; a line and
@@ -166,6 +158,7 @@ class _Parser:
         self.triples: list[tuple[Term, Iri, Term]] = []  # what the statements state, in order
         self.pnames: dict[str, Iri] = {}  # prefixed name -> its IRI; emptied by each @prefix
         self.end = 0
+        self._scan = _scanner().match
         self._next()
 
     def error(self, message: str, at: int) -> ParseError:
@@ -177,7 +170,7 @@ class _Parser:
         return ParseError(text.count("\n", 0, at) + 1, at - line_start + 1, message, snippet)
 
     def _next(self) -> None:
-        m = _TOKEN.match(self.text, self.end)
+        m = self._scan(self.text, self.end)
         kind = m.lastgroup
         value = m.group(kind)
         at = m.start(kind)
@@ -248,86 +241,23 @@ class _Parser:
         return urljoin(self.doc.base, iri)
 
     def _triples(self) -> None:
-        """A subject and its predicate-object list, through the closing '.'.
-
-        On entry the current token is the subject; at the top of the loop
-        it is the subject, a ';' or a ','.  Each turn first reads the unit
-        after it with `_UNIT`; a unit that does not match, or whose terms
-        do not resolve, is read again by the token path, which raises
-        every ParseError.  A unit is resolved only once its closing punct
-        is matched, as the token path scans each token before it resolves
-        the one before, so both paths meet each error in the same order.
-        """
-        text, append, unit, pnames = self.text, self.triples.append, _UNIT.match, self.pnames
-        subject = predicate = None
+        """A subject and its predicate-object list, through the closing '.'."""
+        append = self.triples.append
+        subject = self._subject()
+        predicate = self._verb()
         while True:
-            m = unit(text, self.end)
-            if m is not None:
-                _, vname, vtype, viri, _, oname, oiri, _, punct = m.groups()  # gaps unused
-                listing = self.kind == ","  # then an object alone follows, else a verb too
-                if (vname is None and vtype is None and viri is None) == listing:
-                    s = subject or self._quiet_subject()
-                    if listing:
-                        p = predicate
-                    else:
-                        p = _RDF_TYPE if vtype else pnames.get(vname) or self._quiet_iri(vname, viri)
-                    o = pnames.get(oname) or self._quiet_iri(oname, oiri)
-                    if s and p and o:
-                        subject, predicate = s, p
-                        append((s, p, o))
-                        self.kind = self.value = punct
-                        self.at, self.end = m.start("punct"), m.end()
-                        if punct == ".":
-                            self._next()
-                            return
-                        continue
-            # the token path, for one verb and its object list
-            if subject is None:
-                subject = self._subject()
-                predicate = self._verb()
-            elif self.kind == ",":
+            append((subject, predicate, self._object()))
+            if self.kind == ",":
                 self._next()
-            else:  # a run of ';'
+            elif self.kind == ";":
                 while self.kind == ";":
                     self._next()
                 if self.kind == ".":  # trailing semicolon
                     break
                 predicate = self._verb()
-            append((subject, predicate, self._object()))
-            if self.kind != "," and self.kind != ";":
+            else:
                 break
         self._expect(".")
-
-    def _quiet_iri(self, pname: Optional[str], iriref: Optional[str]) -> Optional[Iri]:
-        """The IRI of a prefixed name or IRIREF body read by `_UNIT`, or
-        None where `_pname` or `_iriref` would raise."""
-        if pname is not None:
-            iri = self.pnames.get(pname)
-            if iri is None:
-                label, _, local = pname.partition(":")
-                try:
-                    iri = self.pnames[pname] = Iri(self.doc.prefixes.namespace(label) + local)
-                except (UndeclaredPrefixError, TermError):
-                    return None
-            return iri
-        if iriref is None:
-            return None
-        try:
-            return Iri(self._resolve(iriref))
-        except ValueError:
-            return None
-
-    def _quiet_subject(self) -> Optional[Term]:
-        """The term of the current subject token, or None where
-        `_subject` would raise or not read it."""
-        kind = self.kind
-        if kind == "pname":
-            return self._quiet_iri(self.value, None)
-        if kind == "iriref":
-            return self._quiet_iri(None, self.value)
-        if kind == "blank":
-            return Blank(self.value)
-        return None
 
     def _subject(self) -> Term:
         kind = self.kind
@@ -347,7 +277,7 @@ class _Parser:
             return self._pname()
         if kind == "word" and self.value == "a":
             self._next()
-            return Iri(RDF_TYPE)
+            return _RDF_TYPE
         if kind == "iriref":
             return self._iriref()
         raise self._found("predicate")
@@ -376,9 +306,7 @@ class _Parser:
             if self.kind == "dtype":
                 self._next()
                 if self.kind == "iriref":
-                    datatype = self._resolve(self.value)
-                    self._next()
-                    return Literal(lexical, datatype=datatype)
+                    return Literal(lexical, datatype=self._iriref().value)
                 if self.kind == "pname":
                     return Literal(lexical, datatype=self._pname().value)
                 raise self.error("expected datatype IRI", self.at)
@@ -418,10 +346,195 @@ class _Parser:
 
 _RDF_TYPE = Iri(RDF_TYPE)
 
+# ---------------------------------------------------------------------------
+# the whole-document reader
+
+# the whitespace on which `str.split` splits and which the scanner does not skip
+_ODD_SPACES = "\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
+_PNAME_RE = re.compile(_PNAME)
+_BLANK_RE = re.compile(_BLANK)
+_INTEGER_RE = re.compile(_INTEGER)
+_LANGTAG_RE = re.compile(_LANGTAG)
+# the tokens of code with ',' and ';' split off, and each '.' that ends a token
+_PUNCT_SPLIT = re.compile(r"[^\s,;]*[^\s,;.]|[,;.]")
+_PUNCTS = frozenset(".,;")
+
+
+class _Unreadable(Exception):
+    """Input the reader leaves to the token path."""
+
+
+class _Glued(_Unreadable):
+    """A token that may have punctuation glued to it, as in `ex:o.`."""
+
+
+def _unreadable(token: str) -> _Unreadable:
+    """The error for ``token``, which the reader cannot read where it stands."""
+    glued = "," in token or ";" in token or token[0] == "." or token[-1] == "."
+    return _Glued() if glued else _Unreadable()
+
+
+def _uncomment(code: str) -> str:
+    """``code``, text outside string literals, with its comments cut out.
+    A '#' starts a comment unless an IRIREF is open on its line.  A
+    comment must end at a newline within ``code``; one that does not
+    holds the quote that ended ``code``."""
+    out = []
+    start = 0
+    at = code.find("#")
+    while at != -1:
+        line = code.rfind("\n", 0, at) + 1
+        if code.rfind("<", line, at) > code.rfind(">", line, at):
+            at = code.find("#", at + 1)
+            continue
+        end = code.find("\n", at)
+        if end == -1:
+            raise _Unreadable
+        out.append(code[start:at])
+        start = end
+        at = code.find("#", end)
+    out.append(code[start:])
+    return "".join(out)
+
+
+def _read(text: str) -> Optional[Document]:
+    """The document, read in one pass over whitespace-split tokens, or
+    None where the token path must read it.
+
+    The text is cut at each '"' into code and string literal bodies, in
+    turn; the code, its comments cut out, is joined with a lone '"'
+    token where each literal stood, and split on whitespace.  A token
+    that does not resolve where it stands ends the read; if it may have
+    punctuation glued to it, the code is read once more with '.', ','
+    and ';' split off the tokens they end.
+    """
+    if "\\" in text and '\\"' in text or any(space in text for space in _ODD_SPACES):
+        return None
+    parts = text.split('"')
+    if len(parts) % 2 == 0:
+        return None
+    parts[-1] += "\n"  # so that a comment on the last line ends
+    code = parts[::2]
+    try:
+        if "#" in text:
+            code = [_uncomment(part) if "#" in part else part for part in code]
+        code = ' " '.join(code)
+        try:
+            return _statements(code.split(), parts[1::2])
+        except _Glued:
+            return _statements(_PUNCT_SPLIT.findall(code), parts[1::2])
+    except (_Unreadable, StopIteration, UndeclaredPrefixError, TermError, EscapeError):
+        return None
+
+
+def _statements(words: list[str], bodies: list[str]) -> Document:
+    """The document that ``words`` state, each '"' standing for the next
+    of the string literal ``bodies``.  Each distinct word is resolved
+    once per @prefix scope.  Raises where the token path must read it."""
+    doc = Document()
+    prefixes = doc.prefixes
+    nodes: dict[str, Term] = {}  # word -> its term as a subject or an object
+    verbs: dict[str, Iri] = {"a": _RDF_TYPE}  # word -> its term as a verb
+    literals = iter(bodies)
+
+    def iri(token: str) -> Iri:
+        if _PNAME_RE.fullmatch(token):
+            label, _, local = token.partition(":")
+            return Iri(prefixes.namespace(label) + local)
+        return Iri(iriref(token))
+
+    def iriref(token: str) -> str:
+        body = token[1:-1]
+        if token[0] != "<" or token[-1] != ">" or ">" in body:
+            raise _unreadable(token)
+        return body
+
+    def verb(token: str) -> Iri:
+        term = verbs[token] = iri(token)
+        return term
+
+    def node(token: str) -> Term:
+        if token == '"':  # the next string literal, not filed under '"'
+            body = next(literals)
+            if "\n" in body:
+                raise _Unreadable
+            return Literal(unescape(body) if "\\" in body else body)
+        if token[0] == "_":
+            if not _BLANK_RE.fullmatch(token):
+                raise _unreadable(token)
+            term = Blank(token[2:])
+        elif token[0] in "+-0123456789" and _INTEGER_RE.fullmatch(token):
+            term = Literal(token, datatype=XSD_INTEGER)
+        else:
+            term = iri(token)
+        nodes[token] = term
+        return term
+
+    def annotated(lexical: str, token: str) -> Literal:
+        """The string literal ``lexical`` with the language tag or
+        datatype that ``token`` starts."""
+        if token[0] == "@":
+            if not _LANGTAG_RE.fullmatch(token, 1):
+                raise _unreadable(token)
+            if token in ("@prefix", "@base"):
+                raise _Unreadable
+            return Literal(lexical, language=token[1:])
+        if token[:2] != "^^":
+            raise _unreadable(token)
+        return Literal(lexical, datatype=iri(token[2:] or next(tokens)).value)
+
+    triples: list[tuple[Term, Iri, Term]] = []
+    append = triples.append
+    tokens = iter(words)
+    for token in tokens:
+        if token == "@prefix":
+            label, namespace, end = next(tokens), next(tokens), next(tokens)
+            if not _PNAME_RE.fullmatch(label) or label[-1] != ":":
+                raise _unreadable(label)
+            namespace = iriref(namespace)
+            if end != ".":
+                raise _unreadable(end)
+            prefixes.declare(label[:-1], namespace)
+            nodes.clear()
+            verbs.clear()
+            verbs["a"] = _RDF_TYPE
+            continue
+        s = nodes.get(token) or node(token)
+        if s.__class__ is Literal:
+            raise _Unreadable
+        token = next(tokens)
+        while True:  # a verb and its objects
+            p = verbs.get(token) or verb(token)
+            while True:
+                before = next(tokens)
+                o = nodes.get(before) or node(before)
+                token = next(tokens)
+                if token not in _PUNCTS:
+                    if before != '"':
+                        raise _unreadable(token)
+                    o = annotated(o.lexical, token)
+                    token = next(tokens)
+                append((s, p, o))
+                if token != ",":
+                    break
+            if token == ".":
+                break
+            if token != ";":
+                raise _unreadable(token)
+            token = next(tokens)
+            while token == ";":
+                token = next(tokens)
+            if token == ".":  # trailing semicolon
+                break
+    # the grammar admits no literal subject and only IRI verbs
+    doc.graph.bulk_insert(triples)
+    return doc
+
 
 def parse_turtle(text: str, base: Optional[str] = None) -> Document:
     """Parse Turtle text; raises ParseError at the first offense."""
-    return _Parser(text, base=base).parse()
+    doc = _read(text) if base is None else None
+    return doc if doc is not None else _Parser(text, base=base).parse()
 
 
 def _compress(iri: Iri, prefixes: PrefixMap) -> str:

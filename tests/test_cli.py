@@ -1,6 +1,8 @@
+import ast
 import gc
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -339,20 +341,28 @@ class TestMergeFiles:
         assert rows == [["_:x", "<http://x/p>", "_:x_2"], ["_:x_4", "<http://x/q>", "_:x_3"]]
 
 
-def _modules_after(argv: list[str]) -> set[str]:
-    """The modules loaded once a fresh interpreter has run ``ontosoc`` with ``argv``."""
+def _env() -> dict:
+    return dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+
+
+def _after(argv: list[str], expression: str):
+    """The value of ``expression`` once a fresh interpreter has run ``ontosoc`` with ``argv``."""
     probe = (
         "import sys\n"
         "from ontosoc.cli import run\n"
         "status = run(sys.argv[1:])\n"
         "sys.stdout.flush()\n"
-        "sys.stderr.write('\\nMODULES ' + ' '.join(sorted(sys.modules)))\n"
+        f"sys.stderr.write('\\nVALUE ' + repr({expression}))\n"
         "sys.exit(status)\n"
     )
-    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, env=env, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, env=_env(), timeout=120)
     assert proc.returncode in (EXIT_OK, EXIT_VIOLATIONS), proc.stderr.decode()
-    return set(proc.stderr.decode().rpartition("MODULES ")[2].split())
+    return ast.literal_eval(proc.stderr.decode().rpartition("VALUE ")[2])
+
+
+def _modules_after(argv: list[str]) -> set[str]:
+    """The modules loaded once a fresh interpreter has run ``ontosoc`` with ``argv``."""
+    return set(_after(argv, "sorted(sys.modules)"))
 
 
 class TestColdImports:
@@ -368,6 +378,82 @@ class TestColdImports:
         loaded = _modules_after(["validate", *corpus_args])
         assert "ontosoc.validation" in loaded
         assert loaded.isdisjoint({"ontosoc.sparql", "ontosoc.service"})
+
+    def test_stats_leaves_the_token_scanner_uncompiled(self, corpus_args):
+        compiled = "sys.modules['ontosoc.turtle']._scanner.cache_info().currsize"
+        assert _after(["stats", "--format", "json", *corpus_args], compiled) == 0
+
+
+def _cli(*args: str, python: str = sys.executable) -> subprocess.CompletedProcess:
+    """``python -m ontosoc.cli ARGS`` in a fresh process, through `main`,
+    with stdout buffered, so that what `main` did not flush is lost."""
+    env = _env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([python, "-m", "ontosoc.cli", *args], capture_output=True, env=env, timeout=120)
+
+
+FAULT_FIXTURES = sorted(str(p) for p in (Path(__file__).parent / "fixtures").glob("fault_*.ttl"))
+
+
+class TestExit:
+    """`main` flushes and ends the process with `os._exit`; what it writes
+    and its exit code are those of `run`."""
+
+    def test_query_json_writes_the_bytes_run_writes(self, corpus_args, capsys):
+        argv = ["query", "--file", str(resources.community_activities_query_path()), "--format", "json", *corpus_args]
+        assert run(argv) == EXIT_OK
+        expected = capsys.readouterr().out
+        proc = _cli(*argv)
+        assert (proc.returncode, proc.stdout.decode("utf-8"), proc.stderr) == (EXIT_OK, expected, b"")
+
+    def test_validate_on_a_fault_exits_one_with_the_report(self, capsys):
+        assert run(["validate", FAULT_FIXTURES[0]]) == EXIT_VIOLATIONS
+        expected = capsys.readouterr().out
+        proc = _cli("validate", FAULT_FIXTURES[0])
+        assert (proc.returncode, proc.stdout.decode("utf-8")) == (EXIT_VIOLATIONS, expected)
+
+    def test_help_is_flushed_before_the_exit(self, capsys):
+        assert run(["--help"]) == EXIT_OK  # argparse prints it before `run` returns
+        expected = capsys.readouterr().out
+        proc = _cli("--help")
+        assert (proc.returncode, proc.stdout.decode("utf-8")) == (EXIT_OK, expected)
+
+    def test_a_missing_file_exits_two_with_the_error_on_stderr(self, tmp_path):
+        missing = str(tmp_path / "missing.ttl")
+        proc = _cli("stats", missing)
+        assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (EXIT_ERROR, b"", f"error: no such file: {missing}\n")
+
+
+def _python310() -> str | None:
+    """A Python 3.10 interpreter: `python3.10` on PATH, or, where that is a
+    pyenv shim that selects no 3.10, pyenv's own 3.10 beside it."""
+    found = shutil.which("python3.10")
+    if found is None:
+        return None
+    candidates = [found, *sorted(str(p) for p in Path(found).parents[1].glob("versions/3.10*/bin/python3.10"))]
+    for python in candidates:
+        probe = subprocess.run([python, "-c", "import sys; print(sys.version_info[:2])"], capture_output=True, timeout=60)
+        if probe.returncode == 0 and probe.stdout.strip() == b"(3, 10)":
+            return python
+    return None
+
+
+class TestPython310:
+    """`requires-python` admits 3.10: the cold commands give the same output there."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["stats"], ["validate", "--format", "json"], ["query", "--file", "{query}", "--format", "json"]],
+        ids=["stats", "validate", "query"],
+    )
+    def test_same_output_as_this_interpreter(self, corpus_args, argv):
+        python = _python310()
+        if python is None:
+            pytest.skip("no python3.10 on PATH")
+        argv = [{"{query}": str(resources.community_activities_query_path())}.get(a, a) for a in argv]
+        here, there = _cli(*argv, *corpus_args), _cli(*argv, *corpus_args, python=python)
+        assert here.returncode == EXIT_OK and here.stdout
+        assert (there.returncode, there.stdout, there.stderr) == (here.returncode, here.stdout, here.stderr)
 
 
 class TestServe:

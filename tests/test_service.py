@@ -170,6 +170,19 @@ class TestEndpoints:
         assert message in payload["message"]
         assert requests.get(f"{base}/health").json() == {"triples": 0, "epoch": 0}
 
+    def test_post_with_a_bad_datatype_iri_400_and_the_file_unchanged(self, server):
+        base, state = server
+        assert requests.post(f"{base}/graph", data=GOOD_TTL.encode("utf-8"), timeout=10).status_code == 200
+        on_disk = state.snapshot_path.read_bytes()
+        body = b'<http://x/s> <http://x/p> "v"^^<a b> .'
+        resp = requests.post(f"{base}/graph", data=body, timeout=10)
+        assert resp.status_code == 400
+        payload = resp.json()
+        assert (payload["error"], payload["line"], payload["column"]) == ("parse", 1, 32)
+        assert "IRI contains whitespace" in payload["message"]
+        assert state.snapshot_path.read_bytes() == on_disk
+        assert requests.get(f"{base}/health").json() == {"triples": 3, "epoch": 1}
+
     def test_oversized_post_413_without_reading_body(self, server):
         base, _ = server
         conn = http.client.HTTPConnection(base.removeprefix("http://"), timeout=10)

@@ -1,12 +1,16 @@
 import re
+import sys
+from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ontosoc.canonical import graph_equal
+from bench.gen import deltas, make_corpus
 from ontosoc.rdf import (
     XSD_INTEGER,
+    XSD_STRING,
     Blank,
     Graph,
     Iri,
@@ -16,6 +20,7 @@ from ontosoc.rdf import (
 )
 from ontosoc.schema import builtin_schema, schema_prefixes, schema_to_graph
 from ontosoc import resources, turtle
+from ontosoc.service import load_state
 from ontosoc.turtle import Document, ParseError, parse_turtle, serialize_turtle
 
 from .strategies import graphs
@@ -226,6 +231,7 @@ class TestIris:
             ("<http://x/s> <http://x/p>\n  <> .", 2, 3, "IRI must be non-empty"),
             ("@prefix w: <http://x/a b/> .\nw:c <http://x/p> <http://x/o> .", 2, 1, "IRI contains whitespace"),
             ('@prefix e: <> .\n<http://x/s> <http://x/p> "v"^^e: .', 2, 32, "IRI must be non-empty"),
+            ('<http://x/s> <http://x/p> "v"^^<a b> .', 1, 32, "IRI contains whitespace"),
         ],
     )
     def test_bad_iri_is_a_parse_error_at_its_token(self, text, line, column, message):
@@ -289,9 +295,7 @@ class TestLiteralOutput:
 
 
 # ---------------------------------------------------------------------------
-# the fused unit against the token path alone
-
-_NEVER = re.compile(r"(?!)")
+# the reader against the token path alone
 
 # the error cases of the suites, each raising a ParseError
 _ERROR_CASES = [
@@ -312,7 +316,7 @@ _ERROR_CASES = [
     "<http://x/s> <http://x/p> <> .\n",
     "this is not turtle @@",
     "ex:a ex:b",
-    # shapes the unit reads, each with one fault
+    # shapes the reader reads, each with one fault
     "@prefix t: <http://t/> .\nt:s t:p t:o ; t:q .",
     "@prefix t: <http://t/> .\nt:s t:p t:o , t:q t:r .",
     "@prefix t: <http://t/> .\nt:s t:p t:o ; u:q t:r .",
@@ -332,10 +336,62 @@ _ERROR_CASES = [
     "@prefix t: <http://t/> .\nt:s t:p <a b> .",
     "@prefix t: <http://t/> .\nt:s t:p t:o ; t:q t:r\n",
     "@prefix t: <http://t/> .\nt:s t:p t:o ; t:q t:r ! .",
+    # what the reader leaves to the token path, each with one fault
+    '<http://x/s> <http://x/p> "v"^^<a b> .',
+    '<http://x/s> <http://x/p> "v"^^a .',
+    '<http://x/s> <http://x/p> "v"@prefix .',
+    '<http://x/s> <http://x/p> "v"@en@fr .',
+    '<http://x/s> <http://x/p> "v" "w" .',
+    '<http://x/s> <http://x/p> "v"@en <http://x/o> .',
+    '<http://x/s> <http://x/p> "v"^^<http://x/dt> <http://x/o> ; <http://x/q> <http://x/o> .',
+    '<http://x/s> <http://x/p> "a\\"b" ; "c" .',
+    '<http://x/s> <http://x/p> "a\\qb" .',
+    '<http://x/s> <http://x/p> "a\nb" .',
+    '"v" <http://x/p> <http://x/o> .',
+    '<http://x/s> "v" <http://x/o> .',
+    "<http://x/s> <http://x/p> <http://x/o> .\x0b<http://x/s> <http://x/p> <http://x/o> .",
+    "<http://x/s>\xa0<http://x/p> <http://x/o> .",
+    '<http://x/s> <http://x/p> <http://x/o> . # a "quoted" word\n<http://x/s> <http://x/p> .',
+    "<http://x/s> <http://x/p> <http://x/o>> .",
+    "<http://x/s> <http://x/p> <http://x/o><http://x/o2> .",
+    "@base <http://x/> .\n<s> <p> .",
+    "@prefix t: <http://t/> .\n@prefix t: <http://u/> .\nt:s t:p t:o .\nu:s t:p t:o .",
+    "@prefix t <http://t/> .\nt:s t:p t:o .",
+    "@prefix t: <http://t/>\nt:s t:p t:o .",
+    "@prefix t: <http://t/> .\nt:s t:p a .",
+    "@prefix t: <http://t/> .\na t:p t:o .",
+    "@prefix t: <http://t/> .\nt:s t:p _:b. .",
+    "@prefix t: <http://t/> .\nt:s t:p 12a .",
+    "@prefix t: <http://t/> .\nt:s t:p t:o # no '.'\n",
+]
+
+# well-formed documents that the reader leaves to the token path
+_FALLBACK_CASES = [
+    '<http://x/s> <http://x/p> "a \\"quoted\\" word" .',
+    '<http://x/s> <http://x/p> <http://x/"o"> .',
+    '<http://x/s> <http://x/p> <http://x/o> . # a "quoted" word\n',
+    '<http://x/s> <http://x/p> # "x"@en ,\n"y" .',  # cut at each '"', the comment would hold "x"@en
+    "@base <http://x/> .\n<s> <p> <o> .",
+    '<http://x/s> <http://x/p> "a\xa0b" .',
+    "@prefix t: <http://t/> .\nt:s t:p <http://x/a,b>, t:o.",
+]
+
+# well-formed documents that the reader reads: a prefix bound anew, and
+# punctuation glued to the token before or after it
+_READ_CASES = [
+    "@prefix t: <http://t/> .\nt:s t:p t:o .\n@prefix t: <http://u/> .\nt:s t:p t:o .",
+    "@prefix t: <http://t/> .\nt:s a t:o .\n@prefix t: <http://u/> .\nt:s a t:o .",
+    "@prefix t: <http://t/> .\nt:s t:p t:o.",
+    "@prefix t: <http://t/> .\nt:s t:p t:o;t:q t:r .",
+    "@prefix t: <http://t/> .\nt:s t:p t:o , t:o2,t:o3 ;.",
+    "@prefix t: <http://t/>.\nt:s t:p _:b.\n_:b.c t:p 12.",
+    '<http://x/s> <http://x/p> "v"@en.',
+    '<http://x/s> <http://x/p> "v"^^<http://x/dt>;<http://x/q> "w"^^<http://x/dt>.',
 ]
 
 _RDF_TYPE_IRI = Iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
 _CLASS = Iri("http://t/Class")
+_TYPED = Iri("http://t/typed")
 
 
 def _outcome(text: str) -> tuple:
@@ -343,37 +399,56 @@ def _outcome(text: str) -> tuple:
         doc = parse_turtle(text)
     except ParseError as exc:
         return ("ParseError", exc.line, exc.column, exc.message, exc.snippet)
-    except ValueError as exc:  # what the token path lets through, the fused path must too
+    except ValueError as exc:  # what the token path lets through, the reader must too
         return (type(exc).__name__, str(exc))
     return ("ok", list(doc.graph), doc.prefixes.items(), doc.base)
 
 
 def _token_path_outcome(text: str) -> tuple:
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(turtle, "_UNIT", _NEVER)
+        mp.setattr(turtle, "_read", lambda text: None)
         return _outcome(text)
 
 
 @st.composite
-def documents(draw) -> str:
-    """A serialized `graphs()` graph laid out at random: prefixed names or
-    IRIREFs, `a`, comments, ',' object lists, runs of ';' and a trailing ';'."""
+def documents(draw, quoted_comments: bool = True) -> str:
+    """A `graphs()` graph, with typed literals added, laid out at random:
+    prefixed names or IRIREFs, `a`, bare integers, datatypes as IRIREFs
+    or prefixed names, comments on their own line, after a token and
+    after a '.', ',' object lists, runs of ';', a trailing ';', repeated
+    triples, and a mid-document @prefix that rebinds `t:`."""
     g = draw(graphs())
-    gaps = st.sampled_from([" ", "  ", "\n", "\t", "\r\n", " # ex:p ex:o . ;\n", "\n# comment , <x>\n    "])
+    comments = [" # ex:p ex:o . ;\n", "\n# comment , <x>\n    "]
+    if quoted_comments:
+        comments.append(' # a "quoted" <word>\n')
+    gaps = st.sampled_from([" ", "  ", "\n", "\t", "\r\n", *comments])
     by_subject: dict = {}
     for t in sorted(g, key=Triple.sort_key):  # terms hash by address: draw in a fixed order
         by_subject.setdefault(t.subject, {}).setdefault(t.predicate, []).append(t.object)
     for s in by_subject:
         if draw(st.booleans()):
             by_subject[s].setdefault(_RDF_TYPE_IRI, []).append(_CLASS)
+        if draw(st.booleans()):
+            datatype = draw(st.sampled_from(["http://t/dt", "http://t/a", XSD_INTEGER]))
+            by_subject[s].setdefault(_TYPED, []).append(Literal(draw(st.text(max_size=6)), datatype=datatype))
+    namespace = "http://t/"
 
     def term(x) -> str:
-        if isinstance(x, Iri) and x.value.startswith("http://t/") and draw(st.booleans()):
-            return "t:" + x.value[len("http://t/") :]
+        if isinstance(x, Iri) and x.value.startswith(namespace) and draw(st.booleans()):
+            return "t:" + x.value[len(namespace) :]
+        if isinstance(x, Literal) and x.language is None and x.datatype != XSD_STRING:
+            if x.datatype == XSD_INTEGER and re.fullmatch("[+-]?[0-9]+", x.lexical) and draw(st.booleans()):
+                return x.lexical
+            quoted = x.n3()[: -len(x.datatype) - 4]
+            return quoted + "^^" + draw(st.sampled_from(["", " "])) + term(Iri(x.datatype))
         return x.n3()
 
     out = ["@prefix t: <http://t/> ."]
-    for s, preds in by_subject.items():
+    rebind_at = draw(st.integers(0, len(by_subject)))
+    for i, (s, preds) in enumerate(by_subject.items()):
+        if i == rebind_at:
+            namespace = "http://t/a"  # `t:b` now names http://t/ab
+            out.append(f"@prefix t: <{namespace}> .")
         units = []
         for p, objs in preds.items():
             verb = "a" if p is _RDF_TYPE_IRI and draw(st.booleans()) else term(p)
@@ -381,53 +456,112 @@ def documents(draw) -> str:
                 units.append(verb + draw(gaps) + ("," + draw(gaps)).join(term(o) for o in objs))
             else:
                 units.extend(verb + draw(gaps) + term(o) for o in objs)
+            if draw(st.integers(0, 4)) == 0:  # a repeated triple
+                units.append(units[-1])
         sep = st.sampled_from([" ;", " ; ;", ";\n    ", " ;;", ";"])
         text = term(s) + draw(gaps) + "".join(u + draw(sep) + draw(gaps) for u in units[:-1]) + units[-1]
         if draw(st.booleans()):
             text += draw(sep)
         out.append(text + draw(gaps) + ".")
-    return draw(st.sampled_from(["\n", " ", "\n\n# between\n"])).join(out) + "\n"
+    between = st.sampled_from(["\n", " ", "\n\n# between\n", " # after a '.'\n"])
+    return "".join(line + draw(between) for line in out)
 
 
-class TestFusedUnit:
-    def test_the_unit_reads_every_triple_of_a_corpus(self):
-        class Counting:
-            def __init__(self, pattern):
-                self.pattern, self.hits = pattern, 0
+def _service_data_file(tmp_path) -> str:
+    """A service data file: a whole write, then records appended by posts."""
+    state = load_state(data_path=str(tmp_path / "kb.ttl"))
+    assert state.apply_post(make_corpus(1, 2, False).turtle())[0] == 200
+    for delta in islice(deltas(1, 2), 4):
+        assert state.apply_post(delta.body)[0] == (200 if delta.valid else 422)
+    text = state.snapshot_path.read_text(encoding="utf-8")
+    assert text.count("# epoch") == 6  # the whole write's two, then one per accepted post
+    return text
 
-            def match(self, text, pos):
-                m = self.pattern.match(text, pos)
-                self.hits += m is not None
-                return m
 
-        text = resources.corpus_paths()[0].read_text(encoding="utf-8")
-        spy = Counting(turtle._UNIT)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(turtle, "_UNIT", spy)
-            doc = parse_turtle(text)
-        assert spy.hits == len(doc.graph) > 0
+class TestReader:
+    def test_the_reader_alone_reads_the_shipped_shapes(self, tmp_path):
+        texts = [path.read_text(encoding="utf-8") for path in resources.corpus_paths()]
+        texts.append(next(deltas(1, 50)).body)  # a 3-triple post
+        texts.append(_service_data_file(tmp_path))
+        read = []
 
-    def test_the_pattern_needs_no_python_3_11_syntax(self):
+        def spy(text):
+            doc = real(text)
+            read.append(doc is not None)
+            return doc
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the token path ran")
+
+        real = turtle._read
+        for text in texts:
+            expected = _token_path_outcome(text)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(turtle, "_read", spy)
+                mp.setattr(turtle, "_Parser", refuse)
+                assert _outcome(text) == expected
+        assert read == [True] * len(texts)
+        assert expected[0] == "ok" and len(expected[1]) > 0
+
+    def test_the_patterns_need_no_python_3_11_syntax(self):
         # atomic groups and possessive quantifiers came with Python 3.11
-        for pattern in (turtle._UNIT, turtle._TOKEN):
-            assert "(?>" not in pattern.pattern
-            assert not re.search(r"[*+?}]\+", pattern.pattern.replace("\\+", ""))
+        patterns = [turtle._TOKEN, turtle._PNAME_RE.pattern, turtle._BLANK_RE.pattern]
+        patterns += [turtle._INTEGER_RE.pattern, turtle._LANGTAG_RE.pattern]
+        for pattern in patterns:
+            assert "(?>" not in pattern
+            assert not re.search(r"[*+?}]\+", pattern.replace("\\+", ""))
+
+    def test_the_odd_spaces_are_the_rest_of_what_split_splits_on(self):
+        spaces = {chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()}
+        assert set(turtle._ODD_SPACES) == spaces - set(" \t\r\n")
+
+    def test_the_token_scanner_compiles_on_first_use(self):
+        turtle._scanner.cache_clear()
+        parse_turtle("<http://x/s> <http://x/p> <http://x/o> .")
+        assert turtle._scanner.cache_info().currsize == 0
+        parse_turtle("@base <http://x/> .\n<s> <p> <o> .")
+        assert turtle._scanner.cache_info().currsize == 1
 
     @pytest.mark.parametrize("text", _ERROR_CASES)
     def test_each_error_case_fails_alike(self, text):
-        fused = _outcome(text)
-        assert fused[0] == "ParseError"
-        assert fused == _token_path_outcome(text)
+        outcome = _outcome(text)
+        assert outcome[0] == "ParseError"
+        assert outcome == _token_path_outcome(text)
+
+    @pytest.mark.parametrize("text", _FALLBACK_CASES)
+    def test_the_token_path_reads_what_the_reader_leaves(self, text):
+        assert turtle._read(text) is None
+        outcome = _outcome(text)
+        assert outcome[0] == "ok"
+        assert outcome == _token_path_outcome(text)
+
+    @pytest.mark.parametrize("text", _READ_CASES)
+    def test_the_reader_reads_these_alike(self, text):
+        assert turtle._read(text) is not None
+        outcome = _outcome(text)
+        assert outcome[0] == "ok"
+        assert outcome == _token_path_outcome(text)
 
     @settings(max_examples=300, deadline=None)
     @given(documents(), st.data())
     def test_a_document_and_its_damaged_copies_parse_alike(self, text, data):
-        fused = _outcome(text)
-        assert fused[0] == "ok"
-        assert fused == _token_path_outcome(text)
+        outcome = _outcome(text)
+        assert outcome[0] == "ok"
+        assert outcome == _token_path_outcome(text)
         cut = data.draw(st.integers(0, len(text)), label="cut")
         assert _outcome(text[:cut]) == _token_path_outcome(text[:cut])
         at = data.draw(st.integers(0, len(text)), label="at")
-        bad = data.draw(st.sampled_from(["!", "u:", ";", ",", ".", "a", "<", '"', "_:", "#", "-", ":"]), label="bad")
+        bad = data.draw(
+            st.sampled_from(
+                ["!", "u:", ";", ",", ".", "a", "<", ">", '"', "_:", "#", "-", ":", "\\", "@", "^^", "\x0b", "\xa0"]
+            ),
+            label="bad",
+        )
         damaged = text[:at] + bad + text[at:]
         assert _outcome(damaged) == _token_path_outcome(damaged)
+
+    @settings(max_examples=200, deadline=None)
+    @given(documents(quoted_comments=False))
+    def test_the_reader_reads_a_document_without_an_escaped_quote_or_an_odd_space(self, text):
+        assume('\\"' not in text and not any(space in text for space in turtle._ODD_SPACES))
+        assert turtle._read(text) is not None
