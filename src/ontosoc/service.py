@@ -6,6 +6,21 @@ Endpoints:
                            at most MAX_BODY_BYTES)
   GET  /health             {"triples": n, "epoch": e}
 
+Transport: WORKERS (8) threads, started by `Server.serve_forever`, each
+block in ``accept()`` on the one listening socket and serve the
+connection they accepted before accepting again (the Leader/Followers
+pattern); no thread is started per connection.  A ninth concurrent
+client waits in the listen backlog.  Each connection carries one
+HTTP/1.0 request and is closed after its answer, which goes out in one
+send.  Every read of a request waits at most READ_TIMEOUT (10 s); a
+connection idle that long is closed unanswered, and a body cut short by
+it, or by the peer closing, gets a 400.  The request line and header
+fields may take MAX_HEADER_BYTES (64 KiB) in all: past that, 431 (414
+if the request line alone is that long).  Every error body is JSON,
+including 400 for a malformed request line or header field or a second
+Content-Length, 501 for a method other than GET or POST, and 500 for a
+fault in a handler, after which the worker goes on serving.
+
 Writes are serialized behind a lock.  The new graph is built aside by
 `Graph.union`, which shares every index container the delta does not
 touch, and checked by `validate_delta`, which re-checks only what the
@@ -42,13 +57,14 @@ import gc
 import json
 import os
 import re
+import socket
 import tempfile
 import threading
+import time
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Optional
-from urllib.parse import parse_qs, urlparse
+from urllib.parse import unquote_plus
 
 from .rdf import Graph, PrefixMap, Triple
 from .schema import SchemaDef, builtin_schema, schema_prefixes
@@ -59,6 +75,9 @@ from .validation import TypeMap, ValidationReport, Violation, validate, validate
 DEFAULT_PORT = 7474
 MAX_QUERY_LENGTH = 8192  # a longer query gets 414
 MAX_BODY_BYTES = 16 * 1024 * 1024  # a longer POST body gets 413, unread
+MAX_HEADER_BYTES = 64 * 1024  # a longer request line and header block gets 431 (414 if one line)
+READ_TIMEOUT = 10.0  # seconds a worker waits on each read of a request before dropping it
+WORKERS = 8  # threads that accept connections, each serving one at a time
 _COMMIT = re.compile(rb"^# epoch ([0-9]+)\n", re.MULTILINE)
 
 
@@ -221,32 +240,155 @@ def load_state(
     return state
 
 
-class _Handler(BaseHTTPRequestHandler):
-    state: ServiceState  # set by make_server
+class _Headers(dict):
+    """Header fields by lower-cased name; ``get`` takes a name in any case."""
 
-    def log_message(self, format: str, *args) -> None:  # quiet by default
-        pass
+    def get(self, name: str, default=None):
+        return dict.get(self, name.lower(), default)
+
+
+_HEAD_END = re.compile(rb"\r?\n\r?\n")
+_REASONS = {
+    200: "OK", 400: "Bad Request", 404: "Not Found", 413: "Request Entity Too Large",
+    414: "Request-URI Too Long", 422: "Unprocessable Entity", 431: "Request Header Fields Too Large",
+    500: "Internal Server Error", 501: "Not Implemented", 507: "Insufficient Storage",
+}
+_DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
+
+
+def _http_date() -> str:
+    """The current time as an IMF-fixdate (RFC 9110 §5.6.7)."""
+    t = time.gmtime()
+    return (f"{_DAYS[t.tm_wday]}, {t.tm_mday:02d} {_MONTHS[t.tm_mon - 1]} {t.tm_year} "
+            f"{t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT")
+
+
+def _query_parameter(query: str) -> Optional[str]:
+    """The first non-empty ``query`` field of a URL query string, decoded
+    as `urllib.parse.parse_qs` decodes it, or None."""
+    for field in query.split("&"):
+        name, _, value = field.partition("=")
+        if value and unquote_plus(name) == "query":
+            return unquote_plus(value)
+    return None
+
+
+class _Handler:
+    """One HTTP/1.0 request on one accepted connection: read, passed to
+    ``do_GET`` or ``do_POST``, and answered once."""
+
+    def __init__(self, state: ServiceState, conn: socket.socket):
+        self.state = state
+        self.conn = conn
+        self.path = ""  # the request target's path, without its query
+        self.query = ""
+        self.headers = _Headers()
+        self.sent = False
+        self._rest = b""  # bytes read past the header block: the body's start
+
+    def handle(self) -> None:
+        try:
+            head = self._read_head()
+            if head is None:
+                return
+            request_line, *fields = head.decode("latin-1").split("\n")
+            words = request_line.split()
+            if len(words) != 3 or not words[2].startswith("HTTP/"):
+                self._send(400, json.dumps({"error": "malformed request line"}))
+                return
+            method, target = words[0], words[1]
+            if not target.startswith("/"):  # absolute-form, as sent to a proxy (RFC 9112 §3.2.2)
+                target = "/" + target.partition("://")[2].partition("/")[2]
+            self.path, _, self.query = target.partition("#")[0].partition("?")
+            headers = self.headers
+            for field in fields:
+                name, colon, value = field.partition(":")
+                if not colon or not name or name != name.strip():
+                    self._send(400, json.dumps({"error": "malformed header field"}))
+                    return
+                key = name.lower()
+                if key not in headers:
+                    headers[key] = value.strip()
+                elif key == "content-length":  # RFC 9112 §6.3: no way to tell which is meant
+                    self._send(400, json.dumps({"error": "more than one Content-Length"}))
+                    return
+            if method == "GET":
+                self.do_GET()
+            elif method == "POST":
+                self.do_POST()
+            else:
+                self._send(501, json.dumps({"error": "unsupported method"}))
+        except Exception:
+            if not self.sent:
+                self._send(500, json.dumps({"error": "internal error"}))
+            import traceback  # only on a fault: it stays off the cold start
+
+            traceback.print_exc()
+
+    def _read_head(self) -> Optional[bytes]:
+        """The request line and header fields, without their blank line.
+
+        None when the peer closes or times out first, or when the block
+        is past MAX_HEADER_BYTES (then answered: 414 if no line ended).
+        """
+        conn, buf, start = self.conn, b"", 0
+        while True:
+            end = _HEAD_END.search(buf, start)
+            if end is not None and end.start() <= MAX_HEADER_BYTES:
+                self._rest = buf[end.end():]
+                return buf[: end.start()].replace(b"\r\n", b"\n")
+            if len(buf) > MAX_HEADER_BYTES:
+                if buf.find(b"\n", 0, MAX_HEADER_BYTES) >= 0:
+                    self._send(431, json.dumps({"error": f"header block exceeds {MAX_HEADER_BYTES} bytes"}))
+                else:
+                    self._send(414, json.dumps({"error": f"request line exceeds {MAX_HEADER_BYTES} bytes"}))
+                return None
+            try:
+                chunk = conn.recv(65536)
+            except OSError:  # READ_TIMEOUT passed, or the peer reset
+                return None
+            if not chunk:
+                return None
+            start = max(0, len(buf) - 3)
+            buf += chunk
+
+    def _read_body(self, size: int) -> bytes:
+        """The next ``size`` bytes of the request, or fewer if the peer
+        closes, resets or times out first."""
+        chunks, got = [self._rest], len(self._rest)
+        try:
+            while got < size:
+                chunk = self.conn.recv(min(size - got, 262144))
+                if not chunk:
+                    break
+                chunks.append(chunk)
+                got += len(chunk)
+        except OSError:
+            pass
+        return b"".join(chunks)[:size]
 
     def _send(self, status: int, body: str, content_type: str = "application/json") -> None:
         payload = body.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
+        head = (f"HTTP/1.0 {status} {_REASONS[status]}\r\nDate: {_http_date()}\r\n"
+                f"Content-Type: {content_type}\r\nContent-Length: {len(payload)}\r\n"
+                "Connection: close\r\n\r\n")
+        self.sent = True
+        try:
+            self.conn.sendall(head.encode("latin-1") + payload)
+        except OSError:  # the peer is gone: nobody is left to answer
+            pass
 
     def do_GET(self) -> None:
-        url = urlparse(self.path)
-        if url.path == "/health":
+        if self.path == "/health":
             current = self.state.current
             self._send(200, json.dumps({"triples": len(current.graph), "epoch": current.epoch}))
             return
-        if url.path == "/sparql":
-            params = parse_qs(url.query)
-            if "query" not in params:
+        if self.path == "/sparql":
+            query = _query_parameter(self.query)
+            if query is None:
                 self._send(400, json.dumps({"error": "missing query parameter"}))
                 return
-            query = params["query"][0]
             if len(query) > MAX_QUERY_LENGTH:
                 self._send(414, json.dumps({"error": "query too long"}))
                 return
@@ -257,8 +399,7 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(404, json.dumps({"error": "not found"}))
 
     def do_POST(self) -> None:
-        url = urlparse(self.path)
-        if url.path != "/graph":
+        if self.path != "/graph":
             self._send(404, json.dumps({"error": "not found"}))
             return
         length = self.headers.get("Content-Length", "").strip()
@@ -269,8 +410,12 @@ class _Handler(BaseHTTPRequestHandler):
         if size > MAX_BODY_BYTES:
             self._send(413, json.dumps({"error": f"body exceeds {MAX_BODY_BYTES} bytes"}))
             return
+        data = self._read_body(size)
+        if len(data) < size:
+            self._send(400, json.dumps({"error": f"body ended after {len(data)} of {size} bytes"}))
+            return
         try:
-            body = self.rfile.read(size).decode("utf-8")
+            body = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             self._send(400, json.dumps({"error": "body is not valid UTF-8", "message": str(exc)}))
             return
@@ -278,9 +423,69 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(status, payload, headers.get("content-type", "application/json"))
 
 
-def make_server(state: ServiceState, port: int = 0) -> ThreadingHTTPServer:
-    handler = type("BoundHandler", (_Handler,), {"state": state})
-    return ThreadingHTTPServer(("127.0.0.1", port), handler)
+class Server:
+    """WORKERS threads that each accept on one listening socket and serve
+    the connection they accepted, one request, before accepting again."""
+
+    def __init__(self, state: ServiceState, port: int = 0):
+        self.state = state
+        self.socket = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            self.socket.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self.socket.bind(("127.0.0.1", port))
+            self.socket.listen()
+        except OSError:
+            self.socket.close()
+            raise
+        self.server_address = self.socket.getsockname()
+        self._closing = False
+        self._stopped = threading.Event()
+
+    def serve_forever(self) -> None:
+        """Start the workers and wait until `shutdown` has stopped them all."""
+        try:
+            workers = [threading.Thread(target=self._work, daemon=True) for _ in range(WORKERS)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join()
+        finally:
+            self._stopped.set()
+
+    def _work(self) -> None:
+        listener, state = self.socket, self.state
+        while True:
+            try:
+                conn, _ = listener.accept()
+            except OSError:
+                if self._closing:
+                    return
+                continue  # the connection was aborted before it was accepted, or fds ran out
+            try:
+                conn.settimeout(READ_TIMEOUT)
+                _Handler(state, conn).handle()
+            finally:
+                conn.close()
+
+    def _stop_accepting(self) -> None:
+        self._closing = True
+        try:
+            self.socket.shutdown(socket.SHUT_RDWR)  # wakes every worker blocked in accept()
+        except OSError:
+            pass
+
+    def shutdown(self) -> None:
+        """Stop `serve_forever` and wait until each worker has finished its connection."""
+        self._stop_accepting()
+        self._stopped.wait()
+
+    def server_close(self) -> None:
+        self._stop_accepting()
+        self.socket.close()
+
+
+def make_server(state: ServiceState, port: int = 0) -> Server:
+    return Server(state, port)
 
 
 def serve(

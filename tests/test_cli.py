@@ -383,6 +383,14 @@ class TestColdImports:
         compiled = "sys.modules['ontosoc.turtle']._scanner.cache_info().currsize"
         assert _after(["stats", "--format", "json", *corpus_args], compiled) == 0
 
+    def test_the_service_loads_no_http_or_email_package(self):
+        probe = "import sys, ontosoc.service; print(repr(sorted(sys.modules)))"
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, env=_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+        loaded = ast.literal_eval(proc.stdout.decode())
+        heavy = {"http.server", "http.client", "email", "ssl"}
+        assert not {name for name in loaded if name.partition(".")[0] in heavy or name in heavy}
+
 
 def _cli(*args: str, python: str = sys.executable) -> subprocess.CompletedProcess:
     """``python -m ontosoc.cli ARGS`` in a fresh process, through `main`,

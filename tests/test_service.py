@@ -1,7 +1,9 @@
 import http.client
 import json
 import os
+import re
 import signal
+import socket
 import subprocess
 import sys
 import tempfile
@@ -209,6 +211,141 @@ class TestEndpoints:
             srv.shutdown()
             srv.server_close()
             thread.join(timeout=5)
+
+
+def _port(base):
+    return int(base.rsplit(":", 1)[1])
+
+
+def _exchange(port, data, close_write=True, timeout=10.0):
+    """Send raw bytes on a new connection and read the answer to its end:
+    (status, headers by lower-cased name, body)."""
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
+        sock.sendall(data)
+        if close_write:
+            sock.shutdown(socket.SHUT_WR)
+        answer = b""
+        while chunk := sock.recv(65536):
+            answer += chunk
+    head, _, body = answer.partition(b"\r\n\r\n")
+    status_line, *fields = head.decode("latin-1").split("\r\n")
+    headers = {name.lower(): value.strip() for name, _, value in (f.partition(":") for f in fields)}
+    return int(status_line.split()[1]), headers, body
+
+
+class TestProtocol:
+    """What the front end itself answers: each connection carries one
+    HTTP/1.0 request, and every error body is JSON."""
+
+    def test_answer_head_is_one_http_1_0_reply(self, server):
+        base, _ = server
+        status, headers, body = _exchange(_port(base), b"GET /health HTTP/1.1\r\nHost: x\r\n\r\n")
+        assert status == 200 and json.loads(body) == {"triples": 0, "epoch": 0}
+        assert headers["content-length"] == str(len(body))
+        assert headers["connection"] == "close"
+        assert re.fullmatch(r"[A-Z][a-z]{2}, \d\d [A-Z][a-z]{2} \d{4} \d\d:\d\d:\d\d GMT", headers["date"])
+
+    @pytest.mark.parametrize("target", ["/health", "/health?x=1#frag", "http://127.0.0.1/health"])
+    def test_a_target_names_its_path(self, server, target):
+        base, _ = server
+        status, _, body = _exchange(_port(base), f"GET {target} HTTP/1.1\r\n\r\n".encode("ascii"))
+        assert (status, json.loads(body)) == (200, {"triples": 0, "epoch": 0})
+
+    @pytest.mark.parametrize(
+        "request_bytes,status",
+        [
+            (b"PUT /graph HTTP/1.0\r\n\r\n", 501),
+            (b"DELETE /graph HTTP/1.0\r\n\r\n", 501),
+            (b"HELLO\r\n\r\n", 400),
+            (b"GET /health\r\n\r\n", 400),
+            (b"GET /health FTP/1.0\r\n\r\n", 400),
+            (b"GET /health HTTP/1.0\r\nno colon here\r\n\r\n", 400),
+            (b"GET /health HTTP/1.0\r\n folded: value\r\n\r\n", 400),
+            (b"POST /graph HTTP/1.0\r\nContent-Length: 3\r\ncontent-length: 3\r\n\r\nabc", 400),
+            (b"GET /health HTTP/1.0\r\nX-Big: " + b"a" * service.MAX_HEADER_BYTES + b"\r\n\r\n", 431),
+            (b"GET /" + b"a" * service.MAX_HEADER_BYTES + b" HTTP/1.0\r\n\r\n", 414),
+        ],
+        ids=["put", "delete", "one-word", "no-version", "not-http", "no-colon", "folded",
+             "two-content-lengths", "header-block-too-long", "request-line-too-long"],
+    )
+    def test_protocol_errors_get_json_bodies(self, server, request_bytes, status):
+        base, state = server
+        answer = _exchange(_port(base), request_bytes)
+        assert answer[0] == status
+        assert answer[1]["content-type"] == "application/json"
+        assert set(json.loads(answer[2])) == {"error"}
+        assert requests.get(f"{base}/health", timeout=10).json() == {"triples": 0, "epoch": 0}
+        assert not state.snapshot_path.exists()
+
+    def test_a_header_name_is_found_in_any_case(self, server, monkeypatch):
+        base, _ = server
+        seen = []
+
+        def do_GET(handler):
+            seen.append((handler.headers.get("X-Bench-Request"), handler.headers.get("HOST")))
+            handler._send(200, "{}")
+
+        monkeypatch.setattr(service._Handler, "do_GET", do_GET)
+        request_bytes = b"GET /health HTTP/1.0\r\nx-bench-request: post:7\r\nHost: a\r\n\r\n"
+        assert _exchange(_port(base), request_bytes)[0] == 200
+        assert seen == [("post:7", "a")]
+
+    @pytest.mark.parametrize("cut_by", ["eof", "timeout"])
+    def test_a_body_shorter_than_its_content_length_is_refused(self, server, monkeypatch, cut_by):
+        base, state = server
+        assert requests.post(f"{base}/graph", data=GOOD_TTL.encode("utf-8"), timeout=10).status_code == 200
+        on_disk = state.snapshot_path.read_bytes()
+        monkeypatch.setattr(service, "READ_TIMEOUT", 0.3)
+        first = b"<http://x/s1> <http://x/p> <http://x/o1>.\n"  # the first of two 42-byte lines
+        request_bytes = b"POST /graph HTTP/1.0\r\nContent-Length: 84\r\n\r\n" + first
+        status, _, body = _exchange(_port(base), request_bytes, close_write=cut_by == "eof")
+        assert (status, json.loads(body)) == (400, {"error": "body ended after 42 of 84 bytes"})
+        assert requests.get(f"{base}/health", timeout=10).json() == {"triples": 3, "epoch": 1}
+        assert state.snapshot_path.read_bytes() == on_disk
+
+    def test_idle_connections_are_dropped_after_the_read_timeout(self, server, monkeypatch):
+        """WORKERS idle connections hold every worker; a ninth client waits
+        in the listen backlog until READ_TIMEOUT frees one."""
+        base, _ = server
+        monkeypatch.setattr(service, "READ_TIMEOUT", 0.5)
+        idle = [socket.create_connection(("127.0.0.1", _port(base)), timeout=10) for _ in range(service.WORKERS)]
+        try:
+            t0 = time.perf_counter()
+            assert requests.get(f"{base}/health", timeout=10).json() == {"triples": 0, "epoch": 0}
+            waited = time.perf_counter() - t0
+            assert 0.25 <= waited < 3.0
+            for sock in idle:
+                assert sock.recv(1) == b""  # closed by the worker, without an answer
+        finally:
+            for sock in idle:
+                sock.close()
+
+    def test_a_worker_survives_a_handler_fault(self, server, monkeypatch):
+        base, _ = server
+
+        def failing(self, query):
+            raise RuntimeError("injected fault")
+
+        monkeypatch.setattr(ServiceState, "run_query", failing)
+        for _ in range(service.WORKERS + 1):
+            resp = requests.get(_query_url(base, "SELECT * WHERE { ?s ?p ?o }"), timeout=10)
+            assert resp.status_code == 500
+            assert resp.json() == {"error": "internal error"}
+        assert requests.get(f"{base}/health", timeout=10).status_code == 200
+
+    def test_shutdown_wakes_the_workers_at_once(self, tmp_path):
+        srv = make_server(load_state(data_path=str(tmp_path / "kb.ttl")), port=0)
+        thread = threading.Thread(target=srv.serve_forever, daemon=True)
+        thread.start()
+        assert requests.get(f"http://127.0.0.1:{srv.server_address[1]}/health", timeout=10).status_code == 200
+        t0 = time.perf_counter()
+        stopper = threading.Thread(target=srv.shutdown, daemon=True)
+        stopper.start()
+        stopper.join(timeout=5)
+        thread.join(timeout=5)
+        assert not stopper.is_alive() and not thread.is_alive()
+        assert time.perf_counter() - t0 < 0.25
+        srv.server_close()
 
 
 def test_health_graph_and_epoch_agree_under_concurrent_writes():
