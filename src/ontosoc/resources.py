@@ -5,8 +5,6 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
-from .turtle import Document, parse_turtle
-
 
 def _data_root() -> Path:
     return Path(str(resources.files("ontosoc") / "data"))
@@ -24,17 +22,6 @@ def load_decision_table():
 
 def corpus_paths() -> list[Path]:
     return sorted((_data_root() / "corpus").glob("*.ttl"))
-
-
-def load_corpus() -> Document:
-    """The three use-case files merged into one document."""
-    merged = Document()
-    for path in corpus_paths():
-        doc = parse_turtle(path.read_text(encoding="utf-8"))
-        for label, ns in doc.prefixes.items():
-            merged.prefixes.declare(label, ns)
-        merged.graph.update(doc.graph)
-    return merged
 
 
 def community_activities_query_path() -> Path:

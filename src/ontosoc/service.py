@@ -19,7 +19,12 @@ fields may take MAX_HEADER_BYTES (64 KiB) in all: past that, 431 (414
 if the request line alone is that long).  Every error body is JSON,
 including 400 for a malformed request line or header field or a second
 Content-Length, 501 for a method other than GET or POST, and 500 for a
-fault in a handler, after which the worker goes on serving.
+fault in a handler, after which the worker goes on serving.  A request
+answered before it was read to its end (as by a 413, 431 or 414, or a
+400 for a bad Content-Length) is not closed at once, which would reset
+the connection under the answer: the worker shuts its write side and
+discards what the client still sends until the client's EOF, for at
+most READ_TIMEOUT and MAX_BODY_BYTES + MAX_HEADER_BYTES bytes.
 
 Writes are serialized behind a lock.  The new graph is built aside by
 `Graph.union`, which shares every index container the delta does not
@@ -285,6 +290,7 @@ class _Handler:
         self.query = ""
         self.headers = _Headers()
         self.sent = False
+        self.read_all = False  # whether the request has been read to its end
         self._rest = b""  # bytes read past the header block: the body's start
 
     def handle(self) -> None:
@@ -314,6 +320,7 @@ class _Handler:
                     self._send(400, json.dumps({"error": "more than one Content-Length"}))
                     return
             if method == "GET":
+                self.read_all = True  # a GET is its head
                 self.do_GET()
             elif method == "POST":
                 self.do_POST()
@@ -411,6 +418,7 @@ class _Handler:
             self._send(413, json.dumps({"error": f"body exceeds {MAX_BODY_BYTES} bytes"}))
             return
         data = self._read_body(size)
+        self.read_all = len(data) == size
         if len(data) < size:
             self._send(400, json.dumps({"error": f"body ended after {len(data)} of {size} bytes"}))
             return
@@ -463,7 +471,10 @@ class Server:
                 continue  # the connection was aborted before it was accepted, or fds ran out
             try:
                 conn.settimeout(READ_TIMEOUT)
-                _Handler(state, conn).handle()
+                handler = _Handler(state, conn)
+                handler.handle()
+                if handler.sent and not handler.read_all:
+                    _drain(conn)
             finally:
                 conn.close()
 
@@ -482,6 +493,29 @@ class Server:
     def server_close(self) -> None:
         self._stop_accepting()
         self.socket.close()
+
+
+def _drain(conn: socket.socket) -> None:
+    """Shut the write side of a connection answered before its request
+    was read to the end, then discard what the peer still sends until its
+    EOF, for at most READ_TIMEOUT in all and MAX_BODY_BYTES +
+    MAX_HEADER_BYTES bytes.  Closing with request bytes unread would
+    reset the connection, and the peer could lose the answer."""
+    deadline = time.monotonic() + READ_TIMEOUT
+    left = MAX_BODY_BYTES + MAX_HEADER_BYTES
+    try:
+        conn.shutdown(socket.SHUT_WR)
+        while left > 0:
+            wait = deadline - time.monotonic()
+            if wait <= 0:
+                return
+            conn.settimeout(wait)
+            chunk = conn.recv(min(left, 262144))
+            if not chunk:
+                return
+            left -= len(chunk)
+    except OSError:  # the wait ran out, or the peer reset
+        pass
 
 
 def make_server(state: ServiceState, port: int = 0) -> Server:

@@ -21,10 +21,9 @@ raises nothing: on anything it cannot read it returns None, and the
 token path parses the whole text from the start.  It leaves to the
 token path a text with an escaped quote, with a whitespace character
 other than space, tab, CR and LF, with a '"' inside a comment or an
-IRIREF, or with `@base` (and any call with a ``base``); any token that
-does not resolve (an undeclared prefix, a malformed IRI or escape);
-and any fault of the grammar.  So the token path alone raises every
-ParseError.
+IRIREF, or with `@base`; any token that does not resolve (an
+undeclared prefix, a malformed IRI or escape); and any fault of the
+grammar.  So the token path alone raises every ParseError.
 
 The token path is a recursive-descent parser over a scanner, one
 pattern with a named group per token kind, matched at the offset where
@@ -38,10 +37,17 @@ Both paths build terms through the hash-consing constructors, so a term
 occurring many times is one object.
 
 The serializer emits a byte-stable layout: prefix declarations first,
-subjects sorted lexically, predicates and objects sorted within each
-subject block.  Every literal is written with the escapes of its N3
-string, so `rdf._escape` is the one encoder.  Serializer output always
-re-parses to an equal graph.
+then one block per subject.  It walks the triples once, sorted by the
+N3 strings of subject, predicate and object (unique, as terms are
+interned), and opens a block where the subject changes, writes ' ;'
+where the predicate changes and ', ' between objects.  Each distinct
+term is rendered once per call: an IRI as a prefixed name under the
+longest namespace that leaves a local name the reader reads (the first
+declared among equally long ones; never an empty namespace), else as an
+IRIREF.  `a` stands for rdf:type in predicate position only.  Every
+literal is written with the escapes of its N3 string, so `rdf._escape`
+is the one encoder.  Serializer output always re-parses to an equal
+graph.
 """
 
 from __future__ import annotations
@@ -65,7 +71,6 @@ from .rdf import (
     TermError,
     Triple,
     UndeclaredPrefixError,
-    term_key,
     unescape,
 )
 
@@ -95,11 +100,11 @@ class Document:
         return f"Document(graph={self.graph!r}, prefixes={self.prefixes!r}, base={self.base!r})"
 
 
-_PN_LOCAL = re.compile(r"[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?$|^$")
 _SCHEME = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
 
-# Token patterns the scanner and the reader share.
-_PNAME = r"(?:[A-Za-z][A-Za-z0-9_\-]*)?:(?:[A-Za-z0-9_][A-Za-z0-9_\-]*)?"
+# Token patterns the scanner, the reader and the writer share.
+_LOCAL = r"(?:[A-Za-z0-9_][A-Za-z0-9_\-]*)?"  # a prefixed name's local part
+_PNAME = rf"(?:[A-Za-z][A-Za-z0-9_\-]*)?:{_LOCAL}"
 _BLANK = r"_:[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?"  # a trailing '.' ends the statement
 _INTEGER = r"[+-]?[0-9]+"
 _LANGTAG = r"[A-Za-z][A-Za-z0-9\-]*"
@@ -152,9 +157,9 @@ class _Parser:
     column are computed from an offset only for a ParseError.
     """
 
-    def __init__(self, text: str, base: Optional[str] = None):
+    def __init__(self, text: str):
         self.text = text
-        self.doc = Document(base=base)
+        self.doc = Document()
         self.triples: list[tuple[Term, Iri, Term]] = []  # what the statements state, in order
         self.pnames: dict[str, Iri] = {}  # prefixed name -> its IRI; emptied by each @prefix
         self.end = 0
@@ -352,6 +357,7 @@ _RDF_TYPE = Iri(RDF_TYPE)
 # the whitespace on which `str.split` splits and which the scanner does not skip
 _ODD_SPACES = "\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
 _PNAME_RE = re.compile(_PNAME)
+_LOCAL_RE = re.compile(_LOCAL)
 _BLANK_RE = re.compile(_BLANK)
 _INTEGER_RE = re.compile(_INTEGER)
 _LANGTAG_RE = re.compile(_LANGTAG)
@@ -531,65 +537,59 @@ def _statements(words: list[str], bodies: list[str]) -> Document:
     return doc
 
 
-def parse_turtle(text: str, base: Optional[str] = None) -> Document:
+def parse_turtle(text: str) -> Document:
     """Parse Turtle text; raises ParseError at the first offense."""
-    doc = _read(text) if base is None else None
-    return doc if doc is not None else _Parser(text, base=base).parse()
+    doc = _read(text)
+    return doc if doc is not None else _Parser(text).parse()
 
 
-def _compress(iri: Iri, prefixes: PrefixMap) -> str:
-    best_label, best_ns = None, ""
-    for label, ns in prefixes.items():
-        if iri.value.startswith(ns) and len(ns) > len(best_ns):
-            local = iri.value[len(ns) :]
-            if _PN_LOCAL.match(local) and "." not in local:
-                best_label, best_ns = label, ns
-    if best_label is None:
-        return iri.n3()
-    return f"{best_label}:{iri.value[len(best_ns):]}"
+def _compress(iri: Iri, namespaces: list[tuple[str, str]]) -> str:
+    """``iri`` as a prefixed name under the first of ``namespaces`` that
+    leaves a local name the reader reads, else as an IRIREF."""
+    value = iri.value
+    for label, ns in namespaces:
+        if value.startswith(ns) and _LOCAL_RE.fullmatch(value, len(ns)):
+            return f"{label}:{value[len(ns):]}"
+    return iri.n3()
 
 
-def _render(term: Term, prefixes: PrefixMap) -> str:
+def _render(term: Term, namespaces: list[tuple[str, str]]) -> str:
     if isinstance(term, Iri):
-        return _compress(term, prefixes)
+        return _compress(term, namespaces)
     if isinstance(term, Literal) and term.datatype not in (None, XSD_STRING):
         # the N3 string ends with ^^<datatype>; what comes before it is the
         # lexical form as `rdf._escape` quotes it
         quoted = term.n3()[: -len(term.datatype) - 4]
-        return f"{quoted}^^{_compress(Iri(term.datatype), prefixes)}"
+        return f"{quoted}^^{_compress(Iri(term.datatype), namespaces)}"
     return term.n3()
 
 
 def serialize_turtle(doc: Document) -> str:
     """Write a Document as Turtle with a deterministic layout."""
-    out = []
-    for label, ns in sorted(doc.prefixes.items()):
-        out.append(f"@prefix {label}: <{ns}> .")
+    declared = doc.prefixes.items()
+    out = [f"@prefix {label}: <{ns}> .\n" for label, ns in sorted(declared)]
     if out:
-        out.append("")
+        out.append("\n")
+    # longest first, so the longest namespace that fits wins, and among
+    # equally long ones the first declared; an empty one shortens nothing
+    namespaces = sorted((item for item in declared if item[1]), key=lambda item: -len(item[1]))
+    rendered: dict[Term, str] = {}
 
-    by_subject: dict[str, tuple[Term, list[Triple]]] = {}
-    for t in doc.graph:
-        key = term_key(t.subject)
-        by_subject.setdefault(key, (t.subject, []))[1].append(t)
+    def text(term: Term) -> str:
+        found = rendered.get(term)
+        if found is None:
+            found = rendered[term] = _render(term, namespaces)
+        return found
 
-    for key in sorted(by_subject):
-        subject, triples = by_subject[key]
-        pairs = sorted(
-            {(term_key(t.predicate), term_key(t.object), t.predicate, t.object) for t in triples}
-        )
-        lines = []
-        current_pred = None
-        for _, _, pred, obj in pairs:
-            if pred != current_pred:
-                lines.append((pred, [obj]))
-                current_pred = pred
-            else:
-                lines[-1][1].append(obj)
-        rendered = []
-        for pred, objs in lines:
-            pred_txt = "a" if pred.value == RDF_TYPE else _render(pred, doc.prefixes)
-            obj_txt = ", ".join(_render(o, doc.prefixes) for o in objs)
-            rendered.append(f"    {pred_txt} {obj_txt}")
-        out.append(_render(subject, doc.prefixes) + "\n" + " ;\n".join(rendered) + " .")
-    return "\n".join(out) + ("\n" if out else "")
+    subject = predicate = None
+    end = ""  # what closes the open subject block
+    for s, p, o in sorted(doc.graph, key=Triple.sort_key):
+        if s is subject and p is predicate:
+            out.append(", ")
+        else:
+            verb = "a" if p is _RDF_TYPE else text(p)
+            out.append(f" ;\n    {verb} " if s is subject else f"{end}{text(s)}\n    {verb} ")
+            subject, predicate, end = s, p, " .\n"
+        out.append(text(o))
+    out.append(end)
+    return "".join(out)

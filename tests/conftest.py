@@ -1,6 +1,6 @@
 import pytest
 
-from ontosoc import resources
+from ontosoc import cli, resources
 from ontosoc.schema import builtin_schema
 
 
@@ -10,8 +10,8 @@ def schema():
 
 
 @pytest.fixture(scope="session")
-def corpus_doc():
-    return resources.load_corpus()
+def corpus_doc(corpus_files):
+    return cli._merge_files(corpus_files)
 
 
 @pytest.fixture(scope="session")

@@ -5,10 +5,12 @@ with no use of the engine's indexes or join machinery.
 """
 
 import json
+import re
 from itertools import product
 
-from ontosoc.rdf import XSD_STRING, Blank, Graph, Iri, Literal, Term, Triple
+from ontosoc.rdf import XSD_STRING, Blank, Graph, Iri, Literal, PrefixMap, Term, Triple, term_key
 from ontosoc.sparql import TriplePattern, Var
+from ontosoc.turtle import Document
 
 
 def brute_force_match(graph: Graph, s=None, p=None, o=None) -> set[Triple]:
@@ -194,3 +196,64 @@ def brute_force_violations(graph: Graph, schema) -> list[str]:
 
 def brute_force_violation_count(graph: Graph, schema) -> int:
     return len(brute_force_violations(graph, schema))
+
+
+_PN_LOCAL = re.compile(r"[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?$|^$")
+
+
+def _reference_compress(iri: Iri, prefixes: PrefixMap) -> str:
+    best_label, best_ns = None, ""
+    for label, ns in prefixes.items():
+        if iri.value.startswith(ns) and len(ns) > len(best_ns):
+            local = iri.value[len(ns) :]
+            if _PN_LOCAL.match(local) and "." not in local:
+                best_label, best_ns = label, ns
+    if best_label is None:
+        return iri.n3()
+    return f"{best_label}:{iri.value[len(best_ns):]}"
+
+
+def _reference_render(term: Term, prefixes: PrefixMap) -> str:
+    if isinstance(term, Iri):
+        return _reference_compress(term, prefixes)
+    if isinstance(term, Literal) and term.datatype not in (None, XSD_STRING):
+        quoted = term.n3()[: -len(term.datatype) - 4]
+        return f"{quoted}^^{_reference_compress(Iri(term.datatype), prefixes)}"
+    return term.n3()
+
+
+def reference_serialize_turtle(doc: Document) -> str:
+    """The Turtle writer's layout built the long way: triples regrouped
+    by subject, each subject block sorted on its own, and every
+    occurrence of a term rendered afresh against every prefix."""
+    out = []
+    for label, ns in sorted(doc.prefixes.items()):
+        out.append(f"@prefix {label}: <{ns}> .")
+    if out:
+        out.append("")
+
+    by_subject: dict[str, tuple[Term, list[Triple]]] = {}
+    for t in doc.graph:
+        key = term_key(t.subject)
+        by_subject.setdefault(key, (t.subject, []))[1].append(t)
+
+    for key in sorted(by_subject):
+        subject, triples = by_subject[key]
+        pairs = sorted(
+            {(term_key(t.predicate), term_key(t.object), t.predicate, t.object) for t in triples}
+        )
+        lines = []
+        current_pred = None
+        for _, _, pred, obj in pairs:
+            if pred != current_pred:
+                lines.append((pred, [obj]))
+                current_pred = pred
+            else:
+                lines[-1][1].append(obj)
+        rendered = []
+        for pred, objs in lines:
+            pred_txt = "a" if pred.value == RDF_TYPE else _reference_render(pred, doc.prefixes)
+            obj_txt = ", ".join(_reference_render(o, doc.prefixes) for o in objs)
+            rendered.append(f"    {pred_txt} {obj_txt}")
+        out.append(_reference_render(subject, doc.prefixes) + "\n" + " ;\n".join(rendered) + " .")
+    return "\n".join(out) + ("\n" if out else "")

@@ -16,7 +16,7 @@ import pytest
 import requests
 
 from bench.gen import make_corpus
-from ontosoc import resources, service, validation
+from ontosoc import cli, resources, service, validation
 from ontosoc.service import MAX_BODY_BYTES, ServiceState, load_state, make_server
 from ontosoc.schema import builtin_schema
 from ontosoc.sparql import MAX_GROUP_DEPTH
@@ -348,6 +348,26 @@ class TestProtocol:
         srv.server_close()
 
 
+@pytest.mark.parametrize(
+    "request_bytes,status",
+    [
+        (f"POST /graph HTTP/1.0\r\nContent-Length: {MAX_BODY_BYTES + 1}\r\n\r\n".encode("ascii")
+         + b"x" * (MAX_BODY_BYTES + 1), 413),
+        (b"GET /health HTTP/1.0\r\nX-Big: " + b"a" * (4 * service.MAX_HEADER_BYTES) + b"\r\n\r\n", 431),
+    ],
+    ids=["body-too-long", "header-block-too-long"],
+)
+def test_a_client_that_sends_its_whole_request_first_gets_the_early_answer(server, request_bytes, status):
+    """An answer sent before the request was read to its end reaches a
+    client that writes the whole request, without a half-close, and only
+    then reads."""
+    base, _ = server
+    answer = _exchange(_port(base), request_bytes, close_write=False)
+    assert answer[0] == status
+    assert set(json.loads(answer[2])) == {"error"}
+    assert requests.get(f"{base}/health", timeout=10).json() == {"triples": 0, "epoch": 0}
+
+
 def test_health_graph_and_epoch_agree_under_concurrent_writes():
     """Each post adds one new triple, so every /health must read triples == epoch."""
     state = ServiceState(graph=Graph(), schema=builtin_schema(), validate_writes=False)
@@ -460,6 +480,10 @@ class TestSnapshot:
         assert not list(tmp_path.glob("*.tmp"))
 
 
+def _corpus():
+    return cli._merge_files([str(p) for p in resources.corpus_paths()])
+
+
 def _locality(name):
     return f"<http://example.org/soc/{name}> a <http://maroua-univ/ns/ontosoc#Locality> ."
 
@@ -553,7 +577,7 @@ class TestLog:
 
     def test_posts_after_the_first_copy_serialize_and_validate_nothing(self, tmp_path, monkeypatch):
         data = tmp_path / "kb.ttl"
-        data.write_text(serialize_turtle(resources.load_corpus()), encoding="utf-8")
+        data.write_text(serialize_turtle(_corpus()), encoding="utf-8")
         state = load_state(data_path=str(data))
         filler = "\n".join(_locality(f"Filler{i}") for i in range(100))
         assert state.apply_post(filler)[0] == 200  # the first write: whole file, full validation
@@ -582,7 +606,7 @@ class TestLog:
 
     def test_state_is_checked_when_built_not_by_the_first_post(self, tmp_path, monkeypatch):
         data = tmp_path / "kb.ttl"
-        data.write_text(serialize_turtle(resources.load_corpus()), encoding="utf-8")
+        data.write_text(serialize_turtle(_corpus()), encoding="utf-8")
         assert load_state(data_path=str(data), validate_writes=False).current.checked is None
         state = load_state(data_path=str(data))
         types, violations = state.current.checked
@@ -645,10 +669,10 @@ class TestProcessRestart:
         proc = subprocess.Popen(
             [sys.executable, "-m", "ontosoc.service", "--port", "0", "--data", str(data_path)],
             stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
             text=True,
         )
-        line = proc.stdout.readline().strip()
+        with proc.stdout:  # the server writes nothing else to it
+            line = proc.stdout.readline().strip()
         assert line.startswith("listening on 127.0.0.1:")
         port = int(line.rsplit(":", 1)[1])
         return proc, f"http://127.0.0.1:{port}"

@@ -1,6 +1,7 @@
 import re
 import sys
 from itertools import islice
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,6 +10,9 @@ from hypothesis import strategies as st
 from ontosoc.canonical import graph_equal
 from bench.gen import deltas, make_corpus
 from ontosoc.rdf import (
+    RDF_NS,
+    RDF_TYPE,
+    XSD,
     XSD_INTEGER,
     XSD_STRING,
     Blank,
@@ -18,12 +22,13 @@ from ontosoc.rdf import (
     PrefixMap,
     Triple,
 )
-from ontosoc.schema import builtin_schema, schema_prefixes, schema_to_graph
+from ontosoc.schema import builtin_schema, export_alignment, schema_prefixes, schema_to_graph
 from ontosoc import resources, turtle
 from ontosoc.service import load_state
 from ontosoc.turtle import Document, ParseError, parse_turtle, serialize_turtle
 
-from .strategies import graphs
+from .oracles import reference_serialize_turtle
+from .strategies import graphs, pool_graphs
 
 EX = "http://example.org/"
 ONTOSOC = "http://maroua-univ/ns/ontosoc#"
@@ -162,6 +167,62 @@ def test_round_trip_random_graphs(g):
     doc = Document(graph=g)
     parsed = parse_turtle(serialize_turtle(doc))
     assert graph_equal(g, parsed.graph)
+
+
+# duplicate, nested and empty namespaces, and some that no IRI fits
+_NAMESPACES = ["", "http://", "http://t", "http://t/", "http://t/a", "http://t/ab", "http://p/", "http://p/p", RDF_NS, XSD]
+_prefix_maps = st.lists(
+    st.tuples(st.sampled_from(["", "t", "u", "p", "rdf", "xsd"]), st.sampled_from(_NAMESPACES)), max_size=8
+).map(PrefixMap)
+_RDF_TYPE_IRI = Iri(RDF_TYPE)
+# rdf:type in each position, and IRIs that only an empty namespace would
+# fit, next to the terms of `graphs()` and `pool_graphs()`
+_EXTRA = [
+    Triple(_RDF_TYPE_IRI, _RDF_TYPE_IRI, _RDF_TYPE_IRI),
+    Triple(Iri("http://t/a"), _RDF_TYPE_IRI, Iri("http://p/a")),
+    Triple(Iri("http://p/a"), _RDF_TYPE_IRI, _RDF_TYPE_IRI),
+    Triple(_RDF_TYPE_IRI, Iri("http://p/p0"), Literal("1", datatype=XSD_INTEGER)),
+    Triple(Iri("s"), Iri("p"), Literal("1", datatype="dt")),
+]
+
+
+class TestSerializeAsTheReference:
+    """The one-pass writer against the regrouping writer it replaced,
+    kept in `tests.oracles`."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(graphs(), pool_graphs()), st.lists(st.sampled_from(_EXTRA)), _prefix_maps)
+    def test_output_is_byte_identical(self, g, extra, prefixes):
+        doc = Document(graph=Graph([*g, *extra]), prefixes=prefixes)
+        assert serialize_turtle(doc) == reference_serialize_turtle(doc)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_a_generated_corpus_is_byte_identical(self, seed):
+        doc = parse_turtle(make_corpus(seed, 20, True).turtle())
+        assert serialize_turtle(doc) == reference_serialize_turtle(doc)
+        doc.prefixes = PrefixMap(schema_prefixes())
+        assert serialize_turtle(doc) == reference_serialize_turtle(doc)
+
+    def test_shipped_files_and_builtin_graphs_are_byte_identical(self):
+        paths = resources.corpus_paths() + sorted(Path(__file__).with_name("fixtures").glob("*.ttl"))
+        docs = [parse_turtle(path.read_text(encoding="utf-8")) for path in paths]
+        schema = builtin_schema()
+        for graph in (schema_to_graph(schema), export_alignment(schema)):
+            docs.append(Document(graph=graph, prefixes=PrefixMap(schema_prefixes())))
+        for doc in docs:
+            assert serialize_turtle(doc) == reference_serialize_turtle(doc)
+
+    def test_rdf_type_is_written_a_only_as_a_predicate(self):
+        g = Graph([Triple(_RDF_TYPE_IRI, _RDF_TYPE_IRI, Iri("http://t/C")), Triple(Iri("http://t/x"), Iri("http://t/p"), _RDF_TYPE_IRI)])
+        out = serialize_turtle(Document(graph=g, prefixes=PrefixMap([("rdf", RDF_NS), ("t", "http://t/")])))
+        assert out.splitlines()[3:] == ["t:x", "    t:p rdf:type .", "rdf:type", "    a t:C ."]
+        out = serialize_turtle(Document(graph=g))
+        assert out.splitlines() == ["<http://t/x>", f"    <http://t/p> <{RDF_TYPE}> .", f"<{RDF_TYPE}>", "    a <http://t/C> ."]
+
+    def test_an_empty_namespace_is_never_used(self):
+        g = Graph([Triple(Iri("abc"), Iri("http://t/p"), Literal("v", datatype="dt"))])
+        out = serialize_turtle(Document(graph=g, prefixes=PrefixMap([("e", ""), ("t", "http://t/")])))
+        assert out == '@prefix e: <> .\n@prefix t: <http://t/> .\n\n<abc>\n    t:p "v"^^<dt> .\n'
 
 
 class TestErrorPositions:
@@ -389,7 +450,6 @@ _READ_CASES = [
     '<http://x/s> <http://x/p> "v"^^<http://x/dt>;<http://x/q> "w"^^<http://x/dt>.',
 ]
 
-_RDF_TYPE_IRI = Iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
 _CLASS = Iri("http://t/Class")
 _TYPED = Iri("http://t/typed")
 
