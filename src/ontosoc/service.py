@@ -30,7 +30,11 @@ Writes are serialized behind a lock.  The new graph is built aside by
 `Graph.union`, which shares every index container the delta does not
 touch, and checked by `validate_delta`, which re-checks only what the
 delta touches against the type map and violation list kept in the live
-`Snapshot` (computed in full when the state is built).  The delta
+`Snapshot` (computed in full when the state is built).  A post is
+refused with a 422 only for the violations it adds, those of a kind the
+graph before it had none of on the same triple (domain, range) or on
+the same node and class pair (disjointness); the 422 lists only those,
+and the live `Snapshot` keeps the full list.  The delta
 is made durable, and only then is the live (graph, epoch) pair replaced,
 as one value.  Readers always see a graph with its own epoch.
 
@@ -142,8 +146,9 @@ class ServiceState:
             checked = current.checked  # None when writes are not validated
             if checked is not None:
                 checked = validate_delta(merged, self.schema, *checked, added)
-                if checked[1]:
-                    body = ValidationReport(checked[1]).render_machine() + "\n"
+                offenses = _added_violations(current.checked[1], checked[1])
+                if offenses:
+                    body = ValidationReport(offenses).render_machine() + "\n"
                     return 422, {"content-type": "text/plain; charset=utf-8"}, body
             epoch = current.epoch + 1
             try:
@@ -208,6 +213,19 @@ class ServiceState:
             )
         table = evaluate(ast, self.current.graph)  # one consistent snapshot
         return 200, to_json_results(table)
+
+
+def _added_violations(before: list[Violation], after: list[Violation]) -> list[Violation]:
+    """The violations of ``after`` that ``before`` has none of: none of the
+    same kind on the same triple (domain, range), or on the same node and
+    class pair (disjointness).  A violation whose found classes changed is
+    not added."""
+
+    def key(v: Violation) -> tuple:
+        return (v.kind, v.triple) if v.triple is not None else (v.kind, v.instance, v.found)
+
+    old = {key(v) for v in before}
+    return [v for v in after if key(v) not in old]
 
 
 def load_state(

@@ -12,6 +12,16 @@ order over terms: unbound < blank < IRI < literal, lexical within each.
 Unsupported query forms (CONSTRUCT, ASK, DESCRIBE, UNION, property
 paths, ...) are rejected with a named error rather than misparsed, and
 so are groups nested deeper than `MAX_GROUP_DEPTH`.
+
+Parsing runs on Turtle's token path: `_QueryParser` is a
+`turtle._Parser` whose scanner is Turtle's with the punctuation
+`{ } ( ) = * !=` and a group for variables.  Each term slot is read by
+the Turtle rule for its position, and PREFIX declares into the prefix
+map and name cache that @prefix uses, so IRIs, prefixed names, blank
+labels, literals, escapes and datatypes are read, checked and
+positioned as Turtle reads them.  A query is scanned as it is parsed,
+so its first offense is the one reported, as a QueryError: a
+ParseError with a line, a column and a message.
 """
 
 from __future__ import annotations
@@ -19,24 +29,12 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from itertools import islice
-from typing import Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
-from .rdf import (
-    RDF_TYPE,
-    XSD_INTEGER,
-    XSD_STRING,
-    Blank,
-    EscapeError,
-    Graph,
-    Iri,
-    Literal,
-    PrefixMap,
-    Term,
-    UndeclaredPrefixError,
-    unescape,
-)
+from .rdf import XSD_STRING, Blank, Graph, Iri, PrefixMap, Term
+from .turtle import ParseError, _Parser, _token_pattern
 
 
 # Parsing and evaluating a query take a frame per nested group, so this
@@ -45,14 +43,8 @@ from .rdf import (
 MAX_GROUP_DEPTH = 700
 
 
-class QueryError(Exception):
+class QueryError(ParseError):
     """Query syntax or unsupported-feature error with source position."""
-
-    def __init__(self, line: int, column: int, message: str):
-        super().__init__(f"line {line}, column {column}: {message}")
-        self.line = line
-        self.column = column
-        self.message = message
 
 
 @dataclass(frozen=True)
@@ -104,118 +96,67 @@ _UNSUPPORTED = {
     "DISTINCT", "REDUCED",
 }
 
-_TOKEN_RE = re.compile(
-    r"""
-      (?P<ws>\s+|\#[^\n]*)
-    | (?P<iriref><[^<>\s]*>)
-    | (?P<var>\?[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<string>"(?:[^"\\\n]|\\.)*")
-    | (?P<neq>!=)
-    | (?P<punct>[{}().,;=*])
-    | (?P<langtag>@[A-Za-z][A-Za-z0-9\-]*)
-    | (?P<dtype>\^\^)
-    | (?P<blank>_:[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?)
-    | (?P<integer>[+-]?[0-9]+)
-    | (?P<pname>(?:[A-Za-z][A-Za-z0-9_\-]*)?:(?:[A-Za-z0-9_][A-Za-z0-9_\-]*)?)
-    | (?P<word>[A-Za-z][A-Za-z0-9_]*)
-    """,
-    re.VERBOSE,
-)
+
+@cache
+def _scanner() -> re.Pattern:
+    """Turtle's scanner with the query's punctuation and variables."""
+    return re.compile(_token_pattern(r"[.,;{}()=*]|!=", r"| (?P<var>\?[A-Za-z_][A-Za-z0-9_]*)"), re.VERBOSE)
 
 
-@dataclass
-class _Tok:
-    kind: str
-    value: str
-    line: int
-    column: int
+class _QueryParser(_Parser):
+    """The query grammar over Turtle's tokens and term rules."""
 
-
-def _tokenize(text: str) -> list[_Tok]:
-    tokens = []
-    pos, line, col = 0, 1, 1
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise QueryError(line, col, f"unexpected character {text[pos]!r}")
-        kind = m.lastgroup or ""
-        value = m.group(0)
-        if kind != "ws":
-            tokens.append(_Tok(kind, value, line, col))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
-        pos = m.end()
-    tokens.append(_Tok("eof", "", line, col))
-    return tokens
-
-
-class _QueryParser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.prefixes = PrefixMap()
-
-    @property
-    def tok(self) -> _Tok:
-        return self.tokens[self.i]
-
-    def _next(self) -> _Tok:
-        tok = self.tok
-        self.i += 1
-        return tok
-
-    def _error(self, message: str, tok: Optional[_Tok] = None) -> QueryError:
-        tok = tok or self.tok
-        return QueryError(tok.line, tok.column, message)
-
-    def _expect_punct(self, ch: str) -> None:
-        if self.tok.kind not in ("punct", "neq") or self.tok.value != ch:
-            shown = self.tok.value or "end of input"
-            raise self._error(f"expected {ch!r}, found {shown!r}")
-        self._next()
+    scanner = staticmethod(_scanner)
+    Error = QueryError
 
     def _keyword(self) -> Optional[str]:
-        if self.tok.kind == "word":
-            return self.tok.value.upper()
-        return None
+        return self.value.upper() if self.kind == "word" else None
+
+    def _var(self) -> str:
+        """The current variable's name."""
+        name = self.value[1:]
+        self._next()
+        return name
 
     def parse(self) -> QueryAST:
+        prefixes = self.doc.prefixes
         while self._keyword() == "PREFIX":
             self._next()
-            if self.tok.kind != "pname" or not self.tok.value.endswith(":"):
-                raise self._error("expected prefix label")
-            label = self._next().value[:-1]
-            if self.tok.kind != "iriref":
-                raise self._error("expected namespace IRI")
-            self.prefixes.declare(label, self._next().value[1:-1])
+            if self.kind != "pname" or not self.value.endswith(":"):
+                raise self.error("expected prefix label", self.at)
+            label = self.value[:-1]
+            self._next()
+            if self.kind != "iriref":
+                raise self.error("expected namespace IRI", self.at)
+            if self.value:  # an empty namespace fails where it is used
+                self._iri(self.value, self.at)
+            prefixes.declare(label, self.value)
+            self._next()
 
         kw = self._keyword()
         if kw in _UNSUPPORTED:
-            raise self._error(f"unsupported query form: {kw}")
+            raise self.error(f"unsupported query form: {kw}", self.at)
         if kw != "SELECT":
-            raise self._error("expected SELECT")
+            raise self.error("expected SELECT", self.at)
         self._next()
 
-        if self._keyword() in ("DISTINCT", "REDUCED"):
-            raise self._error(f"unsupported modifier: {self._keyword()}")
+        kw = self._keyword()
+        if kw in ("DISTINCT", "REDUCED"):
+            raise self.error(f"unsupported modifier: {kw}", self.at)
 
         projection: Optional[list[str]]
-        if self.tok.kind == "punct" and self.tok.value == "*":
+        if self.kind == "*":
             self._next()
             projection = None
         else:
             projection = []
-            while self.tok.kind == "var":
-                projection.append(self._next().value[1:])
+            while self.kind == "var":
+                projection.append(self._var())
             if not projection:
-                raise self._error("expected projection variables or *")
+                raise self.error("expected projection variables or *", self.at)
 
         if self._keyword() != "WHERE":
-            raise self._error("expected WHERE")
+            raise self.error("expected WHERE", self.at)
         self._next()
         pattern = self._group()
 
@@ -223,40 +164,41 @@ class _QueryParser:
         if self._keyword() == "ORDER":
             self._next()
             if self._keyword() != "BY":
-                raise self._error("expected BY after ORDER")
+                raise self.error("expected BY after ORDER", self.at)
             self._next()
             while True:
-                if self.tok.kind == "var":
-                    order_by.append((self._next().value[1:], True))
+                if self.kind == "var":
+                    order_by.append((self._var(), True))
                 elif self._keyword() in ("ASC", "DESC"):
                     ascending = self._keyword() == "ASC"
                     self._next()
-                    self._expect_punct("(")
-                    if self.tok.kind != "var":
-                        raise self._error("expected variable in ORDER BY")
-                    order_by.append((self._next().value[1:], ascending))
-                    self._expect_punct(")")
+                    self._expect("(")
+                    if self.kind != "var":
+                        raise self.error("expected variable in ORDER BY", self.at)
+                    order_by.append((self._var(), ascending))
+                    self._expect(")")
                 else:
                     break
             if not order_by:
-                raise self._error("expected sort condition after ORDER BY")
+                raise self.error("expected sort condition after ORDER BY", self.at)
 
         limit = offset = None
         while self._keyword() in ("LIMIT", "OFFSET"):
             kw = self._keyword()
             self._next()
-            if self.tok.kind != "integer" or self.tok.value.startswith("-"):
-                raise self._error(f"expected non-negative integer after {kw}")
-            value = int(self._next().value)
+            if self.kind != "integer" or self.value.startswith("-"):
+                raise self.error(f"expected non-negative integer after {kw}", self.at)
+            value = int(self.value)
+            self._next()
             if kw == "LIMIT":
                 limit = value
             else:
                 offset = value
 
-        if self.tok.kind != "eof":
-            raise self._error(f"unexpected trailing input: {self.tok.value!r}")
+        if self.kind != "eof":
+            raise self.error(f"unexpected trailing input: {self.text[self.at : self.end]!r}", self.at)
 
-        ast = QueryAST(self.prefixes, projection, pattern, order_by, limit, offset)
+        ast = QueryAST(prefixes, projection, pattern, order_by, limit, offset)
         if projection is not None:
             pattern_vars = set(_vars_in_appearance_order(pattern))
             for name in projection:
@@ -266,11 +208,12 @@ class _QueryParser:
 
     def _group(self, depth: int = 1) -> GroupPattern:
         if depth > MAX_GROUP_DEPTH:
-            raise self._error(f"groups nested deeper than {MAX_GROUP_DEPTH}")
-        self._expect_punct("{")
+            raise self.error(f"groups nested deeper than {MAX_GROUP_DEPTH}", self.at)
+        self._expect("{")
         group = GroupPattern()
         while True:
-            if self.tok.kind == "punct" and self.tok.value == "}":
+            kind = self.kind
+            if kind == "}":
                 self._next()
                 return group
             kw = self._keyword()
@@ -281,87 +224,41 @@ class _QueryParser:
                 self._next()
                 group.filters.append(self._filter())
             elif kw in _UNSUPPORTED:
-                raise self._error(f"unsupported feature: {kw}")
-            elif self.tok.kind == "punct" and self.tok.value == "{":
+                raise self.error(f"unsupported feature: {kw}", self.at)
+            elif kind == "{":
                 # A bare nested group only occurs in alternation; name it.
                 self._group(depth + 1)
                 if self._keyword() == "UNION":
-                    raise self._error("unsupported feature: UNION")
-                raise self._error("unsupported feature: nested group pattern")
-            elif self.tok.kind == "eof":
-                raise self._error("unexpected end of input inside group")
+                    raise self.error("unsupported feature: UNION", self.at)
+                raise self.error("unsupported feature: nested group pattern", self.at)
+            elif kind == "eof":
+                raise self.error("unexpected end of input inside group", self.at)
             else:
-                group.required.append(self._triple_pattern())
-                if self.tok.kind == "punct" and self.tok.value == ".":
+                subject = self._slot(self._subject)
+                predicate = self._slot(self._verb)
+                group.required.append(TriplePattern(subject, predicate, self._slot(self._object)))
+                if self.kind == ".":
                     self._next()
-        return group
 
     def _filter(self) -> Filter:
-        self._expect_punct("(")
-        left = self._slot(allow_literal=True)
-        if self.tok.kind == "neq":
-            op = "!="
-        elif self.tok.kind == "punct" and self.tok.value == "=":
-            op = "="
-        else:
-            raise self._error("expected = or != in FILTER")
+        self._expect("(")
+        left = self._slot(self._object)
+        op = self.kind
+        if op not in ("=", "!="):
+            raise self.error("expected = or != in FILTER", self.at)
         self._next()
-        right = self._slot(allow_literal=True)
-        self._expect_punct(")")
+        right = self._slot(self._object)
+        self._expect(")")
         return Filter(left, op, right)
 
-    def _triple_pattern(self) -> TriplePattern:
-        subject = self._slot()
-        if isinstance(subject, Literal):
-            raise self._error("literal may not appear in subject position")
-        predicate = self._slot(allow_a=True)
-        if not isinstance(predicate, (Var, Iri)):
-            raise self._error("predicate must be an IRI or a variable")
-        obj = self._slot(allow_literal=True)
-        return TriplePattern(subject, predicate, obj)
-
-    def _slot(self, allow_literal: bool = False, allow_a: bool = False) -> Slot:
-        tok = self.tok
-        if tok.kind == "var":
-            self._next()
-            return Var(tok.value[1:])
-        if tok.kind == "iriref":
-            self._next()
-            return Iri(tok.value[1:-1])
-        if tok.kind == "pname":
-            self._next()
-            try:
-                return self.prefixes.expand(tok.value)
-            except UndeclaredPrefixError as exc:
-                raise QueryError(tok.line, tok.column, str(exc)) from None
-        if tok.kind == "blank":
-            self._next()
-            return Blank(tok.value[2:])
-        if allow_a and tok.kind == "word" and tok.value == "a":
-            self._next()
-            return Iri(RDF_TYPE)
-        if tok.kind == "word" and tok.value.upper() in _UNSUPPORTED:
-            raise self._error(f"unsupported feature: {tok.value.upper()}")
-        if allow_literal and tok.kind == "string":
-            self._next()
-            try:
-                lexical = unescape(tok.value[1:-1])
-            except EscapeError as exc:
-                raise QueryError(tok.line, tok.column + 1 + exc.offset, exc.message) from None
-            if self.tok.kind == "langtag":
-                return Literal(lexical, language=self._next().value[1:])
-            if self.tok.kind == "dtype":
-                self._next()
-                dt = self._slot()
-                if not isinstance(dt, Iri):
-                    raise self._error("expected datatype IRI")
-                return Literal(lexical, datatype=dt.value)
-            return Literal(lexical)
-        if allow_literal and tok.kind == "integer":
-            self._next()
-            return Literal(tok.value, datatype=XSD_INTEGER)
-        shown = tok.value or "end of input"
-        raise self._error(f"expected term or variable, found {shown!r}")
+    def _slot(self, term: Callable[[], Term]) -> Slot:
+        """A variable, or the term that ``term``, the Turtle rule for the
+        slot's position, reads."""
+        if self.kind == "var":
+            return Var(self._var())
+        if self.kind == "word" and self.value.upper() in _UNSUPPORTED:
+            raise self.error(f"unsupported feature: {self.value.upper()}", self.at)
+        return term()
 
 
 def parse_query(text: str) -> QueryAST:

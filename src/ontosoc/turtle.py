@@ -31,7 +31,11 @@ the last token ended; it is compiled on the path's first use.  A token
 carries its offset; only a ParseError turns an offset into a line (one
 plus the newlines before it) and a column (the offset from the line
 start, plus one), and takes that line as its snippet.  It keeps each
-prefixed name's IRI until the next @prefix.
+prefixed name's IRI until the next @prefix.  It reads queries too:
+`sparql._QueryParser` subclasses it, supplying its own scanner (this
+one with the query's punctuation and variables) and its own error,
+QueryError, a ParseError, and reads every term of a query with the
+term rules here.
 
 Both paths build terms through the hash-consing constructors, so a term
 occurring many times is one object.
@@ -108,21 +112,30 @@ _PNAME = rf"(?:[A-Za-z][A-Za-z0-9_\-]*)?:{_LOCAL}"
 _BLANK = r"_:[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?"  # a trailing '.' ends the statement
 _INTEGER = r"[+-]?[0-9]+"
 _LANGTAG = r"[A-Za-z][A-Za-z0-9\-]*"
+# a character of an IRIREF: none that the IRIREF rule excludes but
+# whitespace, which `Iri` reports, and no newline
+_IRI_CHAR = r'[^<>"{}|^`\\\n]'
 
 # The scanner: the gap of whitespace and comments, then one named group
-# per token kind, tried in order.  The last five groups catch what no
-# token matches, so every scan succeeds and names its error.  The gap is
-# atomic, so no token can start inside a comment and a comment's words
-# are never lexed: a lookahead captures the gap once and the
-# backreference consumes it without backtracking (`(?>...)` would need
-# Python 3.11).  Only the token path uses it, so `_scanner` compiles it
-# on that path's first use.
-_TOKEN = rf"""
+# per token kind, tried in order.  `bad_iri` and the last five groups
+# catch what no token matches, so every scan succeeds and names its
+# error.  The gap is atomic, so no token can start inside a comment and
+# a comment's words are never lexed: a lookahead captures the gap once
+# and the backreference consumes it without backtracking (`(?>...)`
+# would need Python 3.11).  `_scanner` compiles Turtle's on the token
+# path's first use; the query parser's has more punctuation and a group
+# for variables.
+def _token_pattern(punct: str, more: str = "") -> str:
+    """The scanner's pattern, with ``punct`` matching the punctuation
+    tokens and ``more`` the further token groups, each led by '|'."""
+    return rf"""
     (?=(?P<gap>[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*))(?P=gap)
     (?:
       (?P<pname>{_PNAME})
-    | (?P<punct>[.,;])
-    | (?P<iriref><[^>\n]*>)
+    | (?P<punct>{punct})
+    {more}
+    | (?P<iriref><{_IRI_CHAR}*>)
+    | (?P<bad_iri><[^>\n]*>)
     | (?P<string>"(?:[^"\\\n]|\\[\s\S])*")
     | (?P<at>@{_LANGTAG})
     | (?P<dtype>\^\^)
@@ -137,6 +150,9 @@ _TOKEN = rf"""
     | (?P<unexpected>[\s\S])
     )
     """
+
+
+_TOKEN = _token_pattern("[.,;]")
 _SCAN_ERRORS = {
     "open_iri": "unterminated IRI",
     "bad_at": "bad '@' token",
@@ -155,7 +171,13 @@ class _Parser:
     The current token is ``kind``, ``value`` and ``at``, its offset into
     the text, and ``end``, where the next token's gap starts; a line and
     column are computed from an offset only for a ParseError.
+
+    A subclass may supply its own ``scanner``, whose token kinds include
+    these, and its own ``Error``, a ParseError subclass.
     """
+
+    scanner = staticmethod(_scanner)
+    Error = ParseError
 
     def __init__(self, text: str):
         self.text = text
@@ -163,16 +185,16 @@ class _Parser:
         self.triples: list[tuple[Term, Iri, Term]] = []  # what the statements state, in order
         self.pnames: dict[str, Iri] = {}  # prefixed name -> its IRI; emptied by each @prefix
         self.end = 0
-        self._scan = _scanner().match
+        self._scan = self.scanner().match
         self._next()
 
     def error(self, message: str, at: int) -> ParseError:
-        """A ParseError at offset ``at``, with its line as the snippet."""
+        """An ``Error`` at offset ``at``, with its line as the snippet."""
         text = self.text
         line_start = text.rfind("\n", 0, at) + 1
         line_end = text.find("\n", at)
         snippet = text[line_start : None if line_end == -1 else line_end]
-        return ParseError(text.count("\n", 0, at) + 1, at - line_start + 1, message, snippet)
+        return self.Error(text.count("\n", 0, at) + 1, at - line_start + 1, message, snippet)
 
     def _next(self) -> None:
         m = self._scan(self.text, self.end)
@@ -190,6 +212,9 @@ class _Parser:
             kind = "@" + value if value in ("prefix", "base") else "langtag"
         elif kind == "blank":
             value = value[2:]
+        elif kind == "bad_iri":
+            bad = re.search(r'[<"{}|^`\\]', value[1:-1]).group()
+            raise self.error(f"IRI contains {bad!r}: {value[1:-1]!r}", at)
         elif kind == "open_string":
             # a bad escape is reported before the missing closing quote
             self._unescape(self.text[at + 1 : m.end() + 1], at)
@@ -208,7 +233,7 @@ class _Parser:
             raise self.error(exc.message, at + 1 + exc.offset) from None
 
     def _found(self, what: str) -> ParseError:
-        shown = f"{self.value!r}" if self.value else "end of input"
+        shown = "end of input" if self.kind == "eof" else repr(self.value)
         return self.error(f"expected {what}, found {shown}", self.at)
 
     def _expect(self, kind: str) -> str:
@@ -361,6 +386,7 @@ _LOCAL_RE = re.compile(_LOCAL)
 _BLANK_RE = re.compile(_BLANK)
 _INTEGER_RE = re.compile(_INTEGER)
 _LANGTAG_RE = re.compile(_LANGTAG)
+_IRI_BODY_RE = re.compile(f"{_IRI_CHAR}*")
 # the tokens of code with ',' and ';' split off, and each '.' that ends a token
 _PUNCT_SPLIT = re.compile(r"[^\s,;]*[^\s,;.]|[,;.]")
 _PUNCTS = frozenset(".,;")
@@ -451,7 +477,7 @@ def _statements(words: list[str], bodies: list[str]) -> Document:
 
     def iriref(token: str) -> str:
         body = token[1:-1]
-        if token[0] != "<" or token[-1] != ">" or ">" in body:
+        if token[0] != "<" or token[-1] != ">" or not _IRI_BODY_RE.fullmatch(body):
             raise _unreadable(token)
         return body
 

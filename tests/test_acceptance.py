@@ -26,6 +26,7 @@ from ontosoc.validation import infer_types, validate
 
 from .oracles import brute_force_bgp
 from .strategies import graphs, pool_graphs
+from .test_cli import _env
 from .test_sparql import _patterns_strategy
 from .test_validation import FAULT_EXPECTATIONS, FIXTURES
 
@@ -264,6 +265,7 @@ def test_criterion_9_service(tmp_path):
                 stdout=subprocess.PIPE,
                 stderr=subprocess.STDOUT,
                 text=True,
+                env=_env(),
             )
             line = proc.stdout.readline().strip()
             port = int(line.rsplit(":", 1)[1])

@@ -142,6 +142,20 @@ class TestQuery:
         assert run(["query", "--query", "ASK { ?s ?p ?o }", *corpus_args]) == EXIT_ERROR
         assert "ASK" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "query,column",
+        [
+            ("SELECT * WHERE { <> ?p ?o }", 18),
+            ('SELECT * WHERE { ?s ?p "x"^^<> }', 29),
+            ("PREFIX e: <> SELECT * WHERE { ?s ?p e: }", 37),
+        ],
+        ids=["iriref", "datatype", "prefix"],
+    )
+    def test_an_empty_iri_exits_two_with_its_position(self, corpus_args, capsys, query, column):
+        assert run(["query", "--query", query, *corpus_args]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == f"error: query: line 1, column {column}: IRI must be non-empty\n"
+
     def test_unbound_projection_warns_on_stderr(self, corpus_args, capsys):
         code = run(
             [

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 import requests
 
-from bench.gen import make_corpus
+from bench.gen import deltas, make_corpus
 from ontosoc import cli, resources, service, validation
 from ontosoc.service import MAX_BODY_BYTES, ServiceState, load_state, make_server
 from ontosoc.schema import builtin_schema
@@ -23,6 +23,8 @@ from ontosoc.sparql import MAX_GROUP_DEPTH
 from ontosoc.canonical import graph_equal
 from ontosoc.rdf import Blank, Graph
 from ontosoc.turtle import parse_turtle, serialize_turtle
+
+from .test_cli import _env
 
 GOOD_TTL = """\
 @prefix ontosoc: <http://maroua-univ/ns/ontosoc#> .
@@ -91,6 +93,24 @@ class TestEndpoints:
         assert resp.status_code == 400
         payload = resp.json()
         assert payload["line"] == 1 and payload["column"] >= 1
+
+    @pytest.mark.parametrize(
+        "query,column",
+        [
+            ("SELECT * WHERE { <> ?p ?o }", 18),
+            ('SELECT * WHERE { ?s ?p "x"^^<> }', 29),
+            ("PREFIX e: <> SELECT * WHERE { ?s ?p e: }", 37),
+        ],
+        ids=["iriref", "datatype", "prefix"],
+    )
+    def test_sparql_empty_iri_400_with_position(self, server, query, column):
+        base, _ = server
+        resp = requests.get(_query_url(base, query), timeout=10)
+        assert resp.status_code == 400
+        payload = resp.json()
+        assert (payload["error"], payload["line"], payload["column"]) == ("query", 1, column)
+        assert payload["message"] == "IRI must be non-empty"
+        assert requests.get(f"{base}/health", timeout=5).status_code == 200
 
     def test_post_then_query(self, server):
         base, _ = server
@@ -621,6 +641,23 @@ class TestLog:
         assert state.apply_post(BAD_TTL)[0] == 422
 
 
+def test_a_post_is_refused_only_for_the_violations_it_adds():
+    state = ServiceState(parse_turtle(make_corpus(1, 50, True).turtle()).graph, builtin_schema())
+    loaded = state.current.checked[1]
+    assert len(loaded) == 4
+    stream = deltas(7, 50)
+    valid = next(stream)
+    invalid = next(delta for delta in stream if not delta.valid)
+    status, _, body = state.apply_post(valid.body)
+    assert (status, json.loads(body)) == (200, {"added": 3, "epoch": 1})
+    assert state.current.checked[1] == loaded  # the live snapshot keeps the full list
+    status, _, body = state.apply_post(invalid.body)
+    assert status == 422
+    lines = body.splitlines()
+    assert lines and all(line.startswith(f"range\t<{invalid.person}>\t") for line in lines)
+    assert state.epoch == 1
+
+
 def test_cross_product_with_limit_answers_one_row_and_health_still_answers(tmp_path):
     corpus, data = make_corpus(1, 5, True), tmp_path / "kb.ttl"
     data.write_text(corpus.turtle(), encoding="utf-8")
@@ -670,6 +707,7 @@ class TestProcessRestart:
             [sys.executable, "-m", "ontosoc.service", "--port", "0", "--data", str(data_path)],
             stdout=subprocess.PIPE,
             text=True,
+            env=_env(),
         )
         with proc.stdout:  # the server writes nothing else to it
             line = proc.stdout.readline().strip()

@@ -22,10 +22,10 @@ from ontosoc.sparql import (
     print_query,
     to_json_results,
 )
-from ontosoc.turtle import parse_turtle
+from ontosoc.turtle import ParseError, parse_turtle
 
 from .oracles import brute_force_bgp, json_dumps_results, nested_loop_rows
-from .strategies import blanks, iris, literals, pool_graphs
+from .strategies import blanks, iris, literals, objects, pool_graphs
 
 EX = "http://example.org/"
 
@@ -414,3 +414,59 @@ def test_query_from_literal_n3_matches_that_literal(literal):
     g = Graph([Triple(s, p, literal), Triple(s, p, Literal("other"))])
     table = evaluate(parse_query(f"SELECT ?s WHERE {{ ?s <http://p/q> {literal.n3()} }}"), g)
     assert table.rows == [{"s": s}]
+
+
+# where a term stands at the object slot of a query and of a Turtle
+# statement: at column 24 and at column 27
+_QUERY_AT = "SELECT * WHERE { ?s ?p "
+_TURTLE_AT = "<http://t/s> <http://t/p> "
+_LABELS = st.from_regex(r"(?:[A-Za-z][A-Za-z0-9_\-]{0,5})?", fullmatch=True)
+_LOCAL_NAMES = st.from_regex(r"(?:[A-Za-z0-9_][A-Za-z0-9_\-]{0,5})?", fullmatch=True)
+
+
+def _query_object(term: str, head: str = ""):
+    return parse_query(f"{head}{_QUERY_AT}{term} }}").pattern.required[0].object
+
+
+def _turtle_object(term: str, head: str = ""):
+    [triple] = parse_turtle(f"{head}{_TURTLE_AT}{term} .").graph
+    return triple.object
+
+
+@settings(max_examples=200, deadline=None)
+@given(objects)
+def test_a_term_reads_as_turtle_reads_it(term):
+    assert _query_object(term.n3()) is _turtle_object(term.n3())
+
+
+@settings(max_examples=100, deadline=None)
+@given(_LABELS, _LOCAL_NAMES)
+def test_a_prefixed_name_reads_as_turtle_reads_it(label, local):
+    name = f"{label}:{local}"
+    read = _query_object(name, f"PREFIX {label}: <http://t/ns#>\n")
+    assert read is _turtle_object(name, f"@prefix {label}: <http://t/ns#> .\n")
+    assert read is Iri("http://t/ns#" + local)
+
+
+# each character the IRIREF rule excludes, but whitespace
+_NOT_IN_IRIREF = '<"{}|^`\\'
+
+
+@pytest.mark.parametrize(
+    "term", ["<>", "<a b>", r'"a\q"', '"x"^^<>', "u:x", '"abc', *(f"<a{c}b>" for c in _NOT_IN_IRIREF), '"x"^^<a{b>']
+)
+def test_a_malformed_term_fails_as_in_turtle(term):
+    with pytest.raises(QueryError) as query:
+        _query_object(term)
+    with pytest.raises(ParseError) as turtle:
+        _turtle_object(term)
+    assert query.value.line == turtle.value.line == 1
+    assert query.value.message == turtle.value.message
+    assert query.value.column - len(_QUERY_AT) == turtle.value.column - len(_TURTLE_AT)
+
+
+def test_a_namespace_with_whitespace_is_a_query_error_where_declared():
+    with pytest.raises(QueryError) as exc:
+        parse_query("PREFIX e: <http://x/a b/>\nSELECT * WHERE { ?s ?p ?o }")
+    assert (exc.value.line, exc.value.column) == (1, 11)
+    assert exc.value.message == "IRI contains whitespace: 'http://x/a b/'"

@@ -293,6 +293,8 @@ class TestIris:
             ("@prefix w: <http://x/a b/> .\nw:c <http://x/p> <http://x/o> .", 2, 1, "IRI contains whitespace"),
             ('@prefix e: <> .\n<http://x/s> <http://x/p> "v"^^e: .', 2, 32, "IRI must be non-empty"),
             ('<http://x/s> <http://x/p> "v"^^<a b> .', 1, 32, "IRI contains whitespace"),
+            # each character the IRIREF rule excludes, but whitespace
+            *((f"<http://x/s> <http://x/p>\n  <a{c}b> .", 2, 3, f"IRI contains {c!r}: {'a' + c + 'b'!r}") for c in '<"{}|^`\\'),
         ],
     )
     def test_bad_iri_is_a_parse_error_at_its_token(self, text, line, column, message):
@@ -375,6 +377,11 @@ _ERROR_CASES = [
     "@prefix w: <http://x/a b/> .\nw:c <http://x/p> <http://x/o> .",
     '@prefix e: <> .\n<http://x/s> <http://x/p> "v"^^e: .',
     "<http://x/s> <http://x/p> <> .\n",
+    # characters the IRIREF rule excludes; the reader leaves each to the token path
+    '<http://x/s> <http://x/p> <http://x/"o"> .',
+    "<http://x/s> <http://x/p> <a<b> .",
+    "@prefix t: <http://t/> .\nt:s t:p <http://x/a{b> .",
+    "@prefix t: <http://t/a|b/> .\nt:s t:p t:o .",
     "this is not turtle @@",
     "ex:a ex:b",
     # shapes the reader reads, each with one fault
@@ -429,7 +436,6 @@ _ERROR_CASES = [
 # well-formed documents that the reader leaves to the token path
 _FALLBACK_CASES = [
     '<http://x/s> <http://x/p> "a \\"quoted\\" word" .',
-    '<http://x/s> <http://x/p> <http://x/"o"> .',
     '<http://x/s> <http://x/p> <http://x/o> . # a "quoted" word\n',
     '<http://x/s> <http://x/p> # "x"@en ,\n"y" .',  # cut at each '"', the comment would hold "x"@en
     "@base <http://x/> .\n<s> <p> <o> .",
