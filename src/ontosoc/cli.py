@@ -2,8 +2,8 @@
 
 Subcommands: validate, query, derive-schema, export-alignment, stats,
 serve.  Results go to stdout, diagnostics to stderr.  Exit codes:
-0 success, 1 validation violations, 2 usage/parse/missing-file errors
-and a stdout closed before the output was written (as by `| head`).
+0 success, 1 validation violations, 2 usage, parse and OS errors (as a
+missing file or a port in use) and a stdout closed early (as by `| head`).
 
 The schema defaults to the builtin one; a replacement Turtle schema may
 be given with --schema or the ONTOSOC_SCHEMA environment variable.
@@ -337,10 +337,7 @@ def run(argv: Optional[list[str]] = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_ERROR
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except ParseError as exc:
+    except (CliError, ParseError, OSError) as exc:  # after BrokenPipeError, an OSError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     finally:

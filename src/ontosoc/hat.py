@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import enum
 import sys
-from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Optional, TextIO
+from typing import Iterable, NamedTuple, Optional
 
 from .schema import (
     ONTOSOC_NS,
@@ -85,8 +84,7 @@ def default_triads() -> set[Triad]:
     return triads
 
 
-@dataclass(frozen=True)
-class UseCase:
+class UseCase(NamedTuple):
     id: str
     description: str
     involvements: frozenset  # of Triad
@@ -102,8 +100,7 @@ def default_use_cases() -> list[UseCase]:
     ]
 
 
-@dataclass
-class ImplicationTable:
+class ImplicationTable(NamedTuple):
     per_case: dict[str, dict[Pole, int]]
     totals: dict[Pole, int]
 
@@ -135,18 +132,23 @@ def implication_table(triads: Iterable[Triad], cases: Iterable[UseCase]) -> Impl
     return ImplicationTable(per_case, totals)
 
 
-@dataclass(frozen=True)
-class CandidateRelation:
+class _Candidate(NamedTuple):
     name: str
     source: Pole
     target: Pole
     origin_triad: Triad
 
-    def __post_init__(self) -> None:
-        if self.source == self.target:
+
+class CandidateRelation(_Candidate):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> CandidateRelation:
+        c = super().__new__(cls, *args, **kwargs)
+        if c.source == c.target:
             raise ValueError("candidate relation endpoints must differ")
-        if not {self.source, self.target} <= self.origin_triad:
+        if not {c.source, c.target} <= c.origin_triad:
             raise ValueError("candidate endpoints must lie inside the origin triad")
+        return c
 
 
 # Directed edges with established names; everything else gets a synthesized name.
@@ -216,8 +218,7 @@ def candidate_relations(
     return out
 
 
-@dataclass(frozen=True)
-class DedupeStats:
+class DedupeStats(NamedTuple):
     candidates: int
     pairs: int
     triads: int
@@ -246,8 +247,7 @@ KEEP = "keep"
 DROP = "drop"
 
 
-@dataclass(frozen=True)
-class DecisionEntry:
+class _Decision(NamedTuple):
     pair: frozenset  # of 2 Poles
     verdict: str
     name: Optional[str] = None
@@ -255,21 +255,24 @@ class DecisionEntry:
     target: Optional[Pole] = None
     justification: str = ""
 
-    def __post_init__(self) -> None:
-        if self.verdict not in (KEEP, DROP):
-            raise ValueError(f"verdict must be keep or drop, got {self.verdict!r}")
-        if self.verdict == KEEP:
-            if not self.name or self.source is None or self.target is None:
-                raise ValueError(f"keep entry for {self._pair_label()} needs a name and a direction")
-            if frozenset((self.source, self.target)) != self.pair:
-                raise ValueError(f"direction of {self.name} does not match its pair")
 
-    def _pair_label(self) -> str:
-        return ",".join(sorted(p.value for p in self.pair))
+class DecisionEntry(_Decision):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> DecisionEntry:
+        e = super().__new__(cls, *args, **kwargs)
+        if e.verdict not in (KEEP, DROP):
+            raise ValueError(f"verdict must be keep or drop, got {e.verdict!r}")
+        if e.verdict == KEEP:
+            if not e.name or e.source is None or e.target is None:
+                label = ",".join(sorted(p.value for p in e.pair))
+                raise ValueError(f"keep entry for {label} needs a name and a direction")
+            if frozenset((e.source, e.target)) != e.pair:
+                raise ValueError(f"direction of {e.name} does not match its pair")
+        return e
 
 
-@dataclass
-class DecisionTable:
+class DecisionTable(NamedTuple):
     entries: list[DecisionEntry]
 
     def covered_pairs(self) -> set[frozenset]:
@@ -319,8 +322,7 @@ def format_decision_table(table: DecisionTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class DirectedRelation:
+class DirectedRelation(NamedTuple):
     """A named directed relation between model nodes (poles or Locality)."""
 
     name: str

@@ -17,8 +17,7 @@ only against its own signature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .rdf import (
     OWL_CLASS,
@@ -56,38 +55,33 @@ class UnknownClassError(SchemaError):
     pass
 
 
-@dataclass(frozen=True)
-class ClassDef:
+class ClassDef(NamedTuple):
     iri: str
     label: str = ""
     superclass: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class PropertyDef:
+class PropertyDef(NamedTuple):
     iri: str
     domain: str
     range: str
-    aliases: tuple["PropertyDef", ...] = ()
-
-    def __post_init__(self) -> None:
-        for alias in self.aliases:
-            if alias.iri == self.iri:
-                raise SchemaError(f"alias IRI equals canonical IRI: {self.iri}")
+    aliases: tuple[PropertyDef, ...] = ()
 
 
-@dataclass(frozen=True)
-class DisjointnessAxiom:
+class _Axiom(NamedTuple):
     class_a: str
     class_b: str
 
-    def __post_init__(self) -> None:
-        if self.class_a == self.class_b:
-            raise SchemaError(f"class cannot be disjoint with itself: {self.class_a}")
-        if self.class_a > self.class_b:  # stored canonically sorted
-            a, b = self.class_b, self.class_a
-            object.__setattr__(self, "class_a", a)
-            object.__setattr__(self, "class_b", b)
+
+class DisjointnessAxiom(_Axiom):
+    """A pair of disjoint classes, stored canonically sorted."""
+
+    __slots__ = ()
+
+    def __new__(cls, class_a: str, class_b: str) -> DisjointnessAxiom:
+        if class_a == class_b:
+            raise SchemaError(f"class cannot be disjoint with itself: {class_a}")
+        return super().__new__(cls, *sorted((class_a, class_b)))
 
 
 EQUIVALENT_CLASS = "equivalent-class"
@@ -95,27 +89,29 @@ SUBCLASS_OF = "subclass-of"
 EQUIVALENT_PROPERTY = "equivalent-property"
 
 
-@dataclass(frozen=True)
-class AlignmentMapping:
+class AlignmentMapping(NamedTuple):
     source: str
     target: str
     kind: str
 
-    def __post_init__(self) -> None:
-        if self.kind not in (EQUIVALENT_CLASS, SUBCLASS_OF, EQUIVALENT_PROPERTY):
-            raise SchemaError(f"unknown alignment kind: {self.kind}")
 
-
-@dataclass(frozen=True)
-class SchemaDef:
+class _Schema(NamedTuple):
     classes: tuple[ClassDef, ...]
     properties: tuple[PropertyDef, ...]
     disjointness: tuple[DisjointnessAxiom, ...]
     alignments: tuple[AlignmentMapping, ...]
     namespace: str = ONTOSOC_NS
 
-    def __post_init__(self) -> None:
-        self._check()
+
+class SchemaDef(_Schema):
+    """A schema, checked against its structural invariants when built."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> SchemaDef:
+        schema = super().__new__(cls, *args, **kwargs)
+        schema._check()
+        return schema
 
     def _check(self) -> None:
         by_iri = {c.iri: c for c in self.classes}
@@ -141,26 +137,24 @@ class SchemaDef:
         individual = self.namespace + "Individual"
         if individual in by_iri and any(c.superclass == individual for c in self.classes):
             raise SchemaError("Individual admits no subclasses")
-        for p in self._all_property_defs():
-            for end in (p.domain, p.range):
-                if end not in by_iri:
-                    raise SchemaError(f"property {p.iri} refers to undeclared class {end}")
+        for p in self.properties:
+            if any(alias.iri == p.iri for alias in p.aliases):
+                raise SchemaError(f"alias IRI equals canonical IRI: {p.iri}")
+            for q in (p, *p.aliases):
+                for end in (q.domain, q.range):
+                    if end not in by_iri:
+                        raise SchemaError(f"property {q.iri} refers to undeclared class {end}")
         for ax in self.disjointness:
             for end in (ax.class_a, ax.class_b):
                 if end not in by_iri:
                     raise SchemaError(f"disjointness axiom refers to undeclared class {end}")
         for m in self.alignments:
+            if m.kind not in _ALIGN_PREDICATE:
+                raise SchemaError(f"unknown alignment kind: {m.kind}")
             if not m.source.startswith(self.namespace):
                 raise SchemaError(f"alignment source outside schema namespace: {m.source}")
             if m.target.startswith(self.namespace):
                 raise SchemaError(f"alignment target inside schema namespace: {m.target}")
-
-    def _all_property_defs(self) -> list[PropertyDef]:
-        out = []
-        for p in self.properties:
-            out.append(p)
-            out.extend(p.aliases)
-        return out
 
     def class_iris(self) -> set[str]:
         return {c.iri for c in self.classes}

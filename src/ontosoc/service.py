@@ -70,9 +70,8 @@ import socket
 import tempfile
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 from urllib.parse import unquote_plus
 
 from .rdf import Graph, PrefixMap, Triple
@@ -90,8 +89,7 @@ WORKERS = 8  # threads that accept connections, each serving one at a time
 _COMMIT = re.compile(rb"^# epoch ([0-9]+)\n", re.MULTILINE)
 
 
-@dataclass(frozen=True)
-class Snapshot:
+class Snapshot(NamedTuple):
     """The live graph and its epoch, replaced together by one assignment,
     with the graph's type map and violation list when writes are
     validated."""

@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+import sys
 from functools import cache, partial
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .rdf import XSD_STRING, Blank, Graph, Iri, PrefixMap, Term
 from .turtle import ParseError, _Parser, _token_pattern
@@ -47,16 +47,14 @@ class QueryError(ParseError):
     """Query syntax or unsupported-feature error with source position."""
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     name: str
 
 
 Slot = Union[Term, Var]
 
 
-@dataclass(frozen=True)
-class TriplePattern:
+class TriplePattern(NamedTuple):
     subject: Slot
     predicate: Slot  # IRI or variable
     object: Slot
@@ -65,29 +63,28 @@ class TriplePattern:
         return {s.name for s in (self.subject, self.predicate, self.object) if isinstance(s, Var)}
 
 
-@dataclass(frozen=True)
-class Filter:
+class Filter(NamedTuple):
     left: Slot
     op: str  # "=" or "!="
     right: Slot
 
 
-@dataclass
-class GroupPattern:
-    required: list[TriplePattern] = field(default_factory=list)
-    optionals: list["GroupPattern"] = field(default_factory=list)
-    filters: list[Filter] = field(default_factory=list)
+# Each list default is one list that every record built without it shares:
+# only the parser appends, and only to lists it made.
+class GroupPattern(NamedTuple):
+    required: list[TriplePattern] = []
+    optionals: list[GroupPattern] = []
+    filters: list[Filter] = []
 
 
-@dataclass
-class QueryAST:
+class QueryAST(NamedTuple):
     prefixes: PrefixMap
     projection: Optional[list[str]]  # None means SELECT *
     pattern: GroupPattern
-    order_by: list[tuple[str, bool]] = field(default_factory=list)  # (var, ascending)
+    order_by: list[tuple[str, bool]] = []  # (var, ascending)
     limit: Optional[int] = None
     offset: Optional[int] = None
-    warnings: list[str] = field(default_factory=list)
+    warnings: list[str] = []
 
 
 _UNSUPPORTED = {
@@ -188,7 +185,10 @@ class _QueryParser(_Parser):
             self._next()
             if self.kind != "integer" or self.value.startswith("-"):
                 raise self.error(f"expected non-negative integer after {kw}", self.at)
-            value = int(self.value)
+            # only a bound: past sys.maxsize, which `islice` refuses, it acts as
+            # sys.maxsize; past 19 digits it goes unconverted (`int` takes 4,300)
+            digits = self.value.lstrip("+0")
+            value = min(int(digits or "0"), sys.maxsize) if len(digits) < 20 else sys.maxsize
             self._next()
             if kw == "LIMIT":
                 limit = value
@@ -198,19 +198,19 @@ class _QueryParser(_Parser):
         if self.kind != "eof":
             raise self.error(f"unexpected trailing input: {self.text[self.at : self.end]!r}", self.at)
 
-        ast = QueryAST(prefixes, projection, pattern, order_by, limit, offset)
+        warnings = []
         if projection is not None:
             pattern_vars = set(_vars_in_appearance_order(pattern))
-            for name in projection:
-                if name not in pattern_vars:
-                    ast.warnings.append(f"projected variable ?{name} is never bound")
-        return ast
+            warnings = [
+                f"projected variable ?{name} is never bound" for name in projection if name not in pattern_vars
+            ]
+        return QueryAST(prefixes, projection, pattern, order_by, limit, offset, warnings)
 
     def _group(self, depth: int = 1) -> GroupPattern:
         if depth > MAX_GROUP_DEPTH:
             raise self.error(f"groups nested deeper than {MAX_GROUP_DEPTH}", self.at)
         self._expect("{")
-        group = GroupPattern()
+        group = GroupPattern([], [], [])
         while True:
             kind = self.kind
             if kind == "}":
@@ -272,8 +272,7 @@ def parse_query(text: str) -> QueryAST:
 Row = dict  # variable name -> Term
 
 
-@dataclass
-class SolutionTable:
+class SolutionTable(NamedTuple):
     header: list[str]
     rows: list[Row]
 
@@ -377,7 +376,7 @@ def evaluate(ast: QueryAST, graph: Graph) -> SolutionTable:
     else:
         header = list(ast.projection)
     start = ast.offset or 0
-    stop = start + ast.limit if ast.limit is not None else None
+    stop = min(start + ast.limit, sys.maxsize) if ast.limit is not None else None
     projected = [{v: row[v] for v in header if v in row} for row in islice(rows, start, stop)]
     return SolutionTable(header, projected)
 

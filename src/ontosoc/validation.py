@@ -31,8 +31,7 @@ around each node whose classes changed, and those nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import AbstractSet, Iterable, Mapping, Optional
+from typing import AbstractSet, Iterable, Mapping, NamedTuple, Optional
 
 from .rdf import (
     OWL_DISJOINT_WITH,
@@ -68,8 +67,7 @@ _VOCAB_PREDICATES = {
 }
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str  # domain | range | disjointness
     message: str
     triple: Optional[Triple] = None
@@ -97,13 +95,12 @@ class Violation:
         return ((node, "", ""), self.kind, self.message)
 
 
-@dataclass
-class ValidationReport:
-    violations: list[Violation] = field(default_factory=list)
+class ValidationReport(NamedTuple):
+    violations: list[Violation] = []
     checked_triples: int = 0
     entailed_types: int = 0
     skipped_predicates: int = 0
-    types: TypeMap = field(default_factory=dict, repr=False, compare=False)  # what the checks read
+    types: TypeMap = {}  # what the checks read
 
     @property
     def conforms(self) -> bool:
@@ -308,15 +305,12 @@ def validate(graph: Graph, schema: SchemaDef) -> ValidationReport:
             checked += sum(map(len, by_object.values()))
         else:
             skipped += sum(map(len, by_object.values()))
-    report = ValidationReport(types=types)
-    report.entailed_types = sum(len(classes) for classes in types.values()) - declared
-    report.checked_triples = checked
-    report.skipped_predicates = skipped
-    report.violations = sorted(
+    violations = sorted(
         check_domain_range(graph, schema, types) + check_disjointness(graph, schema, types),
         key=Violation.sort_key,
     )
-    return report
+    entailed = sum(len(classes) for classes in types.values()) - declared
+    return ValidationReport(violations, checked, entailed, skipped, types)
 
 
 def validate_delta(

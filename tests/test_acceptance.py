@@ -263,11 +263,11 @@ def test_criterion_9_service(tmp_path):
             proc = subprocess.Popen(
                 [sys.executable, "-m", "ontosoc.service", "--port", "0", "--data", str(data_path)],
                 stdout=subprocess.PIPE,
-                stderr=subprocess.STDOUT,
                 text=True,
                 env=_env(),
             )
-            line = proc.stdout.readline().strip()
+            with proc.stdout:  # the server writes nothing else to it
+                line = proc.stdout.readline().strip()
             port = int(line.rsplit(":", 1)[1])
             return proc, f"http://127.0.0.1:{port}"
 

@@ -1,8 +1,10 @@
 import ast
+import errno
 import gc
 import json
 import os
 import shutil
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -191,21 +193,38 @@ class TestQuery:
             encoding="utf-8",
         )
         env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
-        proc = subprocess.Popen(
+        with subprocess.Popen(  # its exit closes the pipes and waits
             [sys.executable, "-m", "ontosoc.cli", "query", "--query", "SELECT * WHERE { ?s ?p ?o }", str(data)],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env=env,
-        )
-        try:
-            assert proc.stdout.readline().startswith(b"?s")
-            proc.stdout.close()  # as `| head -1` does
-            err = proc.stderr.read()
-            assert proc.wait(timeout=60) == EXIT_ERROR
-        finally:
-            proc.kill()
-            proc.wait()
+        ) as proc:
+            try:
+                assert proc.stdout.readline().startswith(b"?s")
+                proc.stdout.close()  # as `| head -1` does
+                err = proc.stderr.read()
+                assert proc.wait(timeout=60) == EXIT_ERROR
+            finally:
+                proc.kill()
         assert b"Traceback" not in err, err.decode()
+
+    @pytest.mark.parametrize(
+        "modifiers,unbounded,rows",
+        [
+            ("LIMIT 99999999999999999999", "", slice(None)),
+            ("OFFSET " + "9" * 5000, "", slice(0)),
+            (f"ORDER BY ?s LIMIT {sys.maxsize} OFFSET 1", "ORDER BY ?s", slice(1, None)),
+        ],
+        ids=["limit", "offset", "limit-and-offset"],
+    )
+    def test_a_limit_or_offset_past_sys_maxsize_bounds_no_row(self, corpus_args, capsys, modifiers, unbounded, rows):
+        def bindings(modifiers):
+            query = "SELECT * WHERE { ?s ?p ?o } " + modifiers
+            assert run(["query", "--query", query, "--format", "json", *corpus_args]) == EXIT_OK
+            return json.loads(capsys.readouterr().out)["results"]["bindings"]
+
+        every = bindings(unbounded)
+        assert every and bindings(modifiers) == every[rows]
 
     def test_repeat_runs_byte_identical(self, corpus_args, capsys):
         argv = [
@@ -379,6 +398,14 @@ def _modules_after(argv: list[str]) -> set[str]:
     return set(_after(argv, "sorted(sys.modules)"))
 
 
+def _modules_after_import(module: str) -> set[str]:
+    """The modules loaded once a fresh interpreter has imported ``module``."""
+    probe = f"import sys, {module}; print(repr(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, env=_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return set(ast.literal_eval(proc.stdout.decode()))
+
+
 class TestColdImports:
     """A command loads only the modules it runs."""
 
@@ -398,12 +425,34 @@ class TestColdImports:
         assert _after(["stats", "--format", "json", *corpus_args], compiled) == 0
 
     def test_the_service_loads_no_http_or_email_package(self):
-        probe = "import sys, ontosoc.service; print(repr(sorted(sys.modules)))"
-        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, env=_env(), timeout=120)
-        assert proc.returncode == 0, proc.stderr.decode()
-        loaded = ast.literal_eval(proc.stdout.decode())
+        loaded = _modules_after_import("ontosoc.service")
         heavy = {"http.server", "http.client", "email", "ssl"}
         assert not {name for name in loaded if name.partition(".")[0] in heavy or name in heavy}
+
+    @pytest.mark.parametrize(
+        "command,module",
+        [
+            ("validate", "ontosoc.validation"),
+            ("query", "ontosoc.sparql"),
+            ("stats", "ontosoc.turtle"),
+            ("derive-schema", "ontosoc.hat"),
+            ("export-alignment", "ontosoc.schema"),
+            (None, "ontosoc.service"),
+        ],
+        ids=["validate", "query", "stats", "derive-schema", "export-alignment", "import-service"],
+    )
+    def test_no_command_loads_dataclasses_or_inspect(self, corpus_args, command, module):
+        if command is None:
+            loaded = _modules_after_import(module)
+        else:
+            argv = {
+                "validate": ["validate", *corpus_args],
+                "query": ["query", "--file", str(resources.community_activities_query_path()), *corpus_args],
+                "stats": ["stats", *corpus_args],
+            }.get(command, [command])
+            loaded = _modules_after(argv)
+        assert module in loaded
+        assert loaded.isdisjoint({"dataclasses", "inspect"})
 
 
 def _cli(*args: str, python: str = sys.executable) -> subprocess.CompletedProcess:
@@ -444,6 +493,38 @@ class TestExit:
         missing = str(tmp_path / "missing.ttl")
         proc = _cli("stats", missing)
         assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (EXIT_ERROR, b"", f"error: no such file: {missing}\n")
+
+
+class TestOsErrors:
+    """An OS error names itself on stderr and exits 2, with no traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "{dir}"],
+            ["query", "--query", "SELECT * WHERE { ?s ?p ?o }", "{dir}"],
+            ["stats", "{dir}"],
+            ["query", "--file", "{dir}", "{data}"],
+            ["validate", "--schema", "{dir}", "{data}"],
+            ["serve", "--port", "0", "--schema", "{dir}"],
+            ["serve", "--port", "0", "--data", "{dir}"],
+            ["derive-schema", "--out", "{dir}"],
+            ["export-alignment", "--out", "{dir}"],
+        ],
+        ids=["validate", "query", "stats", "query-file", "schema", "serve-schema", "serve-data", "derive-out", "export-out"],
+    )
+    def test_a_directory_for_a_file(self, tmp_path, corpus_args, argv):
+        proc = _cli(*({"{dir}": str(tmp_path), "{data}": corpus_args[0]}.get(a, a) for a in argv))
+        error = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(tmp_path))
+        assert (proc.returncode, proc.stderr.decode()) == (EXIT_ERROR, f"error: {error}\n")
+
+    def test_a_port_in_use(self):
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            proc = _cli("serve", "--port", str(taken.getsockname()[1]))
+        error = OSError(errno.EADDRINUSE, os.strerror(errno.EADDRINUSE))
+        assert (proc.returncode, proc.stderr.decode()) == (EXIT_ERROR, f"error: {error}\n")
 
 
 def _python310() -> str | None:

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from ontosoc.canonical import graph_equal
@@ -133,6 +135,19 @@ class TestInvariantChecks:
         base = builtin_schema()
         bad = (AlignmentMapping(FOAF_NS + "Person", FOAF_NS + "Agent", "equivalent-class"),)
         with pytest.raises(SchemaError):
+            SchemaDef(base.classes, base.properties, base.disjointness, bad)
+
+    def test_alias_repeating_its_canonical_iri_rejected(self):
+        base = builtin_schema()
+        member = PropertyDef(_c("isMemberOf"), _c("Individual"), _c("Community"))
+        properties = tuple(p._replace(aliases=(member,)) if p.iri == member.iri else p for p in base.properties)
+        with pytest.raises(SchemaError, match=f"^alias IRI equals canonical IRI: {re.escape(member.iri)}$"):
+            SchemaDef(base.classes, properties, base.disjointness, base.alignments)
+
+    def test_unknown_alignment_kind_rejected(self):
+        base = builtin_schema()
+        bad = (AlignmentMapping(_c("Individual"), FOAF_NS + "Person", "same-as"),)
+        with pytest.raises(SchemaError, match="^unknown alignment kind: same-as$"):
             SchemaDef(base.classes, base.properties, base.disjointness, bad)
 
     def test_disjointness_is_canonically_sorted(self):

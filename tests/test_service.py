@@ -676,6 +676,18 @@ def test_cross_product_with_limit_answers_one_row_and_health_still_answers(tmp_p
         thread.join(timeout=5)
 
 
+@pytest.mark.parametrize(
+    "modifier,rows", [("LIMIT 99999999999999999999", 3), ("OFFSET " + "9" * 5000, 0)], ids=["limit", "offset"]
+)
+def test_a_limit_or_offset_past_sys_maxsize_answers_200_and_health_still_answers(server, modifier, rows):
+    base, _ = server
+    assert requests.post(f"{base}/graph", data=GOOD_TTL.encode("utf-8")).status_code == 200
+    resp = requests.get(_query_url(base, "SELECT * WHERE { ?s ?p ?o } " + modifier), timeout=30)
+    assert resp.status_code == 200
+    assert len(resp.json()["results"]["bindings"]) == rows
+    assert requests.get(f"{base}/health", timeout=5).json() == {"triples": 3, "epoch": 1}
+
+
 class TestNestedGroups:
     def test_past_the_bound_get_400_and_health_still_answers(self, server):
         base, _ = server

@@ -108,6 +108,20 @@ class TestParse:
         assert ast.limit == 5
         assert ast.offset == 2
 
+    @pytest.mark.parametrize(
+        "modifier,limit,offset",
+        [
+            ("LIMIT +" + "0" * 30 + "7 OFFSET 0", 7, 0),
+            (f"LIMIT {sys.maxsize}", sys.maxsize, None),
+            (f"LIMIT {sys.maxsize + 1}", sys.maxsize, None),
+            ("OFFSET 0" + "9" * 5000, None, sys.maxsize),  # `int` refuses more than 4,300 digits
+        ],
+        ids=["leading-zeros", "maxsize", "past-maxsize", "5000-digits"],
+    )
+    def test_a_limit_or_offset_past_sys_maxsize_acts_as_sys_maxsize(self, modifier, limit, offset):
+        ast = parse_query(f"SELECT * WHERE {{ ?s ?p ?o }} {modifier}")
+        assert (ast.limit, ast.offset) == (limit, offset)
+
 
 class TestEvaluate:
     def test_empty_pattern_yields_one_empty_row(self):
