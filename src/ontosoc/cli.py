@@ -80,7 +80,6 @@ def _merge_files(paths: list[str]) -> Document:
     names one node within its file only, so a label that an earlier file
     used is renamed in each later file that uses it too."""
     merged = _parse_file(paths[0])
-    merged.base = None  # a merge of files has no single base
     taken = _blank_labels(merged.graph) if len(paths) > 1 else set()
     for path in paths[1:]:
         doc = _parse_file(path)

@@ -150,6 +150,10 @@ class CandidateRelation(_Candidate):
             raise ValueError("candidate endpoints must lie inside the origin triad")
         return c
 
+    @classmethod
+    def _make(cls, iterable) -> CandidateRelation:  # so that `_replace` checks too
+        return cls(*iterable)
+
 
 # Directed edges with established names; everything else gets a synthesized name.
 _NAMED_EDGES = {
@@ -270,6 +274,10 @@ class DecisionEntry(_Decision):
             if frozenset((e.source, e.target)) != e.pair:
                 raise ValueError(f"direction of {e.name} does not match its pair")
         return e
+
+    @classmethod
+    def _make(cls, iterable) -> DecisionEntry:  # so that `_replace` checks too
+        return cls(*iterable)
 
 
 class DecisionTable(NamedTuple):
@@ -392,20 +400,6 @@ def default_decision_table() -> DecisionTable:
     from .resources import load_decision_table
 
     return load_decision_table()
-
-
-def derive_schema(
-    triads: Optional[set[Triad]] = None,
-    table: Optional[DecisionTable] = None,
-) -> SchemaDef:
-    """Run the whole pipeline and merge in the curated hierarchy,
-    aliases, disjointness and alignments of the builtin schema."""
-    if triads is None:
-        triads = default_triads()
-    if table is None:
-        table = default_decision_table()
-    pairs, _ = dedupe_pairs(candidate_relations(triads))
-    return schema_from_relations(full_relation_set(apply_decisions(pairs, table)))
 
 
 def schema_from_relations(relations: list[DirectedRelation]) -> SchemaDef:

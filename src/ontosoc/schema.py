@@ -83,6 +83,10 @@ class DisjointnessAxiom(_Axiom):
             raise SchemaError(f"class cannot be disjoint with itself: {class_a}")
         return super().__new__(cls, *sorted((class_a, class_b)))
 
+    @classmethod
+    def _make(cls, iterable) -> DisjointnessAxiom:  # so that `_replace` checks too
+        return cls(*iterable)
+
 
 EQUIVALENT_CLASS = "equivalent-class"
 SUBCLASS_OF = "subclass-of"
@@ -112,6 +116,10 @@ class SchemaDef(_Schema):
         schema = super().__new__(cls, *args, **kwargs)
         schema._check()
         return schema
+
+    @classmethod
+    def _make(cls, iterable) -> SchemaDef:  # so that `_replace` checks too
+        return cls(*iterable)
 
     def _check(self) -> None:
         by_iri = {c.iri: c for c in self.classes}

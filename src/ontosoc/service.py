@@ -29,14 +29,14 @@ most READ_TIMEOUT and MAX_BODY_BYTES + MAX_HEADER_BYTES bytes.
 Writes are serialized behind a lock.  The new graph is built aside by
 `Graph.union`, which shares every index container the delta does not
 touch, and checked by `validate_delta`, which re-checks only what the
-delta touches against the type map and violation list kept in the live
-`Snapshot` (computed in full when the state is built).  A post is
-refused with a 422 only for the violations it adds, those of a kind the
-graph before it had none of on the same triple (domain, range) or on
-the same node and class pair (disjointness); the 422 lists only those,
-and the live `Snapshot` keeps the full list.  The delta
-is made durable, and only then is the live (graph, epoch) pair replaced,
-as one value.  Readers always see a graph with its own epoch.
+delta touches against the type map kept in the live `Snapshot`.  The
+whole graph's types are entailed once, when the state is built; its
+violations are never listed.  A post is refused with a 422 only for the
+violations it adds, those of a kind the graph before it had none of on
+the same triple (domain, range) or on the same node and class pair
+(disjointness), and the 422 lists only those.  The delta is made
+durable, and only then is the live (graph, epoch) pair replaced, as one
+value.  Readers always see a graph with its own epoch.
 
 The ``--data`` file is a log of records.  It starts with a full
 snapshot: a ``# epoch N`` line (a Turtle comment), the serialized graph
@@ -78,7 +78,7 @@ from .rdf import Graph, PrefixMap, Triple
 from .schema import SchemaDef, builtin_schema, schema_prefixes
 from .sparql import QueryError, evaluate, parse_query, to_json_results
 from .turtle import Document, ParseError, parse_turtle, serialize_turtle
-from .validation import TypeMap, ValidationReport, Violation, validate, validate_delta
+from .validation import TypeMap, ValidationReport, entail_types, validate_delta
 
 DEFAULT_PORT = 7474
 MAX_QUERY_LENGTH = 8192  # a longer query gets 414
@@ -91,12 +91,11 @@ _COMMIT = re.compile(rb"^# epoch ([0-9]+)\n", re.MULTILINE)
 
 class Snapshot(NamedTuple):
     """The live graph and its epoch, replaced together by one assignment,
-    with the graph's type map and violation list when writes are
-    validated."""
+    with the graph's type map when writes are validated."""
 
     graph: Graph
     epoch: int = 0
-    checked: Optional[tuple[TypeMap, list[Violation]]] = None
+    types: Optional[TypeMap] = None
 
 
 class ServiceState:
@@ -108,11 +107,8 @@ class ServiceState:
         validate_writes: bool = True,
         epoch: int = 0,
     ):
-        checked = None
-        if validate_writes:
-            report = validate(graph, schema)
-            checked = (report.types, report.violations)
-        self.current = Snapshot(graph, epoch, checked)
+        types = entail_types(graph, schema) if validate_writes else None
+        self.current = Snapshot(graph, epoch, types)
         self.schema = schema
         self.snapshot_path = snapshot_path
         self.write_lock = threading.Lock()
@@ -141,10 +137,9 @@ class ServiceState:
         with self.write_lock:
             current = self.current
             merged, added = current.graph.union(doc.graph)
-            checked = current.checked  # None when writes are not validated
-            if checked is not None:
-                checked = validate_delta(merged, self.schema, *checked, added)
-                offenses = _added_violations(current.checked[1], checked[1])
+            types = current.types  # None when writes are not validated
+            if types is not None:
+                types, offenses = validate_delta(merged, self.schema, types, added)
                 if offenses:
                     body = ValidationReport(offenses).render_machine() + "\n"
                     return 422, {"content-type": "text/plain; charset=utf-8"}, body
@@ -153,7 +148,7 @@ class ServiceState:
                 self._persist(merged, added, epoch)
             except OSError as exc:
                 return 507, {}, json.dumps({"error": "snapshot", "message": str(exc)})
-            self.current = Snapshot(merged, epoch, checked)
+            self.current = Snapshot(merged, epoch, types)
             return 200, {}, json.dumps({"added": len(added), "epoch": epoch})
 
     def _persist(self, graph: Graph, added: list[Triple], epoch: int) -> None:
@@ -211,19 +206,6 @@ class ServiceState:
             )
         table = evaluate(ast, self.current.graph)  # one consistent snapshot
         return 200, to_json_results(table)
-
-
-def _added_violations(before: list[Violation], after: list[Violation]) -> list[Violation]:
-    """The violations of ``after`` that ``before`` has none of: none of the
-    same kind on the same triple (domain, range), or on the same node and
-    class pair (disjointness).  A violation whose found classes changed is
-    not added."""
-
-    def key(v: Violation) -> tuple:
-        return (v.kind, v.triple) if v.triple is not None else (v.kind, v.instance, v.found)
-
-    old = {key(v) for v in before}
-    return [v for v in after if key(v) not in old]
 
 
 def load_state(

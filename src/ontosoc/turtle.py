@@ -91,17 +91,16 @@ class ParseError(Exception):
 
 
 class Document:
-    """A Turtle file's content: its graph, its prefixes and its base."""
+    """A Turtle file's content: its graph and its prefixes."""
 
-    __slots__ = ("graph", "prefixes", "base")
+    __slots__ = ("graph", "prefixes")
 
-    def __init__(self, graph: Optional[Graph] = None, prefixes: Optional[PrefixMap] = None, base: Optional[str] = None):
+    def __init__(self, graph: Optional[Graph] = None, prefixes: Optional[PrefixMap] = None):
         self.graph = Graph() if graph is None else graph
         self.prefixes = PrefixMap() if prefixes is None else prefixes
-        self.base = base
 
     def __repr__(self) -> str:
-        return f"Document(graph={self.graph!r}, prefixes={self.prefixes!r}, base={self.base!r})"
+        return f"Document(graph={self.graph!r}, prefixes={self.prefixes!r})"
 
 
 _SCHEME = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
@@ -182,6 +181,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.doc = Document()
+        self.base = ""  # the last @base IRI, against which relative IRIs resolve
         self.triples: list[tuple[Term, Iri, Term]] = []  # what the statements state, in order
         self.pnames: dict[str, Iri] = {}  # prefixed name -> its IRI; emptied by each @prefix
         self.end = 0
@@ -257,7 +257,7 @@ class _Parser:
                 self._expect(".")
             elif self.kind == "@base":
                 self._next()
-                self.doc.base = self._resolve(self._expect("iriref"))
+                self.base = self._resolve(self._expect("iriref"))
                 self._expect(".")
             else:
                 self._triples()
@@ -266,9 +266,9 @@ class _Parser:
         return self.doc
 
     def _resolve(self, iri: str) -> str:
-        if _SCHEME.match(iri) or not self.doc.base:
+        if _SCHEME.match(iri) or not self.base:
             return iri
-        return urljoin(self.doc.base, iri)
+        return urljoin(self.base, iri)
 
     def _triples(self) -> None:
         """A subject and its predicate-object list, through the closing '.'."""

@@ -22,11 +22,14 @@ disjointness, equivalence, labels) are never checked as instance data.
 Either check builds the map itself when called without one, so callers
 may pass raw graphs.
 
-`validate_delta` carries a graph's map and violation list over to the
-graph plus some new triples.  A domain/range verdict depends only on
-the triple and its endpoints' classes, and a disjointness verdict only
-on the node's classes, so it re-checks the new triples, the triples
-around each node whose classes changed, and those nodes.
+`validate_delta` carries a graph's map over to the graph plus some new
+triples, and finds the violations those triples add; no list of the
+whole graph's violations is ever kept.  A domain/range verdict depends
+only on the triple and its endpoints' classes, and a disjointness
+verdict only on the node's classes, so it re-checks only the new
+triples, the triples around each node whose classes changed, and those
+nodes (the delta rule of incremental view maintenance: Gupta, Mumick &
+Subrahmanian 1993).
 """
 
 from __future__ import annotations
@@ -100,7 +103,6 @@ class ValidationReport(NamedTuple):
     checked_triples: int = 0
     entailed_types: int = 0
     skipped_predicates: int = 0
-    types: TypeMap = {}  # what the checks read
 
     @property
     def conforms(self) -> bool:
@@ -310,21 +312,29 @@ def validate(graph: Graph, schema: SchemaDef) -> ValidationReport:
         key=Violation.sort_key,
     )
     entailed = sum(len(classes) for classes in types.values()) - declared
-    return ValidationReport(violations, checked, entailed, skipped, types)
+    return ValidationReport(violations, checked, entailed, skipped)
+
+
+def _key(v: Violation) -> tuple:
+    """A violation's kind and triple (domain, range), or its kind, node
+    and class pair (disjointness)."""
+    return (v.kind, v.triple) if v.triple is not None else (v.kind, v.instance, v.found)
 
 
 def validate_delta(
     graph: Graph,
     schema: SchemaDef,
     types: TypeMap,
-    violations: list[Violation],
     added: Iterable[Triple],
 ) -> tuple[TypeMap, list[Violation]]:
-    """The type map and violation list of ``graph``, given those of the
-    graph it was before the triples ``added`` (all absent then) joined it.
+    """The type map of ``graph``, given that of the graph it was before
+    the triples ``added`` (all absent then) joined it, and the violations
+    those triples add, sorted.
 
-    Equal to ``entail_types(graph, schema)`` and ``validate(graph,
-    schema).violations``, in the same order.  Neither input is changed.
+    The map equals ``entail_types(graph, schema)``; ``types`` is not
+    changed.  A violation of ``graph`` is added unless the graph before
+    had one with the same `_key`, so one whose found classes changed is
+    not added.
     """
     added = list(added)
     typings = [(t.subject, t.object) for t in added if t.predicate.value == RDF_TYPE]
@@ -333,19 +343,17 @@ def validate_delta(
         for node, classes in _grown_types(typings, schema, types).items()
         if classes != types.get(node, _UNTYPED)
     }
-    recheck = set(added)
+    recheck, before = set(added), types
     if retyped:
         types = {**types, **retyped}
         for node in retyped:
             recheck.update(graph.match(subject=node))
             recheck.update(graph.match(object=node))
-
-    def stale(v: Violation) -> bool:
-        if v.triple is None:
-            return v.instance in retyped
-        return v.triple.subject in retyped or v.triple.object in retyped
-
-    kept = [v for v in violations if not stale(v)]
-    fresh = check_domain_range(graph, schema, types, recheck)
-    fresh += check_disjointness(graph, schema, types, retyped)
-    return types, sorted(kept + fresh, key=Violation.sort_key)
+    offenses = check_domain_range(graph, schema, types, recheck)
+    offenses = sorted(offenses + check_disjointness(graph, schema, types, retyped), key=Violation.sort_key)
+    if offenses and retyped:  # drop those the graph had before, on its old triples and typed nodes
+        known = check_domain_range(graph, schema, before, recheck.difference(added))
+        known += check_disjointness(graph, schema, before, [node for node in retyped if node in before])
+        old = set(map(_key, known))
+        offenses = [v for v in offenses if _key(v) not in old]
+    return types, offenses

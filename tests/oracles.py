@@ -198,6 +198,19 @@ def brute_force_violation_count(graph: Graph, schema) -> int:
     return len(brute_force_violations(graph, schema))
 
 
+def reference_added_violations(before: list, after: list) -> list:
+    """The violations of ``after`` that ``before`` has none of: none of the
+    same kind on the same triple (domain, range), or on the same node and
+    class pair (disjointness), by diffing the two whole lists.  A
+    violation whose found classes changed is not added."""
+
+    def key(v) -> tuple:
+        return (v.kind, v.triple) if v.triple is not None else (v.kind, v.instance, v.found)
+
+    old = {key(v) for v in before}
+    return [v for v in after if key(v) not in old]
+
+
 _PN_LOCAL = re.compile(r"[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?$|^$")
 
 

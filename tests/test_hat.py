@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ontosoc import hat
+from ontosoc import cli, hat
 from ontosoc.hat import (
     LOCALITY,
     CandidateRelation,
@@ -20,7 +20,6 @@ from ontosoc.hat import (
     default_naming,
     default_triads,
     default_use_cases,
-    derive_schema,
     format_decision_table,
     full_relation_set,
     implication_table,
@@ -28,7 +27,8 @@ from ontosoc.hat import (
     parse_decision_table,
     triad,
 )
-from ontosoc.schema import ONTOSOC_NS, builtin_schema
+from ontosoc.schema import ONTOSOC_NS, builtin_schema, schema_from_graph
+from ontosoc.turtle import parse_turtle
 
 CORE = (Pole.COMMUNITY, Pole.OBJECT, Pole.SUBJECT)
 
@@ -127,6 +127,14 @@ class TestCandidates:
     def test_empty_triads_empty_candidates(self):
         assert candidate_relations(set()) == []
 
+    def test_a_made_or_replaced_candidate_is_checked(self):
+        c = CandidateRelation("isRespectedBy", Pole.RULES, Pole.OBJECT, triad(Pole.RULES, Pole.OBJECT, Pole.COMMUNITY))
+        assert CandidateRelation._make(c) == c
+        with pytest.raises(ValueError, match="^candidate relation endpoints must differ$"):
+            c._replace(target=Pole.RULES)
+        with pytest.raises(ValueError, match="^candidate endpoints must lie inside the origin triad$"):
+            CandidateRelation._make([c.name, Pole.TOOLS, c.target, c.origin_triad])
+
     def test_naming_must_cover_every_triad(self):
         t = triad(*CORE)
         with pytest.raises(ValueError):
@@ -218,6 +226,11 @@ class TestDecisions:
         with pytest.raises(ValueError):
             DecisionEntry(frozenset((Pole.TOOLS, Pole.SUBJECT)), "keep", name="x")
 
+    def test_a_replaced_entry_is_checked(self):
+        entry = DecisionEntry(frozenset((Pole.TOOLS, Pole.SUBJECT)), "drop", justification="x")
+        with pytest.raises(ValueError, match="^keep entry for Subject,Tools needs a name and a direction$"):
+            entry._replace(verdict="keep")
+
     def test_table_format_round_trips(self):
         table = default_decision_table()
         again = parse_decision_table(format_decision_table(table))
@@ -267,24 +280,32 @@ class TestMapping:
             map_to_concepts([rel], mapping={})
 
 
+def _derived_schema(path):
+    """The schema that ``derive-schema --out`` writes to ``path``, read back."""
+    assert cli.run(["derive-schema", "--out", str(path)]) == cli.EXIT_OK
+    return schema_from_graph(parse_turtle(path.read_text(encoding="utf-8")).graph)
+
+
 class TestDeriveSchema:
-    def test_matches_builtin_canonical_core(self):
-        derived = derive_schema()
+    def test_matches_builtin_canonical_core(self, tmp_path, capsys):
+        derived = _derived_schema(tmp_path / "schema.ttl")
+        assert "candidates=30 pairs=12 reduction=60% final=10" in capsys.readouterr().out
         builtin = builtin_schema()
         assert {(p.iri, p.domain, p.range) for p in derived.properties} == {
             (p.iri, p.domain, p.range) for p in builtin.properties
         }
         assert len(derived.upper_classes()) == 7
 
-    def test_deterministic(self):
-        assert derive_schema() == derive_schema()
+    def test_deterministic(self, tmp_path):
+        assert _derived_schema(tmp_path / "a.ttl") == _derived_schema(tmp_path / "b.ttl")
+        assert (tmp_path / "a.ttl").read_bytes() == (tmp_path / "b.ttl").read_bytes()
 
-    def test_pipeline_composition_equals_one_shot(self):
+    def test_pipeline_composition_equals_one_shot(self, tmp_path):
         triads = default_triads()
         table = default_decision_table()
         pairs, _ = dedupe_pairs(candidate_relations(triads, default_naming(triads)))
         composed = map_to_concepts(full_relation_set(apply_decisions(pairs, table)))
-        one_shot = derive_schema(triads, table)
+        one_shot = _derived_schema(tmp_path / "schema.ttl")
         assert {(p.iri, p.domain, p.range) for p in composed} == {
             (p.iri, p.domain, p.range) for p in one_shot.properties
         }

@@ -156,6 +156,17 @@ class TestInvariantChecks:
         with pytest.raises(SchemaError):
             DisjointnessAxiom(_c("Activity"), _c("Activity"))
 
+    def test_disjointness_made_or_replaced_is_checked_and_sorted(self):
+        ax = DisjointnessAxiom("b", "a")._replace(class_a="z")
+        assert (ax.class_a, ax.class_b) == ("b", "z")
+        assert DisjointnessAxiom._make(["b", "a"]) == DisjointnessAxiom("a", "b")
+        with pytest.raises(SchemaError, match="^class cannot be disjoint with itself: b$"):
+            DisjointnessAxiom._make(["b", "b"])
+
+    def test_a_replaced_schema_is_checked(self):
+        with pytest.raises(SchemaError, match="^expected exactly 10 canonical properties, found 0$"):
+            builtin_schema()._replace(properties=())
+
 
 class TestSchemaGraph:
     def test_seven_top_level_class_declarations(self, schema):

@@ -18,10 +18,10 @@ import requests
 from bench.gen import deltas, make_corpus
 from ontosoc import cli, resources, service, validation
 from ontosoc.service import MAX_BODY_BYTES, ServiceState, load_state, make_server
-from ontosoc.schema import builtin_schema
+from ontosoc.schema import ONTOSOC_NS, builtin_schema
 from ontosoc.sparql import MAX_GROUP_DEPTH
 from ontosoc.canonical import graph_equal
-from ontosoc.rdf import Blank, Graph
+from ontosoc.rdf import Blank, Graph, Iri, Triple
 from ontosoc.turtle import parse_turtle, serialize_turtle
 
 from .test_cli import _env
@@ -600,7 +600,7 @@ class TestLog:
         data.write_text(serialize_turtle(_corpus()), encoding="utf-8")
         state = load_state(data_path=str(data))
         filler = "\n".join(_locality(f"Filler{i}") for i in range(100))
-        assert state.apply_post(filler)[0] == 200  # the first write: whole file, full validation
+        assert state.apply_post(filler)[0] == 200  # the first write: whole file
         calls = {"copy": 0, "serialize": 0, "validate": 0, "fsync": 0}
 
         def counting(key, real):
@@ -612,7 +612,8 @@ class TestLog:
 
         monkeypatch.setattr(Graph, "copy", counting("copy", Graph.copy))
         monkeypatch.setattr(service, "serialize_turtle", counting("serialize", service.serialize_turtle))
-        monkeypatch.setattr(service, "validate", counting("validate", service.validate))
+        monkeypatch.setattr(service, "entail_types", counting("validate", service.entail_types))
+        monkeypatch.setattr(validation, "entail_types", counting("validate", validation.entail_types))
         monkeypatch.setattr(validation, "validate", counting("validate", validation.validate))
         monkeypatch.setattr(os, "fsync", counting("fsync", os.fsync))
         for i in range(20):
@@ -627,15 +628,15 @@ class TestLog:
     def test_state_is_checked_when_built_not_by_the_first_post(self, tmp_path, monkeypatch):
         data = tmp_path / "kb.ttl"
         data.write_text(serialize_turtle(_corpus()), encoding="utf-8")
-        assert load_state(data_path=str(data), validate_writes=False).current.checked is None
+        assert load_state(data_path=str(data), validate_writes=False).current.types is None
         state = load_state(data_path=str(data))
-        types, violations = state.current.checked
-        assert types and violations == []
+        assert state.current.types == validation.entail_types(state.graph, builtin_schema())
 
         def refusing(*args):
-            raise AssertionError("a post ran a full validate")
+            raise AssertionError("a post ran a full validate or entailment")
 
-        monkeypatch.setattr(service, "validate", refusing)
+        monkeypatch.setattr(service, "entail_types", refusing)
+        monkeypatch.setattr(validation, "entail_types", refusing)
         monkeypatch.setattr(validation, "validate", refusing)
         assert state.apply_post(_locality("Town"))[0] == 200
         assert state.apply_post(BAD_TTL)[0] == 422
@@ -643,19 +644,33 @@ class TestLog:
 
 def test_a_post_is_refused_only_for_the_violations_it_adds():
     state = ServiceState(parse_turtle(make_corpus(1, 50, True).turtle()).graph, builtin_schema())
-    loaded = state.current.checked[1]
-    assert len(loaded) == 4
+    assert len(validation.validate(state.graph, builtin_schema()).violations) == 4
     stream = deltas(7, 50)
     valid = next(stream)
     invalid = next(delta for delta in stream if not delta.valid)
     status, _, body = state.apply_post(valid.body)
     assert (status, json.loads(body)) == (200, {"added": 3, "epoch": 1})
-    assert state.current.checked[1] == loaded  # the live snapshot keeps the full list
+    assert state.current.types == validation.entail_types(state.graph, builtin_schema())
     status, _, body = state.apply_post(invalid.body)
     assert status == 422
     lines = body.splitlines()
     assert lines and all(line.startswith(f"range\t<{invalid.person}>\t") for line in lines)
     assert state.epoch == 1
+
+
+def test_a_valid_post_sorts_none_of_the_violations_the_graph_was_loaded_with(monkeypatch):
+    graph = parse_turtle(make_corpus(1, 50, False).turtle()).graph
+    member_of = Iri(ONTOSOC_NS + "isMemberOf")
+    untyped = (Iri(f"http://example.org/u/{i}") for i in range(2000))
+    graph.update(Triple(s, member_of, o) for s, o in zip(untyped, untyped))  # a domain and a range violation each
+    state = ServiceState(graph, builtin_schema())
+    assert len(validation.validate(graph, builtin_schema()).violations) == 2000
+    calls = []
+    sort_key = validation.Violation.sort_key
+    monkeypatch.setattr(validation.Violation, "sort_key", lambda v: calls.append(v) or sort_key(v))
+    status, _, body = state.apply_post(next(deltas(7, 50)).body)
+    assert (status, json.loads(body)) == (200, {"added": 3, "epoch": 1})
+    assert calls == []
 
 
 def test_cross_product_with_limit_answers_one_row_and_health_still_answers(tmp_path):
