@@ -19,14 +19,26 @@ are always returned sorted lexicographically by the N3 rendering of
 Bulk readers that sort, or need no order, read one predicate's slice of
 the POS index unsorted instead, as Hexastore does (Weiss, Karras &
 Bernstein 2008).
+
+`Graph.union` leaves its source unchanged, and its cost grows with the
+triples added since the last fold, not with the graph: the new graph is
+an overlay, whose own indexes hold only those triples, over a frozen
+flat base, the indexes of the last flat graph.  This is the in-memory
+table of the LSM-tree (O'Neil et al., "The Log-Structured Merge-Tree",
+1996).  A reader probes both levels and sorts once; every triple is in
+exactly one of them.  When an overlay would pass FOLD_TRIPLES, the union
+folds it into the base by path copying instead, and returns a flat
+graph, so the copy that grows with the graph is paid once per fold.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
+from collections.abc import Mapping
 from operator import attrgetter, itemgetter
 from types import MappingProxyType
-from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Optional, Union
+from typing import AbstractSet, Callable, Iterable, Iterator, Optional, Union
 from weakref import ref
 
 from _weakref import _remove_dead_weakref  # what WeakValueDictionary removes entries with
@@ -350,10 +362,20 @@ class PrefixMap:
 
 _EMPTY: dict = {}  # the default of index lookups; never written
 
+# the most triples an overlay holds: a union that would pass it folds the
+# overlay into its base instead
+FOLD_TRIPLES = 4096
+
 
 class Graph:
     """A set of triples held only in SPO and POS indexes kept in
     lockstep, with a count beside them.
+
+    A graph is flat, or an overlay: its own indexes then hold only the
+    triples added since the last fold, none of which is in ``_base``, a
+    flat graph that aliases another graph's indexes and is never changed.
+    There is never an overlay on an overlay.  Readers see one set of
+    triples either way; a mutation in place flattens an overlay first.
 
     Set semantics throughout: adding a triple twice is a no-op.  Safe for
     many concurrent readers; mutation requires exclusive access.
@@ -364,6 +386,7 @@ class Graph:
         self._pos: dict[Iri, dict[Term, set[Term]]] = {}
         self._len = 0
         self._shared = False  # inner index containers may be another graph's too
+        self._base: Optional[Graph] = None
         if triples:
             for t in triples:
                 self.add(t)
@@ -436,33 +459,47 @@ class Graph:
         """A new graph holding this graph's triples and ``triples``, and the
         list of those that were not here yet.  This graph is left unchanged.
 
-        Path copying: the new graph takes C-level copies of the two
-        outer indexes, and copies afresh only the inner dicts and sets on
-        the new triples' paths; every other inner container is shared.
-        So the cost beyond those flat copies grows with the new triples,
-        not with the graph.  Either graph copies its shared containers
-        before it is next mutated in place.
+        The new graph is an overlay on this graph's base (on this graph's
+        indexes, when it is flat): only the overlay's own indexes are
+        copied, so the cost grows with the overlay, not with the graph.
+        When the overlay would pass FOLD_TRIPLES, the union folds
+        instead: the new graph is flat, with C-level copies of the base's
+        two outer indexes into which the overlay's triples and the new
+        ones are added by path copying (Driscoll et al. 1989), copying
+        afresh only the inner dicts and sets on their paths.  Either
+        graph copies its shared containers before it is next mutated in
+        place.
         """
-        out = Graph()
-        out._spo, out._pos = self._spo.copy(), self._pos.copy()
-        owned: set[int] = set()  # ids of the containers that are out's alone
-        added = []
+        added, seen = [], set()
         for t in triples:
             if not isinstance(t, Triple):
                 raise TermError("not a triple")
-            s, p, o = t
-            if o in out._spo.get(s, _EMPTY).get(p, ()):
-                continue
-            added.append(t)
-            _path_add(out._spo, s, p, o, owned)
-            _path_add(out._pos, p, o, s, owned)
+            if t not in seen and t not in self:
+                seen.add(t)
+                added.append(t)
+        base = self._base
+        if base is None:  # the overlay on a flat graph starts empty
+            base = Graph()
+            base._spo, base._pos, base._len = self._spo, self._pos, self._len
+            base._shared = True
+            own_spo: dict = {}
+            own_pos: dict = {}
+        else:
+            own_spo, own_pos = self._spo, self._pos
+        out = Graph()
+        self._shared = out._shared = True
+        if self._len - base._len + len(added) > FOLD_TRIPLES:
+            out._spo, out._pos = base._spo.copy(), base._pos.copy()
+            _path_union(out._spo, out._pos, itertools.chain(_triples(own_spo), added))
+        else:
+            out._spo, out._pos, out._base = own_spo.copy(), own_pos.copy(), base
+            _path_union(out._spo, out._pos, added)
         out._len = self._len + len(added)
-        out._shared = self._shared = True
         return out, added
 
     def _unshare(self) -> None:
-        self._spo, self._pos = _copy_index(self._spo), _copy_index(self._pos)
-        self._shared = False
+        flat = _flat_copy(self)
+        self._spo, self._pos, self._base, self._shared = flat._spo, flat._pos, None, False
 
     def match(
         self,
@@ -473,80 +510,135 @@ class Graph:
         """All triples matching the pattern; None is a wildcard.
 
         Reads SPO when the subject is bound, else POS, and scans SPO when
-        nothing is; the result is sorted by (subject, predicate, object)
-        N3 strings.
+        nothing is, in the graph's own indexes and in its base; the result
+        is sorted by (subject, predicate, object) N3 strings.
         """
-        s, p, o = subject, predicate, object
-        result: list[Triple]
-        if s is not None and p is not None and o is not None:
-            # probe the index, so a pattern no triple can fill (a literal
-            # subject, a non-IRI predicate) matches nothing
-            return [_stored(Triple, (s, p, o))] if o in self._spo.get(s, _EMPTY).get(p, ()) else []
-        if s is not None and p is not None:
-            objs = self._spo.get(s, _EMPTY).get(p, ())
-            result = [_stored(Triple, (s, p, x)) for x in objs]
-        elif p is not None and o is not None:
-            subs = self._pos.get(p, _EMPTY).get(o, ())
-            result = [_stored(Triple, (x, p, o)) for x in subs]
-        elif o is not None and s is not None:
-            result = [_stored(Triple, (s, x, o)) for x, objs in self._spo.get(s, _EMPTY).items() if o in objs]
-        elif s is not None:
-            result = [
-                _stored(Triple, (s, pred, obj))
-                for pred, objs in self._spo.get(s, _EMPTY).items()
-                for obj in objs
-            ]
-        elif p is not None:
-            result = [
-                _stored(Triple, (sub, p, obj))
-                for obj, subs in self._pos.get(p, _EMPTY).items()
-                for sub in subs
-            ]
-        elif o is not None:
-            result = [
-                _stored(Triple, (sub, pred, o))
-                for pred, by_obj in self._pos.items()
-                for sub in by_obj.get(o, ())
-            ]
-        else:
-            result = list(self)
-        result.sort(key=Triple.sort_key)
+        result = _probe(self._spo, self._pos, subject, predicate, object)
+        base = self._base
+        if base is not None:
+            result += _probe(base._spo, base._pos, subject, predicate, object)
+        if len(result) > 1:
+            result.sort(key=Triple.sort_key)
         return result
 
     def predicates(self) -> list[Iri]:
         """The distinct predicates, unsorted."""
-        return list(self._pos)
+        base = self._base
+        if base is None:
+            return list(self._pos)
+        return [*base._pos, *(p for p in self._pos if p not in base._pos)]
 
     def subjects_by_object(self, predicate: Term) -> Mapping[Term, AbstractSet[Term]]:
         """The triples on ``predicate``: its slice of the POS index, a
         read-only map from each object to the set of its subjects,
         unsorted.  The sets are the graph's own and must not be changed."""
-        return MappingProxyType(self._pos.get(predicate, _EMPTY))
+        own = self._pos.get(predicate, _EMPTY)
+        below = _EMPTY if self._base is None else self._base._pos.get(predicate, _EMPTY)
+        if own and below:
+            return _MergedSlice(below, own)
+        return MappingProxyType(own or below)
 
     def copy(self) -> "Graph":
-        out = Graph()
-        out._spo, out._pos = _copy_index(self._spo), _copy_index(self._pos)
-        out._len = self._len
-        return out
+        return _flat_copy(self)
 
     def __len__(self) -> int:
         return self._len
 
     def __iter__(self) -> Iterator[Triple]:
-        for s, by_pred in self._spo.items():
-            for p, objs in by_pred.items():
-                for o in objs:
-                    yield _stored(Triple, (s, p, o))
+        if self._base is not None:
+            yield from _triples(self._base._spo)
+        yield from _triples(self._spo)
 
     def __contains__(self, t: object) -> bool:
-        return isinstance(t, Triple) and t[2] in self._spo.get(t[0], _EMPTY).get(t[1], ())
+        if not isinstance(t, Triple):
+            return False
+        s, p, o = t
+        if o in self._spo.get(s, _EMPTY).get(p, ()):
+            return True
+        return self._base is not None and o in self._base._spo.get(s, _EMPTY).get(p, ())
 
     def __repr__(self) -> str:
         return f"<Graph of {self._len} triples>"
 
 
+def _probe(spo: dict, pos: dict, s: Optional[Term], p: Optional[Term], o: Optional[Term]) -> list[Triple]:
+    """The triples of one level's indexes that match the pattern, unsorted."""
+    if s is not None and p is not None and o is not None:
+        # probe the index, so a pattern no triple can fill (a literal
+        # subject, a non-IRI predicate) matches nothing
+        return [_stored(Triple, (s, p, o))] if o in spo.get(s, _EMPTY).get(p, ()) else []
+    if s is not None and p is not None:
+        return [_stored(Triple, (s, p, x)) for x in spo.get(s, _EMPTY).get(p, ())]
+    if p is not None and o is not None:
+        return [_stored(Triple, (x, p, o)) for x in pos.get(p, _EMPTY).get(o, ())]
+    if o is not None and s is not None:
+        return [_stored(Triple, (s, x, o)) for x, objs in spo.get(s, _EMPTY).items() if o in objs]
+    if s is not None:
+        return [_stored(Triple, (s, pred, obj)) for pred, objs in spo.get(s, _EMPTY).items() for obj in objs]
+    if p is not None:
+        return [_stored(Triple, (sub, p, obj)) for obj, subs in pos.get(p, _EMPTY).items() for sub in subs]
+    if o is not None:
+        return [_stored(Triple, (sub, pred, o)) for pred, by_obj in pos.items() for sub in by_obj.get(o, ())]
+    return list(_triples(spo))
+
+
+def _triples(spo: dict) -> Iterator[Triple]:
+    for s, by_pred in spo.items():
+        for p, objs in by_pred.items():
+            for o in objs:
+                yield _stored(Triple, (s, p, o))
+
+
+class _MergedSlice(Mapping):
+    """One predicate's slice of an overlay's POS index that both levels
+    hold: each object with the union of its subjects in either."""
+
+    __slots__ = ("_below", "_above")
+
+    def __init__(self, below: dict, above: dict):
+        self._below, self._above = below, above
+
+    def __getitem__(self, o: Term) -> AbstractSet[Term]:
+        below, above = self._below.get(o), self._above.get(o)
+        if below is None:
+            if above is None:
+                raise KeyError(o)
+            return above
+        return below if above is None else below | above
+
+    def __iter__(self) -> Iterator[Term]:
+        below = self._below
+        yield from below
+        yield from (o for o in self._above if o not in below)
+
+    def __len__(self) -> int:
+        below = self._below
+        return len(below) + sum(1 for o in self._above if o not in below)
+
+
+def _flat_copy(graph: Graph) -> Graph:
+    """A flat graph of ``graph``'s triples that shares no container."""
+    base = graph._base
+    out = Graph()
+    flat = graph if base is None else base
+    out._spo, out._pos, out._len = _copy_index(flat._spo), _copy_index(flat._pos), flat._len
+    if base is not None:
+        out.bulk_insert(_triples(graph._spo))
+    return out
+
+
 def _copy_index(index: dict) -> dict:
     return {a: {b: set(c) for b, c in inner.items()} for a, inner in index.items()}
+
+
+def _path_union(spo: dict, pos: dict, triples: Iterable[Triple]) -> None:
+    """Add ``triples``, none of them there yet, to the two indexes by
+    path copying: each container on a triple's path is copied afresh the
+    first time it is written, so no container another graph holds is."""
+    owned: set[int] = set()  # ids of the containers that are these indexes' alone
+    for s, p, o in triples:
+        _path_add(spo, s, p, o, owned)
+        _path_add(pos, p, o, s, owned)
 
 
 def _path_add(index: dict, a, b, c, owned: set[int]) -> None:

@@ -17,6 +17,7 @@ only against its own signature.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .rdf import (
@@ -108,9 +109,9 @@ class _Schema(NamedTuple):
 
 
 class SchemaDef(_Schema):
-    """A schema, checked against its structural invariants when built."""
+    """A schema, checked against its structural invariants when built.
 
-    __slots__ = ()
+    Its instances have a ``__dict__`` only for `superclass_closures`."""
 
     def __new__(cls, *args, **kwargs) -> SchemaDef:
         schema = super().__new__(cls, *args, **kwargs)
@@ -172,6 +173,11 @@ class SchemaDef(_Schema):
 
     def subclasses(self, iri: str) -> list[ClassDef]:
         return [c for c in self.classes if c.superclass == iri]
+
+    @cached_property
+    def superclass_closures(self) -> dict[str, frozenset]:
+        """Each declared class's `superclass_closure`, worked out once per schema."""
+        return {c.iri: frozenset(self.superclass_closure(c.iri)) for c in self.classes}
 
     def superclass_closure(self, iri: str) -> set[str]:
         """Reflexive-transitive closure upward from a declared class."""

@@ -26,17 +26,25 @@ the connection under the answer: the worker shuts its write side and
 discards what the client still sends until the client's EOF, for at
 most READ_TIMEOUT and MAX_BODY_BYTES + MAX_HEADER_BYTES bytes.
 
-Writes are serialized behind a lock.  The new graph is built aside by
-`Graph.union`, which shares every index container the delta does not
-touch, and checked by `validate_delta`, which re-checks only what the
-delta touches against the type map kept in the live `Snapshot`.  The
-whole graph's types are entailed once, when the state is built; its
-violations are never listed.  A post is refused with a 422 only for the
-violations it adds, those of a kind the graph before it had none of on
-the same triple (domain, range) or on the same node and class pair
-(disjointness), and the 422 lists only those.  The delta is made
-durable, and only then is the live (graph, epoch) pair replaced, as one
-value.  Readers always see a graph with its own epoch.
+Writes are serialized behind a lock, and a post's in-memory work grows
+with its delta, not with the graph.  The new graph is built aside by
+`Graph.union` as an overlay: its own indexes hold only the triples
+posted since the last fold, over a frozen flat base that it shares with
+the live graph, so a post copies only the overlay.  When the overlay
+would pass `rdf.FOLD_TRIPLES`, the union folds it into a new flat graph
+by path copying instead, once per that many posted triples.  The new
+graph is checked by `validate_delta`, which re-checks only what the
+delta touches against the writer's own type map, `ServiceState.types`.
+Readers never read that map; the writer updates it in place with the
+nodes a post retypes, and only once the post is durable, so a refused
+post leaves it as it was.  The whole graph's types are entailed once,
+when the state is built; its violations are never listed.  A post is
+refused with a 422 only for the violations it adds, those of a kind the
+graph before it had none of on the same triple (domain, range) or on
+the same node and class pair (disjointness), and the 422 lists only
+those.  The delta is made durable, and only then is the live (graph,
+epoch) pair replaced, as one value.  Readers always see a graph with its
+own epoch.
 
 The ``--data`` file is a log of records.  It starts with a full
 snapshot: a ``# epoch N`` line (a Turtle comment), the serialized graph
@@ -57,7 +65,9 @@ first line's epoch; either is rewritten whole by the next post.  The
 file is also rewritten whole, compacting the records into one snapshot,
 when the file does not exist, or when an append would take it past
 twice its size at the last whole write or at load.  A whole write goes
-to a temp file that is fsynced and renamed over the old one.
+to a temp file that is fsynced and renamed over the old one, with the
+cyclic garbage collector paused: the sort behind it allocates an object
+per triple, which would make the collector rescan the whole graph.
 """
 
 from __future__ import annotations
@@ -70,8 +80,9 @@ import socket
 import tempfile
 import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 from urllib.parse import unquote_plus
 
 from .rdf import Graph, PrefixMap, Triple
@@ -90,12 +101,10 @@ _COMMIT = re.compile(rb"^# epoch ([0-9]+)\n", re.MULTILINE)
 
 
 class Snapshot(NamedTuple):
-    """The live graph and its epoch, replaced together by one assignment,
-    with the graph's type map when writes are validated."""
+    """The live graph and its epoch, replaced together by one assignment."""
 
     graph: Graph
     epoch: int = 0
-    types: Optional[TypeMap] = None
 
 
 class ServiceState:
@@ -107,8 +116,10 @@ class ServiceState:
         validate_writes: bool = True,
         epoch: int = 0,
     ):
-        types = entail_types(graph, schema) if validate_writes else None
-        self.current = Snapshot(graph, epoch, types)
+        self.current = Snapshot(graph, epoch)
+        # the live graph's type map, None when writes are not validated;
+        # only a writer holding write_lock reads or changes it
+        self.types: Optional[TypeMap] = entail_types(graph, schema) if validate_writes else None
         self.schema = schema
         self.snapshot_path = snapshot_path
         self.write_lock = threading.Lock()
@@ -137,9 +148,9 @@ class ServiceState:
         with self.write_lock:
             current = self.current
             merged, added = current.graph.union(doc.graph)
-            types = current.types  # None when writes are not validated
-            if types is not None:
-                types, offenses = validate_delta(merged, self.schema, types, added)
+            retyped: TypeMap = {}
+            if self.types is not None:
+                retyped, offenses = validate_delta(merged, self.schema, self.types, added)
                 if offenses:
                     body = ValidationReport(offenses).render_machine() + "\n"
                     return 422, {"content-type": "text/plain; charset=utf-8"}, body
@@ -148,7 +159,9 @@ class ServiceState:
                 self._persist(merged, added, epoch)
             except OSError as exc:
                 return 507, {}, json.dumps({"error": "snapshot", "message": str(exc)})
-            self.current = Snapshot(merged, epoch, types)
+            if retyped:
+                self.types.update(retyped)
+            self.current = Snapshot(merged, epoch)
             return 200, {}, json.dumps({"added": len(added), "epoch": epoch})
 
     def _persist(self, graph: Graph, added: list[Triple], epoch: int) -> None:
@@ -178,8 +191,9 @@ class ServiceState:
                 self._committed += len(record)
                 return
         doc = Document(graph=graph, prefixes=PrefixMap(schema_prefixes()))
-        data = (commit + serialize_turtle(doc) + commit).encode("utf-8")
-        self._atomic_write(path, data)
+        with _collector_paused():  # the sort's many new objects would make it rescan the whole graph
+            data = (commit + serialize_turtle(doc) + commit).encode("utf-8")
+            self._atomic_write(path, data)
         self._committed = len(data)
         self._compact_at = 2 * len(data)
 
@@ -206,6 +220,18 @@ class ServiceState:
             )
         table = evaluate(ast, self.current.graph)  # one consistent snapshot
         return 200, to_json_results(table)
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """The cyclic garbage collector off for the block, then as it was."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def load_state(
@@ -526,13 +552,8 @@ def serve(
     schema: Optional[SchemaDef] = None,
     validate_writes: bool = True,
 ) -> None:
-    collecting = gc.isenabled()
-    gc.disable()  # it would only rescan the loaded graph, which has no cycles
-    try:
+    with _collector_paused():  # it would only rescan the loaded graph, which has no cycles
         state = load_state(data_path, schema, validate_writes)
-    finally:
-        if collecting:
-            gc.enable()
     server = make_server(state, port)
     print(f"listening on 127.0.0.1:{server.server_address[1]}", flush=True)
     try:

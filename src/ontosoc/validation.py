@@ -22,9 +22,10 @@ disjointness, equivalence, labels) are never checked as instance data.
 Either check builds the map itself when called without one, so callers
 may pass raw graphs.
 
-`validate_delta` carries a graph's map over to the graph plus some new
-triples, and finds the violations those triples add; no list of the
-whole graph's violations is ever kept.  A domain/range verdict depends
+`validate_delta` works out which nodes some new triples retype, and
+finds the violations those triples add, reading the old map under the
+retyped nodes (a `ChainMap`) without copying it; no list of the whole
+graph's violations is ever kept.  A domain/range verdict depends
 only on the triple and its endpoints' classes, and a disjointness
 verdict only on the node's classes, so it re-checks only the new
 triples, the triples around each node whose classes changed, and those
@@ -34,6 +35,7 @@ Subrahmanian 1993).
 
 from __future__ import annotations
 
+from collections import ChainMap
 from typing import AbstractSet, Iterable, Mapping, NamedTuple, Optional
 
 from .rdf import (
@@ -130,13 +132,13 @@ _UNTYPED: frozenset = frozenset()
 Slice = Mapping[Term, AbstractSet[Term]]
 
 
-def _grown_types(typings: Iterable[tuple[Term, Term]], schema: SchemaDef, types: TypeMap) -> TypeMap:
+def _grown_types(typings: Iterable[tuple[Term, Term]], schema: SchemaDef, types: Mapping[Term, frozenset]) -> TypeMap:
     """The nodes that ``typings``, the (node, class) pairs of rdf:type
     triples, give a schema class, each with its classes in ``types`` plus
     the new ones and all their superclasses.  A node new to one class
     takes that class's closure itself, so equal class sets are mostly one
     object."""
-    closures = {c.iri: frozenset(schema.superclass_closure(c.iri)) for c in schema.classes}
+    closures = schema.superclass_closures
     grown: TypeMap = {}
     for node, cls in typings:
         closure = closures.get(cls.value) if isinstance(cls, Iri) else None
@@ -217,7 +219,7 @@ def _triple_violations(
 def check_domain_range(
     graph: Graph,
     schema: SchemaDef,
-    types: Optional[TypeMap] = None,
+    types: Optional[Mapping[Term, frozenset]] = None,
     triples: Optional[Iterable[Triple]] = None,
 ) -> list[Violation]:
     """Domain/range conformance for every schema-property triple of
@@ -256,7 +258,7 @@ def check_domain_range(
 def check_disjointness(
     graph: Graph,
     schema: SchemaDef,
-    types: Optional[TypeMap] = None,
+    types: Optional[Mapping[Term, frozenset]] = None,
     nodes: Optional[Iterable[Term]] = None,
 ) -> list[Violation]:
     """One violation per instance per disjoint class pair it violates,
@@ -324,17 +326,18 @@ def _key(v: Violation) -> tuple:
 def validate_delta(
     graph: Graph,
     schema: SchemaDef,
-    types: TypeMap,
+    types: Mapping[Term, frozenset],
     added: Iterable[Triple],
 ) -> tuple[TypeMap, list[Violation]]:
-    """The type map of ``graph``, given that of the graph it was before
-    the triples ``added`` (all absent then) joined it, and the violations
-    those triples add, sorted.
+    """The nodes whose classes the triples ``added`` (all absent before
+    they joined ``graph``) change, each with its new classes, and the
+    violations those triples add, sorted.
 
-    The map equals ``entail_types(graph, schema)``; ``types`` is not
-    changed.  A violation of ``graph`` is added unless the graph before
-    had one with the same `_key`, so one whose found classes changed is
-    not added.
+    ``types`` is the type map of the graph before; it is read, never
+    copied or changed, so the map of ``graph`` is ``types`` updated with
+    the nodes returned, ``entail_types(graph, schema)``.  A violation of
+    ``graph`` is added unless the graph before had one with the same
+    `_key`, so one whose found classes changed is not added.
     """
     added = list(added)
     typings = [(t.subject, t.object) for t in added if t.predicate.value == RDF_TYPE]
@@ -343,17 +346,17 @@ def validate_delta(
         for node, classes in _grown_types(typings, schema, types).items()
         if classes != types.get(node, _UNTYPED)
     }
-    recheck, before = set(added), types
+    recheck, after = set(added), types
     if retyped:
-        types = {**types, **retyped}
+        after = ChainMap(retyped, types)
         for node in retyped:
             recheck.update(graph.match(subject=node))
             recheck.update(graph.match(object=node))
-    offenses = check_domain_range(graph, schema, types, recheck)
-    offenses = sorted(offenses + check_disjointness(graph, schema, types, retyped), key=Violation.sort_key)
+    offenses = check_domain_range(graph, schema, after, recheck)
+    offenses = sorted(offenses + check_disjointness(graph, schema, after, retyped), key=Violation.sort_key)
     if offenses and retyped:  # drop those the graph had before, on its old triples and typed nodes
-        known = check_domain_range(graph, schema, before, recheck.difference(added))
-        known += check_disjointness(graph, schema, before, [node for node in retyped if node in before])
+        known = check_domain_range(graph, schema, types, recheck.difference(added))
+        known += check_disjointness(graph, schema, types, [node for node in retyped if node in types])
         old = set(map(_key, known))
         offenses = [v for v in offenses if _key(v) not in old]
-    return types, offenses
+    return retyped, offenses

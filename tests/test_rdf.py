@@ -7,6 +7,7 @@ import sys
 import threading
 import uuid
 import weakref
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -313,12 +314,24 @@ def _n3_order(spo: tuple) -> tuple:
 
 def _assert_graph_is(g: Graph, model: set) -> None:
     """``g`` against a set of (s, p, o) tuples: size, membership,
-    iteration and every bound/unbound shape of ``match``."""
+    iteration, the predicates and their POS slices, and every
+    bound/unbound shape of ``match``."""
     assert len(g) == len(model)
     listed = [tuple(t) for t in g]
     assert len(listed) == len(model) and set(listed) == model
     for spo in itertools.product(_M_SUBJECTS, _M_PREDICATES, _M_OBJECTS):
         assert (Triple(*spo) in g) == (spo in model)
+    predicates = g.predicates()
+    assert len(predicates) == len(set(predicates)) and set(predicates) == {p for _, p, _ in model}
+    for p in _M_PREDICATES:
+        expected: dict = {}
+        for s, q, o in model:
+            if q is p:
+                expected.setdefault(o, set()).add(s)
+        view = g.subjects_by_object(p)
+        assert len(view) == len(expected) and len(list(view)) == len(expected)
+        assert {o: set(subs) for o, subs in view.items()} == expected
+        assert all((o in view) == (o in expected) for o in _M_OBJECTS)
     for bound in itertools.product((False, True), repeat=3):
         slots = [terms if b else [None] for b, terms in zip(bound, _M_BINDINGS)]
         for pattern in itertools.product(*slots):
@@ -329,9 +342,15 @@ def _assert_graph_is(g: Graph, model: set) -> None:
             assert [tuple(t) for t in g.match(*pattern)] == expected
 
 
+@pytest.mark.parametrize("fold", [1, 4, rdf.FOLD_TRIPLES])
 @settings(max_examples=60, deadline=None)
-@given(_graph_ops)
-def test_graph_agrees_with_a_set_of_tuples(ops):
+@given(ops=_graph_ops)
+def test_graph_agrees_with_a_set_of_tuples(fold, ops):
+    with mock.patch.object(rdf, "FOLD_TRIPLES", fold):  # a small size folds mid-sequence
+        _check_graph_ops(ops)
+
+
+def _check_graph_ops(ops: list) -> None:
     g, model = Graph(), set()
     sources = []  # (graph, its triples) before each union
     for op, arg in ops:
@@ -469,11 +488,21 @@ class TestUnion:
         assert g.match() == before and len(g) == 1
         assert set(out) == {Triple(A, P, B), Triple(B, P, A)}
 
-    def test_untouched_inner_containers_are_shared(self):
+    def test_an_overlay_shares_its_base_until_a_fold_returns_a_flat_graph(self, monkeypatch):
+        monkeypatch.setattr(rdf, "FOLD_TRIPLES", 2)
         g = Graph([Triple(A, P, B), Triple(B, P, A)])
         out, _ = g.union([Triple(A, P, Literal("v"))])
-        assert out._spo[B] is g._spo[B]
-        assert out._spo[A] is not g._spo[A]
+        assert out._base._spo is g._spo and out._base._pos is g._pos
+        assert set(out._spo) == {A}  # its own index holds only the new triple
+        again, _ = out.union([Triple(B, P, Literal("v"))])
+        assert again._base is out._base and len(again) - len(again._base) == 2
+        folded, _ = again.union([Triple(A, B, A)])  # three own triples would pass 2
+        assert folded._base is None and len(folded) == 5
+        assert folded._spo[A] is not g._spo[A]  # copied on the new triples' paths
+        untouched, _ = folded.union([Triple(Blank("x"), P, A)])
+        assert untouched._base._spo is folded._spo
+        refolded, _ = g.union([Triple(B, B, A), Triple(B, B, B), Triple(B, P, B)])
+        assert refolded._base is None and refolded._spo[A] is g._spo[A]  # untouched: shared
 
     @given(graphs(), st.lists(triples, max_size=10), st.lists(triples, max_size=5))
     @settings(max_examples=150, deadline=None)

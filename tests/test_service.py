@@ -1,4 +1,6 @@
+import gc
 import http.client
+import itertools
 import json
 import os
 import re
@@ -16,12 +18,12 @@ import pytest
 import requests
 
 from bench.gen import deltas, make_corpus
-from ontosoc import cli, resources, service, validation
+from ontosoc import cli, rdf, resources, service, validation
 from ontosoc.service import MAX_BODY_BYTES, ServiceState, load_state, make_server
-from ontosoc.schema import ONTOSOC_NS, builtin_schema
+from ontosoc.schema import ONTOSOC_NS, SchemaDef, builtin_schema
 from ontosoc.sparql import MAX_GROUP_DEPTH
 from ontosoc.canonical import graph_equal
-from ontosoc.rdf import Blank, Graph, Iri, Triple
+from ontosoc.rdf import RDF_TYPE, Blank, Graph, Iri, Triple
 from ontosoc.turtle import parse_turtle, serialize_turtle
 
 from .test_cli import _env
@@ -432,6 +434,39 @@ def test_health_graph_and_epoch_agree_under_concurrent_writes():
     assert (len(state.graph), state.epoch) == (45, 45)
 
 
+def test_readers_see_whole_graphs_while_posts_overlay_and_fold(monkeypatch):
+    """Each post adds one Locality, so every live (graph, epoch) pair
+    must hold epoch triples, whether it is an overlay or just folded."""
+    monkeypatch.setattr(rdf, "FOLD_TRIPLES", 4)
+    state = ServiceState(Graph(), builtin_schema())
+    typed = (Iri(RDF_TYPE), Iri(ONTOSOC_NS + "Locality"))
+    done, errors, reads = threading.Event(), [], []
+
+    def read():
+        while not done.is_set():
+            graph, epoch = state.current
+            counts = (len(graph), len(list(graph)), len(graph.match(None, *typed)), len(graph.predicates()))
+            reads.append(epoch)
+            if counts != (epoch, epoch, epoch, min(epoch, 1)):
+                errors.append((epoch, counts))
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    readers = [threading.Thread(target=read) for _ in range(3)]
+    try:
+        for t in readers:
+            t.start()
+        statuses = [state.apply_post(_locality(f"Town{i}"))[0] for i in range(60)]
+    finally:
+        done.set()
+        for t in readers:
+            t.join(timeout=60)
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in readers)
+    assert statuses == [200] * 60 and reads and not errors
+    assert state.types == validation.entail_types(state.graph, builtin_schema())
+
+
 MORE_TTL = """\
 @prefix ontosoc: <http://maroua-univ/ns/ontosoc#> .
 @prefix ex: <http://example.org/soc/> .
@@ -628,9 +663,9 @@ class TestLog:
     def test_state_is_checked_when_built_not_by_the_first_post(self, tmp_path, monkeypatch):
         data = tmp_path / "kb.ttl"
         data.write_text(serialize_turtle(_corpus()), encoding="utf-8")
-        assert load_state(data_path=str(data), validate_writes=False).current.types is None
+        assert load_state(data_path=str(data), validate_writes=False).types is None
         state = load_state(data_path=str(data))
-        assert state.current.types == validation.entail_types(state.graph, builtin_schema())
+        assert state.types == validation.entail_types(state.graph, builtin_schema())
 
         def refusing(*args):
             raise AssertionError("a post ran a full validate or entailment")
@@ -650,7 +685,7 @@ def test_a_post_is_refused_only_for_the_violations_it_adds():
     invalid = next(delta for delta in stream if not delta.valid)
     status, _, body = state.apply_post(valid.body)
     assert (status, json.loads(body)) == (200, {"added": 3, "epoch": 1})
-    assert state.current.types == validation.entail_types(state.graph, builtin_schema())
+    assert state.types == validation.entail_types(state.graph, builtin_schema())
     status, _, body = state.apply_post(invalid.body)
     assert status == 422
     lines = body.splitlines()
@@ -671,6 +706,79 @@ def test_a_valid_post_sorts_none_of_the_violations_the_graph_was_loaded_with(mon
     status, _, body = state.apply_post(next(deltas(7, 50)).body)
     assert (status, json.loads(body)) == (200, {"added": 3, "epoch": 1})
     assert calls == []
+
+
+def test_a_refused_post_leaves_the_writers_type_map_as_it_was(tmp_path, monkeypatch):
+    data = tmp_path / "kb.ttl"
+    data.write_text(serialize_turtle(_corpus()), encoding="utf-8")
+    state, schema = load_state(data_path=str(data)), builtin_schema()
+    assert state.apply_post(_locality("Town"))[0] == 200
+    assert state.apply_post(BAD_TTL)[0] == 422  # it would have typed ex:Mixed
+    assert state.types == validation.entail_types(state.graph, schema)
+
+    def failing(fd):
+        raise OSError("injected fsync failure")
+
+    monkeypatch.setattr(os, "fsync", failing)
+    assert state.apply_post(_locality("Village"))[0] == 507
+    monkeypatch.undo()
+    assert Iri("http://example.org/soc/Village") not in state.types
+    assert state.types == validation.entail_types(state.graph, schema)
+    assert state.apply_post(_locality("Village"))[0] == 200
+    assert state.types == validation.entail_types(state.graph, schema)
+
+
+def test_posts_without_a_fold_keep_one_base_under_a_small_overlay():
+    loaded = parse_turtle(make_corpus(1, 50, False).turtle()).graph
+    state = ServiceState(loaded, builtin_schema())
+    statuses, bases = [], []
+    for delta in itertools.islice(deltas(7, 50), 50):  # 150 triples at most: no fold
+        statuses.append(state.apply_post(delta.body)[0])
+        graph = state.graph
+        if graph is not loaded:
+            bases.append(graph._base)
+            assert len(graph) - len(graph._base) <= rdf.FOLD_TRIPLES
+    assert 200 in statuses and 422 in statuses
+    assert all(base is bases[0] for base in bases)
+    assert bases[0]._spo is loaded._spo and len(bases[0]) == len(loaded)
+    assert len(state.graph) == len(loaded) + 3 * statuses.count(200)
+
+
+def test_posts_work_out_no_superclass_closure_again(monkeypatch):
+    calls = []
+    closure = SchemaDef.superclass_closure
+    monkeypatch.setattr(SchemaDef, "superclass_closure", lambda schema, iri: calls.append(iri) or closure(schema, iri))
+    schema = builtin_schema()
+    state = ServiceState(parse_turtle(make_corpus(1, 50, False).turtle()).graph, schema)
+    statuses = [state.apply_post(delta.body)[0] for delta in itertools.islice(deltas(7, 50), 100)]
+    assert statuses.count(200) > 50
+    assert len(calls) <= len(schema.classes)
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["written", "write-fails"])
+@pytest.mark.parametrize("collecting", [True, False], ids=["collector-on", "collector-off"])
+def test_a_whole_write_pauses_the_collector_and_restores_it(tmp_path, monkeypatch, collecting, fails):
+    state = ServiceState(Graph(), builtin_schema(), snapshot_path=tmp_path / "kb.ttl")
+    during = []
+    serialize = service.serialize_turtle
+    monkeypatch.setattr(service, "serialize_turtle", lambda doc: during.append(gc.isenabled()) or serialize(doc))
+
+    def failing(fd):
+        during.append(gc.isenabled())
+        raise OSError("injected fsync failure")
+
+    if fails:
+        monkeypatch.setattr(os, "fsync", failing)
+    was = gc.isenabled()
+    try:
+        (gc.enable if collecting else gc.disable)()
+        status = state.apply_post(GOOD_TTL)[0]
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert status == (507 if fails else 200)
+    assert during == [False] * (1 + fails)
+    assert after == collecting
 
 
 def test_cross_product_with_limit_answers_one_row_and_health_still_answers(tmp_path):

@@ -1,10 +1,12 @@
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ontosoc import rdf
 from ontosoc.rdf import RDF_TYPE, RDFS_LABEL, Blank, Graph, Iri, Literal, Triple
 from ontosoc.schema import (
     ONTOSOC_NS,
@@ -278,17 +280,32 @@ def _type_triple(name, cls):
     return Triple(_i(name), Iri(RDF_TYPE), Iri(_c(cls)))
 
 
-def _assert_delta_matches_full(schema, g, delta):
-    """``validate_delta`` finds what diffing two full validations finds."""
-    before = entail_types(g, schema)
-    types_before = dict(before)
-    merged, added = g.union(delta)
-    types, offenses = validate_delta(merged, schema, before, added)
-    expected = reference_added_violations(validate(g, schema).violations, validate(merged, schema).violations)
+_FOLD = 3  # so that the graphs below are overlays over a base folded on the way
+
+
+def _assert_delta_matches_full(schema, triples, delta):
+    """``validate_delta`` finds what diffing two full validations finds,
+    on a graph of ``triples`` built by one-triple unions under a small
+    FOLD_TRIPLES, and returns the graph with ``delta``."""
+    with mock.patch.object(rdf, "FOLD_TRIPLES", _FOLD):
+        g = Graph()
+        for t in triples:
+            g, _ = g.union([t])
+        before = entail_types(g, schema)
+        types_before = dict(before)
+        merged, added = g.union(delta)
+        retyped, offenses = validate_delta(merged, schema, before, added)
+    flat_before, flat_merged = Graph(triples), Graph([*triples, *delta])
+    expected = reference_added_violations(
+        validate(flat_before, schema).violations, validate(flat_merged, schema).violations
+    )
     assert offenses == expected
     assert ValidationReport(offenses).render_machine() == ValidationReport(expected).render_machine()
-    assert types == entail_types(merged, schema)
-    assert before == types_before
+    assert before == types_before == entail_types(flat_before, schema)
+    assert {**before, **retyped} == entail_types(flat_merged, schema)
+    assert all(before.get(node) != classes for node, classes in retyped.items())
+    assert validate(merged, schema) == validate(flat_merged, schema)
+    return merged
 
 
 @given(st.data())
@@ -308,7 +325,7 @@ def test_delta_validation_matches_full_validation(schema, data):
     )
     repeats = st.sampled_from(sorted(g, key=Triple.sort_key)) if len(g) else type_triples
     delta = data.draw(st.lists(st.one_of(type_triples, property_triples, repeats), max_size=5))
-    _assert_delta_matches_full(schema, g, delta)
+    _assert_delta_matches_full(schema, list(g), delta)
 
 
 @pytest.mark.parametrize(
@@ -334,7 +351,19 @@ def test_delta_validation_matches_full_validation(schema, data):
     ids=["fixes-domain", "adds-disjoint", "types-object", "repeats", "moves-signature"],
 )
 def test_delta_validation_cases(schema, graph, delta):
-    _assert_delta_matches_full(schema, Graph(graph), delta)
+    _assert_delta_matches_full(schema, graph, delta)
+
+
+def test_delta_validation_retypes_a_node_of_the_base(schema):
+    member = Triple(_i("a"), Iri(_c("isMemberOf")), _i("c"))
+    padding = [_type_triple(name, "Locality") for name in ("x", "y", "z")]
+    # the first four triples fold into the base; the fifth and the delta form the overlay
+    merged = _assert_delta_matches_full(
+        schema,
+        [member, _type_triple("c", "Community"), *padding],
+        [_type_triple("a", "Individual"), _type_triple("a", "Community")],
+    )
+    assert member in merged._base and _i("a") in merged._spo  # a's old triple below, its new types above
 
 
 # nodes of every kind an instance graph holds, some typed with several classes
@@ -381,4 +410,4 @@ def test_delta_validation_matches_validate_on_random_splits(schema, triples, dat
     later = data.draw(st.lists(st.booleans(), min_size=len(triples), max_size=len(triples)))
     base = [t for t, moved in zip(triples, later) if not moved]
     delta = [t for t, moved in zip(triples, later) if moved]
-    _assert_delta_matches_full(schema, Graph(base), delta)
+    _assert_delta_matches_full(schema, base, delta)
