@@ -20,15 +20,19 @@ Bulk readers that sort, or need no order, read one predicate's slice of
 the POS index unsorted instead, as Hexastore does (Weiss, Karras &
 Bernstein 2008).
 
-`Graph.union` leaves its source unchanged, and its cost grows with the
-triples added since the last fold, not with the graph: the new graph is
-an overlay, whose own indexes hold only those triples, over a frozen
-flat base, the indexes of the last flat graph.  This is the in-memory
-table of the LSM-tree (O'Neil et al., "The Log-Structured Merge-Tree",
-1996).  A reader probes both levels and sorts once; every triple is in
-exactly one of them.  When an overlay would pass FOLD_TRIPLES, the union
-folds it into the base by path copying instead, and returns a flat
-graph, so the copy that grows with the graph is paid once per fold.
+A graph is a value once shared: `Graph.union` freezes the graph it
+reads and the graph it returns, and a frozen graph refuses every
+mutation with FrozenGraphError, so a graph that another may hold parts
+of never changes.  `Graph.copy` gives a mutable graph of the same
+triples.  The union's cost grows with the triples added since the last
+fold, not with the graph: the new graph is an overlay, whose own
+indexes hold only those triples, over the last flat graph, its base.
+This is the in-memory table of the LSM-tree (O'Neil et al., "The
+Log-Structured Merge-Tree", 1996).  A reader probes both levels and
+sorts once; every triple is in exactly one of them.  When an overlay
+would pass FOLD_TRIPLES, the union folds it into the base by path
+copying instead, and returns a flat graph, so the copy that grows with
+the graph is paid once per fold.
 """
 
 from __future__ import annotations
@@ -367,15 +371,21 @@ _EMPTY: dict = {}  # the default of index lookups; never written
 FOLD_TRIPLES = 4096
 
 
+class FrozenGraphError(TypeError):
+    """Raised on a mutation of a graph that `Graph.union` has read or returned."""
+
+
 class Graph:
     """A set of triples held only in SPO and POS indexes kept in
     lockstep, with a count beside them.
 
     A graph is flat, or an overlay: its own indexes then hold only the
-    triples added since the last fold, none of which is in ``_base``, a
-    flat graph that aliases another graph's indexes and is never changed.
-    There is never an overlay on an overlay.  Readers see one set of
-    triples either way; a mutation in place flattens an overlay first.
+    triples added since the last fold, none of which is in ``_base``, the
+    flat graph below.  There is never an overlay on an overlay.  Readers
+    see one set of triples either way.  A graph is mutable until `union`
+    reads it or returns it, and frozen from then on: `add`, `bulk_insert`
+    and `update` raise FrozenGraphError and leave it as it was.  So an
+    overlay, and every base, is frozen.
 
     Set semantics throughout: adding a triple twice is a no-op.  Safe for
     many concurrent readers; mutation requires exclusive access.
@@ -385,7 +395,7 @@ class Graph:
         self._spo: dict[Term, dict[Iri, set[Term]]] = {}
         self._pos: dict[Iri, dict[Term, set[Term]]] = {}
         self._len = 0
-        self._shared = False  # inner index containers may be another graph's too
+        self._frozen = False  # set by `union`: other graphs may hold its containers
         self._base: Optional[Graph] = None
         if triples:
             for t in triples:
@@ -395,8 +405,6 @@ class Graph:
         """Insert a triple; returns True iff it was absent before."""
         if not isinstance(t, Triple):
             raise TermError("not a triple")
-        if self._shared and t in self:
-            return False
         return self.bulk_insert((t,)) == 1
 
     def bulk_insert(self, triples: Iterable[tuple[Term, Iri, Term]]) -> int:
@@ -404,8 +412,8 @@ class Graph:
         checks of `add`; returns how many were new.  For readers whose
         grammar already admits no literal subject and only IRI predicates,
         such as the Turtle parser."""
-        if self._shared:
-            self._unshare()
+        if self._frozen:
+            raise FrozenGraphError("a graph that union has read or returned cannot change")
         spo, pos = self._spo, self._pos
         added = 0
         # get before set: `setdefault` would build an empty container per call
@@ -432,43 +440,21 @@ class Graph:
         self._len += added
         return added
 
-    def remove(self, t: Triple) -> bool:
-        """Remove a triple; returns True iff it was present."""
-        if t not in self:
-            return False
-        if self._shared:
-            self._unshare()
-        s, p, o = t
-        self._prune(self._spo, s, p, o)
-        self._prune(self._pos, p, o, s)
-        self._len -= 1
-        return True
-
-    @staticmethod
-    def _prune(index: dict, a, b, c) -> None:
-        index[a][b].discard(c)
-        if not index[a][b]:
-            del index[a][b]
-        if not index[a]:
-            del index[a]
-
     def update(self, triples: Iterable[Triple]) -> int:
         return sum(1 for t in triples if self.add(t))
 
     def union(self, triples: Iterable[Triple]) -> tuple["Graph", list[Triple]]:
         """A new graph holding this graph's triples and ``triples``, and the
-        list of those that were not here yet.  This graph is left unchanged.
+        list of those that were not here yet.  Both graphs are frozen.
 
-        The new graph is an overlay on this graph's base (on this graph's
-        indexes, when it is flat): only the overlay's own indexes are
-        copied, so the cost grows with the overlay, not with the graph.
-        When the overlay would pass FOLD_TRIPLES, the union folds
-        instead: the new graph is flat, with C-level copies of the base's
-        two outer indexes into which the overlay's triples and the new
-        ones are added by path copying (Driscoll et al. 1989), copying
-        afresh only the inner dicts and sets on their paths.  Either
-        graph copies its shared containers before it is next mutated in
-        place.
+        The new graph is an overlay on this graph's base (on this graph,
+        when it is flat): only the overlay's own indexes are copied, so
+        the cost grows with the overlay, not with the graph.  When the
+        overlay would pass FOLD_TRIPLES, the union folds instead: the new
+        graph is flat, with C-level copies of the base's two outer indexes
+        into which the overlay's triples and the new ones are added by
+        path copying (Driscoll et al. 1989), copying afresh only the inner
+        dicts and sets on their paths, which earlier graphs still read.
         """
         added, seen = [], set()
         for t in triples:
@@ -479,15 +465,11 @@ class Graph:
                 added.append(t)
         base = self._base
         if base is None:  # the overlay on a flat graph starts empty
-            base = Graph()
-            base._spo, base._pos, base._len = self._spo, self._pos, self._len
-            base._shared = True
-            own_spo: dict = {}
-            own_pos: dict = {}
+            base, own_spo, own_pos = self, {}, {}
         else:
             own_spo, own_pos = self._spo, self._pos
         out = Graph()
-        self._shared = out._shared = True
+        self._frozen = out._frozen = True
         if self._len - base._len + len(added) > FOLD_TRIPLES:
             out._spo, out._pos = base._spo.copy(), base._pos.copy()
             _path_union(out._spo, out._pos, itertools.chain(_triples(own_spo), added))
@@ -496,10 +478,6 @@ class Graph:
             _path_union(out._spo, out._pos, added)
         out._len = self._len + len(added)
         return out, added
-
-    def _unshare(self) -> None:
-        flat = _flat_copy(self)
-        self._spo, self._pos, self._base, self._shared = flat._spo, flat._pos, None, False
 
     def match(
         self,
@@ -539,7 +517,10 @@ class Graph:
         return MappingProxyType(own or below)
 
     def copy(self) -> "Graph":
-        return _flat_copy(self)
+        """A mutable flat graph of the same triples."""
+        out = Graph()
+        out.bulk_insert(self)
+        return out
 
     def __len__(self) -> int:
         return self._len
@@ -614,21 +595,6 @@ class _MergedSlice(Mapping):
     def __len__(self) -> int:
         below = self._below
         return len(below) + sum(1 for o in self._above if o not in below)
-
-
-def _flat_copy(graph: Graph) -> Graph:
-    """A flat graph of ``graph``'s triples that shares no container."""
-    base = graph._base
-    out = Graph()
-    flat = graph if base is None else base
-    out._spo, out._pos, out._len = _copy_index(flat._spo), _copy_index(flat._pos), flat._len
-    if base is not None:
-        out.bulk_insert(_triples(graph._spo))
-    return out
-
-
-def _copy_index(index: dict) -> dict:
-    return {a: {b: set(c) for b, c in inner.items()} for a, inner in index.items()}
 
 
 def _path_union(spo: dict, pos: dict, triples: Iterable[Triple]) -> None:

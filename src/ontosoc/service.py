@@ -12,11 +12,13 @@ connection they accepted before accepting again (the Leader/Followers
 pattern); no thread is started per connection.  A ninth concurrent
 client waits in the listen backlog.  Each connection carries one
 HTTP/1.0 request and is closed after its answer, which goes out in one
-send.  Every read of a request waits at most READ_TIMEOUT (10 s); a
-connection idle that long is closed unanswered, and a body cut short by
-it, or by the peer closing, gets a 400.  The request line and header
-fields may take MAX_HEADER_BYTES (64 KiB) in all: past that, 431 (414
-if the request line alone is that long).  Every error body is JSON,
+send.  A request's head must arrive within READ_TIMEOUT (10 s) in all,
+and its body within READ_TIMEOUT plus its size over MIN_BODY_RATE
+(64 KiB/s), however the client paces its bytes.  A connection whose head
+is not in by then is closed unanswered, and a body cut short by its
+deadline, or by the peer closing, gets a 400.  The request line and
+header fields may take MAX_HEADER_BYTES (64 KiB) in all: past that, 431
+(414 if the request line alone is that long).  Every error body is JSON,
 including 400 for a malformed request line or header field or a second
 Content-Length, 501 for a method other than GET or POST, and 500 for a
 fault in a handler, after which the worker goes on serving.  A request
@@ -29,22 +31,23 @@ most READ_TIMEOUT and MAX_BODY_BYTES + MAX_HEADER_BYTES bytes.
 Writes are serialized behind a lock, and a post's in-memory work grows
 with its delta, not with the graph.  The new graph is built aside by
 `Graph.union` as an overlay: its own indexes hold only the triples
-posted since the last fold, over a frozen flat base that it shares with
-the live graph, so a post copies only the overlay.  When the overlay
-would pass `rdf.FOLD_TRIPLES`, the union folds it into a new flat graph
-by path copying instead, once per that many posted triples.  The new
-graph is checked by `validate_delta`, which re-checks only what the
-delta touches against the writer's own type map, `ServiceState.types`.
-Readers never read that map; the writer updates it in place with the
-nodes a post retypes, and only once the post is durable, so a refused
-post leaves it as it was.  The whole graph's types are entailed once,
-when the state is built; its violations are never listed.  A post is
-refused with a 422 only for the violations it adds, those of a kind the
-graph before it had none of on the same triple (domain, range) or on
-the same node and class pair (disjointness), and the 422 lists only
-those.  The delta is made durable, and only then is the live (graph,
-epoch) pair replaced, as one value.  Readers always see a graph with its
-own epoch.
+posted since the last fold, over a flat base that it shares with the
+live graph, so a post copies only the overlay.  The union freezes both
+graphs, so no graph that a reader may hold ever changes.  When the
+overlay would pass `rdf.FOLD_TRIPLES`, the union folds it into a new
+flat graph by path copying instead, once per that many posted triples.
+The new graph is checked by `validate_delta`, which re-checks only what
+the delta touches against the writer's own type map,
+`ServiceState.types`.  Readers never read that map; the writer updates
+it in place with the nodes a post retypes, and only once the post is
+durable, so a refused post leaves it as it was.  The whole graph's types
+are entailed once, when the state is built; its violations are never
+listed.  A post is refused with a 422 only for the violations it adds,
+those of a kind the graph before it had none of on the same triple
+(domain, range) or on the same node and class pair (disjointness), and
+the 422 lists only those.  The delta is made durable, and only then is
+the live (graph, epoch) pair replaced, as one value.  Readers always see
+a graph with its own epoch.
 
 The ``--data`` file is a log of records.  It starts with a full
 snapshot: a ``# epoch N`` line (a Turtle comment), the serialized graph
@@ -95,7 +98,8 @@ DEFAULT_PORT = 7474
 MAX_QUERY_LENGTH = 8192  # a longer query gets 414
 MAX_BODY_BYTES = 16 * 1024 * 1024  # a longer POST body gets 413, unread
 MAX_HEADER_BYTES = 64 * 1024  # a longer request line and header block gets 431 (414 if one line)
-READ_TIMEOUT = 10.0  # seconds a worker waits on each read of a request before dropping it
+READ_TIMEOUT = 10.0  # seconds a request's head may take to arrive, in all, and an answer to go out
+MIN_BODY_RATE = 64 * 1024  # bytes a second a body must average, past READ_TIMEOUT
 WORKERS = 8  # threads that accept connections, each serving one at a time
 _COMMIT = re.compile(rb"^# epoch ([0-9]+)\n", re.MULTILINE)
 
@@ -360,10 +364,12 @@ class _Handler:
     def _read_head(self) -> Optional[bytes]:
         """The request line and header fields, without their blank line.
 
-        None when the peer closes or times out first, or when the block
-        is past MAX_HEADER_BYTES (then answered: 414 if no line ended).
+        None when the peer closes or resets first, or READ_TIMEOUT passes,
+        or when the block is past MAX_HEADER_BYTES (then answered: 414 if
+        no line ended).
         """
         conn, buf, start = self.conn, b"", 0
+        deadline = time.monotonic() + READ_TIMEOUT
         while True:
             end = _HEAD_END.search(buf, start)
             if end is not None and end.start() <= MAX_HEADER_BYTES:
@@ -375,10 +381,7 @@ class _Handler:
                 else:
                     self._send(414, json.dumps({"error": f"request line exceeds {MAX_HEADER_BYTES} bytes"}))
                 return None
-            try:
-                chunk = conn.recv(65536)
-            except OSError:  # READ_TIMEOUT passed, or the peer reset
-                return None
+            chunk = _recv(conn, deadline, 65536)
             if not chunk:
                 return None
             start = max(0, len(buf) - 3)
@@ -386,17 +389,16 @@ class _Handler:
 
     def _read_body(self, size: int) -> bytes:
         """The next ``size`` bytes of the request, or fewer if the peer
-        closes, resets or times out first."""
+        closes or resets first, or passes READ_TIMEOUT plus ``size`` over
+        MIN_BODY_RATE."""
         chunks, got = [self._rest], len(self._rest)
-        try:
-            while got < size:
-                chunk = self.conn.recv(min(size - got, 262144))
-                if not chunk:
-                    break
-                chunks.append(chunk)
-                got += len(chunk)
-        except OSError:
-            pass
+        deadline = time.monotonic() + READ_TIMEOUT + size / MIN_BODY_RATE
+        while got < size:
+            chunk = _recv(self.conn, deadline, min(size - got, 262144))
+            if not chunk:
+                break
+            chunks.append(chunk)
+            got += len(chunk)
         return b"".join(chunks)[:size]
 
     def _send(self, status: int, body: str, content_type: str = "application/json") -> None:
@@ -406,6 +408,7 @@ class _Handler:
                 "Connection: close\r\n\r\n")
         self.sent = True
         try:
+            self.conn.settimeout(READ_TIMEOUT)  # a whole wait, whatever the read left
             self.conn.sendall(head.encode("latin-1") + payload)
         except OSError:  # the peer is gone: nobody is left to answer
             pass
@@ -494,7 +497,6 @@ class Server:
                     return
                 continue  # the connection was aborted before it was accepted, or fds ran out
             try:
-                conn.settimeout(READ_TIMEOUT)
                 handler = _Handler(state, conn)
                 handler.handle()
                 if handler.sent and not handler.read_all:
@@ -529,17 +531,24 @@ def _drain(conn: socket.socket) -> None:
     left = MAX_BODY_BYTES + MAX_HEADER_BYTES
     try:
         conn.shutdown(socket.SHUT_WR)
-        while left > 0:
-            wait = deadline - time.monotonic()
-            if wait <= 0:
-                return
-            conn.settimeout(wait)
-            chunk = conn.recv(min(left, 262144))
-            if not chunk:
-                return
-            left -= len(chunk)
+    except OSError:  # the peer reset
+        return
+    while left > 0 and (chunk := _recv(conn, deadline, min(left, 262144))):
+        left -= len(chunk)
+
+
+def _recv(conn: socket.socket, deadline: float, limit: int) -> bytes:
+    """At most ``limit`` bytes from ``conn``, waiting no later than
+    ``deadline`` (`time.monotonic`); b"" once the peer has closed or reset,
+    or the deadline has passed."""
+    wait = deadline - time.monotonic()
+    if wait <= 0:
+        return b""
+    try:
+        conn.settimeout(wait)
+        return conn.recv(limit)
     except OSError:  # the wait ran out, or the peer reset
-        pass
+        return b""
 
 
 def make_server(state: ServiceState, port: int = 0) -> Server:

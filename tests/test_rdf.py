@@ -18,6 +18,7 @@ from ontosoc.canonical import graph_equal
 from ontosoc.rdf import (
     XSD,
     Blank,
+    FrozenGraphError,
     Graph,
     Iri,
     Literal,
@@ -185,22 +186,6 @@ class TestGraphBasics:
         assert g.add(t) is True
         assert t in g
 
-    def test_remove_present(self):
-        g = Graph([Triple(A, P, B)])
-        assert g.remove(Triple(A, P, B)) is True
-        assert len(g) == 0
-
-    def test_remove_absent(self):
-        assert Graph().remove(Triple(A, P, B)) is False
-
-    def test_insert_remove_insert_round_trip(self):
-        g = Graph()
-        t = Triple(A, P, B)
-        g.add(t)
-        g.remove(t)
-        g.add(t)
-        assert graph_equal(g, Graph([t]))
-
     def test_size_examples(self):
         g = Graph()
         assert len(g) == 0
@@ -265,28 +250,6 @@ class TestMatch:
         assert g.match(t.subject, t.predicate, t.object) == [t]
 
 
-def test_random_interleaving_preserves_size():
-    rng = random.Random(20240817)
-    pool = [
-        Triple(Iri(EX + s), Iri(EX + p), Iri(EX + o))
-        for s in "abcd"
-        for p in "pq"
-        for o in "xyz"
-    ]
-    g = Graph()
-    model: set[Triple] = set()
-    for _ in range(1000):
-        t = rng.choice(pool)
-        if rng.random() < 0.5:
-            assert g.add(t) == (t not in model)
-            model.add(t)
-        else:
-            assert g.remove(t) == (t in model)
-            model.discard(t)
-        assert len(g) == len(model)
-    assert set(g) == model
-
-
 # a small pool, so that random operations hit the same triples often
 _M_SUBJECTS = [Iri(f"http://m/{c}") for c in "abcd"] + [Blank("m1"), Blank("m2")]
 _M_PREDICATES = [Iri(f"http://m/p{i}") for i in range(3)]
@@ -300,7 +263,6 @@ _model_triples = st.tuples(
 _graph_ops = st.lists(
     st.one_of(
         st.tuples(st.just("add"), _model_triples),
-        st.tuples(st.just("remove"), _model_triples),
         st.tuples(st.just("union"), st.lists(_model_triples, max_size=6)),
         st.tuples(st.just("bulk"), st.lists(_model_triples, max_size=6)),
     ),
@@ -354,20 +316,20 @@ def _check_graph_ops(ops: list) -> None:
     g, model = Graph(), set()
     sources = []  # (graph, its triples) before each union
     for op, arg in ops:
-        if op == "add":
-            assert g.add(Triple(*arg)) == (arg not in model)
-            model.add(arg)
-        elif op == "remove":
-            assert g.remove(Triple(*arg)) == (arg in model)
-            model.discard(arg)
-        elif op == "bulk":
-            assert g.bulk_insert(arg) == len(set(arg) - model)
-            model.update(arg)
-        else:
+        if op == "union":
             out, added = g.union([Triple(*spo) for spo in arg])
             assert [tuple(t) for t in added] == [spo for spo in dict.fromkeys(arg) if spo not in model]
             sources.append((g, set(model)))
             g, model = out, model | set(arg)
+        elif sources:  # a union has read or returned ``g``: it refuses the op
+            with pytest.raises(FrozenGraphError):
+                g.add(Triple(*arg)) if op == "add" else g.bulk_insert(arg)
+        elif op == "add":
+            assert g.add(Triple(*arg)) == (arg not in model)
+            model.add(arg)
+        else:
+            assert g.bulk_insert(arg) == len(set(arg) - model)
+            model.update(arg)
         _assert_graph_is(g, model)
     for source, triples in sources:
         _assert_graph_is(source, triples)
@@ -514,16 +476,39 @@ class TestUnion:
         terms = [None] + sorted({x for t in expected for x in (t.subject, t.predicate, t.object)}, key=str)[:6]
         for s, p, o in itertools.product(terms, repeat=3):
             assert out.match(s, p, o) == expected.match(s, p, o)
-        # mutating either graph afterwards leaves the other as it was
+        # both graphs refuse ``later``; a copy of the result takes it
         for t in later:
-            out.add(t)
-            g.remove(t)
-        assert set(g) == before - set(later)
-        assert set(out) == before | set(new) | set(later)
-        assert sorted(g.match(), key=Triple.sort_key) == Graph(before - set(later)).match()
+            for graph in (g, out):
+                with pytest.raises(FrozenGraphError):
+                    graph.add(t)
+        copied = out.copy()
+        assert copied.update(later) == len(set(later) - set(out))
+        assert set(g) == before
+        assert set(out) == before | set(new)
+        assert set(copied) == before | set(new) | set(later)
+        assert g.match() == Graph(before).match()
         for t in set(g):
             assert g.match(t.subject) == Graph(set(g)).match(t.subject)
             assert out.match(None, None, t.object) == Graph(set(out)).match(None, None, t.object)
+
+    def test_a_union_freezes_both_graphs_and_a_copy_is_mutable(self):
+        g = Graph([Triple(A, P, B)])
+        out, _ = g.union([Triple(B, P, A)])
+        for graph, triples in ((g, {Triple(A, P, B)}), (out, {Triple(A, P, B), Triple(B, P, A)})):
+            for refused in (
+                lambda: graph.add(Triple(A, P, A)),
+                lambda: graph.bulk_insert([(A, P, A)]),
+                lambda: graph.bulk_insert([]),
+                lambda: graph.update([Triple(A, P, A)]),
+            ):
+                with pytest.raises(FrozenGraphError):
+                    refused()
+                assert set(graph) == triples and len(graph) == len(triples)
+            copied = graph.copy()
+            assert copied.add(Triple(A, P, A)) is True
+            assert set(copied) == triples | {Triple(A, P, A)} and set(graph) == triples
+            assert copied._base is None and copied._spo[A] is not graph._spo.get(A)
+        assert issubclass(FrozenGraphError, TypeError)
 
 
 class TestPrefixMap:

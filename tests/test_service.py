@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import re
+import select
 import signal
 import socket
 import subprocess
@@ -342,6 +343,96 @@ class TestProtocol:
             for sock in idle:
                 sock.close()
 
+    def test_drip_fed_heads_hold_the_workers_no_longer_than_the_read_timeout(self, server, monkeypatch):
+        """WORKERS connections that each send a header byte every 0.1 s
+        keep a ninth client waiting only until READ_TIMEOUT has passed
+        since each was accepted, not for as long as they keep sending."""
+        base, _ = server
+        monkeypatch.setattr(service, "READ_TIMEOUT", 0.5)
+        drips = [socket.create_connection(("127.0.0.1", _port(base)), timeout=10) for _ in range(service.WORKERS)]
+        done = threading.Event()
+
+        def drip():
+            data = b"GET /health HTTP/1.0\r\nX-Slow: "
+            while not done.wait(0.1):
+                for sock in drips:
+                    try:
+                        sock.sendall(data)
+                    except OSError:  # dropped by its worker
+                        pass
+                data = b"x"
+
+        dripper = threading.Thread(target=drip)
+        dripper.start()
+        try:
+            t0 = time.perf_counter()
+            assert requests.get(f"{base}/health", timeout=10).json() == {"triples": 0, "epoch": 0}
+            assert time.perf_counter() - t0 < 3.0
+        finally:
+            done.set()
+            dripper.join(timeout=10)
+            for sock in drips:
+                sock.close()
+        assert not dripper.is_alive()
+
+    def test_a_slow_steady_body_above_the_minimum_rate_is_stored(self, server, monkeypatch):
+        """A body may take longer than READ_TIMEOUT in all, by its size
+        over MIN_BODY_RATE."""
+        base, state = server
+        monkeypatch.setattr(service, "READ_TIMEOUT", 0.3)
+        monkeypatch.setattr(service, "MIN_BODY_RATE", 50)
+        body = GOOD_TTL.encode("utf-8")  # 100 bytes a second: over 1 s, each gap 0.1 s
+        with socket.create_connection(("127.0.0.1", _port(base)), timeout=10) as sock:
+            sock.sendall(f"POST /graph HTTP/1.0\r\nContent-Length: {len(body)}\r\n\r\n".encode("ascii"))
+            t0 = time.perf_counter()
+            for i in range(0, len(body), 10):
+                time.sleep(0.1)
+                sock.sendall(body[i : i + 10])
+            answer = b""
+            while chunk := sock.recv(65536):
+                answer += chunk
+        assert time.perf_counter() - t0 > 1.0
+        assert answer.startswith(b"HTTP/1.0 200 ")
+        assert json.loads(answer.partition(b"\r\n\r\n")[2]) == {"added": 3, "epoch": 1}
+        assert state.snapshot_path.exists()
+
+    def test_a_drip_fed_body_below_the_minimum_rate_is_cut_off_at_its_deadline(self, server, monkeypatch):
+        """A body sent one byte every 0.1 s, under MIN_BODY_RATE, gets a 400
+        once READ_TIMEOUT plus its size over MIN_BODY_RATE has passed,
+        though its client never stops sending."""
+        base, state = server
+        body = GOOD_TTL.encode("utf-8")
+        monkeypatch.setattr(service, "READ_TIMEOUT", 0.3)
+        monkeypatch.setattr(service, "MIN_BODY_RATE", len(body) * 5)  # a deadline 0.5 s after the head
+        with socket.create_connection(("127.0.0.1", _port(base)), timeout=10) as sock:
+            sock.sendall(f"POST /graph HTTP/1.0\r\nContent-Length: {len(body)}\r\n\r\n".encode("ascii"))
+            t0, sent = time.perf_counter(), 0
+            while sent < len(body) - 1 and not select.select([sock], [], [], 0.1)[0]:
+                sock.sendall(body[sent : sent + 1])
+                sent += 1
+            answer = b""
+            while chunk := sock.recv(65536):
+                answer += chunk
+        assert 0.4 <= time.perf_counter() - t0 < 3.0 and sent < len(body) - 1
+        head, _, reply = answer.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.0 400 ")
+        assert re.fullmatch(rf"body ended after [0-9]+ of {len(body)} bytes", json.loads(reply)["error"])
+        assert requests.get(f"{base}/health", timeout=10).json() == {"triples": 0, "epoch": 0}
+        assert not state.snapshot_path.exists()
+
+    def test_recv_waits_no_later_than_its_deadline(self):
+        left, right = socket.socketpair()
+        with left, right:
+            right.sendall(b"abc")
+            assert service._recv(left, time.monotonic() + 5, 2) == b"ab"
+            assert service._recv(left, time.monotonic() - 1, 2) == b""  # past: the byte waiting is not read
+            t0 = time.perf_counter()
+            assert service._recv(left, time.monotonic() + 5, 2) == b"c"
+            assert service._recv(left, time.monotonic() + 0.2, 2) == b""  # nothing comes
+            assert 0.15 <= time.perf_counter() - t0 < 3.0
+            right.close()
+            assert service._recv(left, time.monotonic() + 5, 2) == b""  # the peer has closed
+
     def test_a_worker_survives_a_handler_fault(self, server, monkeypatch):
         base, _ = server
 
@@ -453,10 +544,13 @@ def test_readers_see_whole_graphs_while_posts_overlay_and_fold(monkeypatch):
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     readers = [threading.Thread(target=read) for _ in range(3)]
+    snapshots, statuses = [(state.graph, set())], []
     try:
         for t in readers:
             t.start()
-        statuses = [state.apply_post(_locality(f"Town{i}"))[0] for i in range(60)]
+        for i in range(60):
+            statuses.append(state.apply_post(_locality(f"Town{i}"))[0])
+            snapshots.append((state.graph, set(state.graph)))
     finally:
         done.set()
         for t in readers:
@@ -465,6 +559,18 @@ def test_readers_see_whole_graphs_while_posts_overlay_and_fold(monkeypatch):
     assert not any(t.is_alive() for t in readers)
     assert statuses == [200] * 60 and reads and not errors
     assert state.types == validation.entail_types(state.graph, builtin_schema())
+    _assert_frozen_as_they_were(snapshots)
+
+
+def _assert_frozen_as_they_were(snapshots: list) -> None:
+    """Each (graph, its triples when it was live) refuses every mutation
+    and still holds just those triples."""
+    t = Triple(Iri("http://example.org/soc/Never"), Iri(RDF_TYPE), Iri(ONTOSOC_NS + "Locality"))
+    for graph, triples in snapshots:
+        for mutate in (graph.add, lambda t: graph.bulk_insert([t]), lambda t: graph.update([t])):
+            with pytest.raises(rdf.FrozenGraphError):
+                mutate(t)
+        assert len(graph) == len(triples) and set(graph) == triples
 
 
 MORE_TTL = """\
@@ -712,20 +818,28 @@ def test_a_refused_post_leaves_the_writers_type_map_as_it_was(tmp_path, monkeypa
     data = tmp_path / "kb.ttl"
     data.write_text(serialize_turtle(_corpus()), encoding="utf-8")
     state, schema = load_state(data_path=str(data)), builtin_schema()
-    assert state.apply_post(_locality("Town"))[0] == 200
-    assert state.apply_post(BAD_TTL)[0] == 422  # it would have typed ex:Mixed
+    snapshots = [(state.graph, set(state.graph))]
+
+    def post(body):
+        status = state.apply_post(body)[0]
+        snapshots.append((state.graph, set(state.graph)))
+        return status
+
+    assert post(_locality("Town")) == 200
+    assert post(BAD_TTL) == 422  # it would have typed ex:Mixed
     assert state.types == validation.entail_types(state.graph, schema)
 
     def failing(fd):
         raise OSError("injected fsync failure")
 
     monkeypatch.setattr(os, "fsync", failing)
-    assert state.apply_post(_locality("Village"))[0] == 507
+    assert post(_locality("Village")) == 507
     monkeypatch.undo()
     assert Iri("http://example.org/soc/Village") not in state.types
     assert state.types == validation.entail_types(state.graph, schema)
-    assert state.apply_post(_locality("Village"))[0] == 200
+    assert post(_locality("Village")) == 200
     assert state.types == validation.entail_types(state.graph, schema)
+    _assert_frozen_as_they_were(snapshots)
 
 
 def test_posts_without_a_fold_keep_one_base_under_a_small_overlay():
