@@ -83,8 +83,7 @@ def _merge_files(paths: list[str]) -> Document:
     taken = _blank_labels(merged.graph) if len(paths) > 1 else set()
     for path in paths[1:]:
         doc = _parse_file(path)
-        for label, ns in doc.prefixes.items():
-            merged.prefixes.declare(label, ns)
+        merged.prefixes.update(doc.prefixes)
         own = _blank_labels(doc.graph)
         rename = {}
         for label in sorted(own & taken):

@@ -397,9 +397,9 @@ def map_to_concepts(
 
 def default_decision_table() -> DecisionTable:
     """The shipped keep/drop table for the 12 default pairs."""
-    from .resources import load_decision_table
+    from .resources import decision_table_path
 
-    return load_decision_table()
+    return parse_decision_table(decision_table_path().read_text(encoding="utf-8"))
 
 
 def schema_from_relations(relations: list[DirectedRelation]) -> SchemaDef:

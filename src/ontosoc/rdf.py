@@ -1,5 +1,8 @@
 """In-memory RDF model: terms, triples, prefix maps, and an indexed graph.
 
+A prefix map is a `dict` from label to namespace whose lookup of an
+undeclared label raises UndeclaredPrefixError, a KeyError.
+
 Terms are hash-consed (Filliâtre & Conchon, "Type-Safe Modular
 Hash-Consing", 2006): constructing an `Iri`, `Blank` or `Literal`
 returns the one object for its value, so equality is identity and
@@ -321,47 +324,15 @@ class UndeclaredPrefixError(KeyError):
         return f"undeclared prefix: {self.label!r}"
 
 
-class PrefixMap:
-    """Ordered mapping from prefix label (possibly empty) to namespace IRI."""
+class PrefixMap(dict):
+    """Prefix label (possibly empty) to namespace IRI, in declaration
+    order: a dict whose lookup of an undeclared label raises
+    UndeclaredPrefixError, a KeyError."""
 
-    def __init__(self, pairs: Optional[Iterable[tuple[str, str]]] = None):
-        self._map: dict[str, str] = {}
-        if pairs:
-            for label, ns in pairs:
-                self.declare(label, ns)
+    __slots__ = ()
 
-    def declare(self, label: str, namespace: str) -> None:
-        self._map[label] = namespace
-
-    def namespace(self, label: str) -> str:
-        try:
-            return self._map[label]
-        except KeyError:
-            raise UndeclaredPrefixError(label) from None
-
-    def expand(self, qname: str) -> Iri:
-        label, _, local = qname.partition(":")
-        return Iri(self.namespace(label) + local)
-
-    def items(self) -> list[tuple[str, str]]:
-        return list(self._map.items())
-
-    def copy(self) -> "PrefixMap":
-        return PrefixMap(self._map.items())
-
-    def __contains__(self, label: str) -> bool:
-        return label in self._map
-
-    def __len__(self) -> int:
-        return len(self._map)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PrefixMap):
-            return NotImplemented
-        return self._map == other._map
-
-    def __repr__(self) -> str:
-        return f"PrefixMap({self._map!r})"
+    def __missing__(self, label: str) -> str:
+        raise UndeclaredPrefixError(label)
 
 
 _EMPTY: dict = {}  # the default of index lookups; never written
@@ -416,28 +387,30 @@ class Graph:
             raise FrozenGraphError("a graph that union has read or returned cannot change")
         spo, pos = self._spo, self._pos
         added = 0
-        # get before set: `setdefault` would build an empty container per call
-        for s, p, o in triples:
-            by_p = spo.get(s)
-            if by_p is None:
-                by_p = spo[s] = {}
-            objs = by_p.get(p)
-            if objs is None:
-                by_p[p] = {o}
-            elif o in objs:
-                continue
-            else:
-                objs.add(o)
-            by_o = pos.get(p)
-            if by_o is None:
-                by_o = pos[p] = {}
-            subs = by_o.get(o)
-            if subs is None:
-                by_o[o] = {s}
-            else:
-                subs.add(s)
-            added += 1
-        self._len += added
+        try:  # an iterable that raises part way leaves the count true
+            # get before set: `setdefault` would build an empty container per call
+            for s, p, o in triples:
+                by_p = spo.get(s)
+                if by_p is None:
+                    by_p = spo[s] = {}
+                objs = by_p.get(p)
+                if objs is None:
+                    by_p[p] = {o}
+                elif o in objs:
+                    continue
+                else:
+                    objs.add(o)
+                by_o = pos.get(p)
+                if by_o is None:
+                    by_o = pos[p] = {}
+                subs = by_o.get(o)
+                if subs is None:
+                    by_o[o] = {s}
+                else:
+                    subs.add(s)
+                added += 1
+        finally:
+            self._len += added
         return added
 
     def update(self, triples: Iterable[Triple]) -> int:

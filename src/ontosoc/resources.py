@@ -14,12 +14,6 @@ def decision_table_path() -> Path:
     return _data_root() / "decisions.txt"
 
 
-def load_decision_table():
-    from .hat import parse_decision_table
-
-    return parse_decision_table(decision_table_path().read_text(encoding="utf-8"))
-
-
 def corpus_paths() -> list[Path]:
     return sorted((_data_root() / "corpus").glob("*.ttl"))
 

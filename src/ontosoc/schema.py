@@ -17,7 +17,6 @@ only against its own signature.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .rdf import (
@@ -111,7 +110,9 @@ class _Schema(NamedTuple):
 class SchemaDef(_Schema):
     """A schema, checked against its structural invariants when built.
 
-    Its instances have a ``__dict__`` only for `superclass_closures`."""
+    The same walks build its lookups, which its instances keep in their
+    ``__dict__``: `superclass_closures`, and each property IRI's
+    signatures and canonical property."""
 
     def __new__(cls, *args, **kwargs) -> SchemaDef:
         schema = super().__new__(cls, *args, **kwargs)
@@ -134,7 +135,9 @@ class SchemaDef(_Schema):
         for c in self.classes:
             if c.superclass is not None and c.superclass not in by_iri:
                 raise SchemaError(f"undeclared superclass {c.superclass} of {c.iri}")
-        # forest: following superclass links must terminate
+        # forest: following superclass links must terminate; the classes
+        # a walk sees are its start's closure
+        self.superclass_closures: dict[str, frozenset[str]] = {}
         for c in self.classes:
             seen = set()
             cur: Optional[str] = c.iri
@@ -143,9 +146,13 @@ class SchemaDef(_Schema):
                     raise SchemaError(f"cycle in class hierarchy at {cur}")
                 seen.add(cur)
                 cur = by_iri[cur].superclass
+            self.superclass_closures[c.iri] = frozenset(seen)
         individual = self.namespace + "Individual"
         if individual in by_iri and any(c.superclass == individual for c in self.classes):
             raise SchemaError("Individual admits no subclasses")
+        # each IRI's first declaration wins, a canonical one over an alias
+        self._signatures: dict[str, tuple[PropertyDef, ...]] = {}
+        self._canonical: dict[str, PropertyDef] = {}
         for p in self.properties:
             if any(alias.iri == p.iri for alias in p.aliases):
                 raise SchemaError(f"alias IRI equals canonical IRI: {p.iri}")
@@ -153,6 +160,12 @@ class SchemaDef(_Schema):
                 for end in (q.domain, q.range):
                     if end not in by_iri:
                         raise SchemaError(f"property {q.iri} refers to undeclared class {end}")
+            self._signatures.setdefault(p.iri, (p, *p.aliases))
+            self._canonical.setdefault(p.iri, p)
+        for p in self.properties:
+            for alias in p.aliases:
+                self._signatures.setdefault(alias.iri, (alias,))
+                self._canonical.setdefault(alias.iri, p)
         for ax in self.disjointness:
             for end in (ax.class_a, ax.class_b):
                 if end not in by_iri:
@@ -166,7 +179,7 @@ class SchemaDef(_Schema):
                 raise SchemaError(f"alignment target inside schema namespace: {m.target}")
 
     def class_iris(self) -> set[str]:
-        return {c.iri for c in self.classes}
+        return set(self.superclass_closures)
 
     def upper_classes(self) -> list[ClassDef]:
         return [c for c in self.classes if c.superclass is None]
@@ -174,35 +187,19 @@ class SchemaDef(_Schema):
     def subclasses(self, iri: str) -> list[ClassDef]:
         return [c for c in self.classes if c.superclass == iri]
 
-    @cached_property
-    def superclass_closures(self) -> dict[str, frozenset]:
-        """Each declared class's `superclass_closure`, worked out once per schema."""
-        return {c.iri: frozenset(self.superclass_closure(c.iri)) for c in self.classes}
-
-    def superclass_closure(self, iri: str) -> set[str]:
+    def superclass_closure(self, iri: str) -> frozenset[str]:
         """Reflexive-transitive closure upward from a declared class."""
-        by_iri = {c.iri: c for c in self.classes}
-        if iri not in by_iri:
-            raise UnknownClassError(f"unknown class: {iri}")
-        out = set()
-        cur: Optional[str] = iri
-        while cur is not None:
-            out.add(cur)
-            cur = by_iri[cur].superclass
-        return out
+        try:
+            return self.superclass_closures[iri]
+        except KeyError:
+            raise UnknownClassError(f"unknown class: {iri}") from None
 
     def lookup_property(self, iri: str) -> Optional[PropertyDef]:
         """Resolve a canonical or alias IRI to the canonical PropertyDef.
 
         Canonical declarations win over alias spellings when an IRI is both.
         """
-        for p in self.properties:
-            if p.iri == iri:
-                return p
-        for p in self.properties:
-            if any(a.iri == iri for a in p.aliases):
-                return p
-        return None
+        return self._canonical.get(iri)
 
     def signatures_for(self, iri: str) -> list[PropertyDef]:
         """Signatures a triple with this predicate may validate against.
@@ -211,14 +208,7 @@ class SchemaDef(_Schema):
         signatures as compatibility fallbacks; an alias IRI offers only
         its own.
         """
-        for p in self.properties:
-            if p.iri == iri:
-                return [p] + list(p.aliases)
-        for p in self.properties:
-            for a in p.aliases:
-                if a.iri == iri:
-                    return [a]
-        return []
+        return list(self._signatures.get(iri, ()))
 
 
 def _c(name: str) -> str:

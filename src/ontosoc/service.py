@@ -68,9 +68,14 @@ first line's epoch; either is rewritten whole by the next post.  The
 file is also rewritten whole, compacting the records into one snapshot,
 when the file does not exist, or when an append would take it past
 twice its size at the last whole write or at load.  A whole write goes
-to a temp file that is fsynced and renamed over the old one, with the
-cyclic garbage collector paused: the sort behind it allocates an object
-per triple, which would make the collector rescan the whole graph.
+to a temp file that is fsynced and renamed over the old one, and then
+the directory is fsynced, so that the rename survives a power loss too.
+If that last fsync fails, the post gets a 507 although the renamed file
+holds it: a restart before the next post would load it, and the next
+post rewrites the file whole, at its own epoch, whatever the size.  A
+whole write runs with the cyclic garbage collector paused: the sort
+behind it allocates an object per triple, which would make the
+collector rescan the whole graph.
 """
 
 from __future__ import annotations
@@ -195,6 +200,7 @@ class ServiceState:
                 self._committed += len(record)
                 return
         doc = Document(graph=graph, prefixes=PrefixMap(schema_prefixes()))
+        self._committed = None  # so that, if this fails after the rename, the next write is whole
         with _collector_paused():  # the sort's many new objects would make it rescan the whole graph
             data = (commit + serialize_turtle(doc) + commit).encode("utf-8")
             self._atomic_write(path, data)
@@ -214,6 +220,11 @@ class ServiceState:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
+        fd = os.open(path.parent, os.O_RDONLY)  # the rename is durable once its directory is
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
 
     def run_query(self, query: str) -> tuple[int, str]:
         try:

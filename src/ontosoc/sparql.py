@@ -127,7 +127,7 @@ class _QueryParser(_Parser):
                 raise self.error("expected namespace IRI", self.at)
             if self.value:  # an empty namespace fails where it is used
                 self._iri(self.value, self.at)
-            prefixes.declare(label, self.value)
+            prefixes[label] = self.value
             self._next()
 
         kw = self._keyword()

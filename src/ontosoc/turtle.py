@@ -252,7 +252,7 @@ class _Parser:
                 if not label.endswith(":"):
                     raise self.error("prefix label must end with ':'", at)
                 ns = self._expect("iriref")
-                self.doc.prefixes.declare(label[:-1], self._resolve(ns))
+                self.doc.prefixes[label[:-1]] = self._resolve(ns)
                 self.pnames.clear()
                 self._expect(".")
             elif self.kind == "@base":
@@ -360,7 +360,7 @@ class _Parser:
         if iri is None:
             label, _, local = value.partition(":")
             try:
-                namespace = self.doc.prefixes.namespace(label)
+                namespace = self.doc.prefixes[label]
             except UndeclaredPrefixError as exc:
                 raise self.error(str(exc), at) from None
             iri = self.pnames[value] = self._iri(namespace + local, at)
@@ -472,7 +472,7 @@ def _statements(words: list[str], bodies: list[str]) -> Document:
     def iri(token: str) -> Iri:
         if _PNAME_RE.fullmatch(token):
             label, _, local = token.partition(":")
-            return Iri(prefixes.namespace(label) + local)
+            return Iri(prefixes[label] + local)
         return Iri(iriref(token))
 
     def iriref(token: str) -> str:
@@ -526,7 +526,7 @@ def _statements(words: list[str], bodies: list[str]) -> Document:
             namespace = iriref(namespace)
             if end != ".":
                 raise _unreadable(end)
-            prefixes.declare(label[:-1], namespace)
+            prefixes[label[:-1]] = namespace
             nodes.clear()
             verbs.clear()
             verbs["a"] = _RDF_TYPE

@@ -9,6 +9,7 @@ import re
 from itertools import product
 
 from ontosoc.rdf import XSD_STRING, Blank, Graph, Iri, Literal, PrefixMap, Term, Triple, term_key
+from ontosoc.schema import UnknownClassError
 from ontosoc.sparql import TriplePattern, Var
 from ontosoc.turtle import Document
 
@@ -105,10 +106,52 @@ _VOCAB = {
 }
 
 
+def scan_class_iris(schema) -> set[str]:
+    return {c.iri for c in schema.classes}
+
+
+def scan_superclass_closure(schema, iri: str) -> set[str]:
+    """The superclass links followed upward from ``iri``, a declared class."""
+    by_iri = {c.iri: c for c in schema.classes}
+    if iri not in by_iri:
+        raise UnknownClassError(f"unknown class: {iri}")
+    out = set()
+    cur = iri
+    while cur is not None:
+        out.add(cur)
+        cur = by_iri[cur].superclass
+    return out
+
+
+def scan_lookup_property(schema, iri: str):
+    """The first property whose canonical IRI is ``iri``, else the first
+    with an alias of that IRI, else None."""
+    for p in schema.properties:
+        if p.iri == iri:
+            return p
+    for p in schema.properties:
+        if any(a.iri == iri for a in p.aliases):
+            return p
+    return None
+
+
+def scan_signatures_for(schema, iri: str) -> list:
+    """The first property with canonical IRI ``iri`` and its aliases, else
+    the first alias of that IRI alone, else nothing."""
+    for p in schema.properties:
+        if p.iri == iri:
+            return [p] + list(p.aliases)
+    for p in schema.properties:
+        for a in p.aliases:
+            if a.iri == iri:
+                return [a]
+    return []
+
+
 def _types_by_scan(graph: Graph, schema):
     """A function from a node to its schema classes and their
     superclasses, each call scanning every triple."""
-    class_iris = schema.class_iris()
+    class_iris = scan_class_iris(schema)
 
     def types_of(node) -> set[str]:
         found = set()
@@ -119,7 +162,7 @@ def _types_by_scan(graph: Graph, schema):
                 and isinstance(t.object, Iri)
                 and t.object.value in class_iris
             ):
-                for sup in schema.superclass_closure(t.object.value):
+                for sup in scan_superclass_closure(schema, t.object.value):
                     found.add(sup)
         return found
 
@@ -165,7 +208,7 @@ def brute_force_violations(graph: Graph, schema) -> list[str]:
     for t in graph:
         if t.predicate.value in _VOCAB:
             continue
-        sigs = schema.signatures_for(t.predicate.value)
+        sigs = scan_signatures_for(schema, t.predicate.value)
         if not sigs:
             continue
         literal = isinstance(t.object, Literal)

@@ -186,6 +186,18 @@ class TestGraphBasics:
         assert g.add(t) is True
         assert t in g
 
+    def test_an_iterable_that_raises_part_way_leaves_the_count_true(self):
+        def two_then_fail():
+            yield A, P, A
+            yield A, P, B
+            raise ValueError("the source failed")
+
+        g = Graph()
+        with pytest.raises(ValueError):
+            g.bulk_insert(two_then_fail())
+        assert len(g) == len(list(g)) == 2
+        assert g.bulk_insert([(A, P, A), (B, P, B)]) == 1 and len(g) == 3
+
     def test_size_examples(self):
         g = Graph()
         assert len(g) == 0
@@ -513,15 +525,21 @@ class TestUnion:
 
 class TestPrefixMap:
     def test_lookup_of_undeclared_fails(self):
-        with pytest.raises(UndeclaredPrefixError):
-            PrefixMap().namespace("ex")
-
-    def test_expand(self):
         pm = PrefixMap([("ex", EX)])
-        assert pm.expand("ex:a") == A
+        with pytest.raises(UndeclaredPrefixError) as raised:
+            pm["other"]
+        assert isinstance(raised.value, KeyError) and raised.value.label == "other"
+        assert "other" not in pm and pm.get("other") is None
 
     def test_labels_unique(self):
         pm = PrefixMap([("ex", EX)])
-        pm.declare("ex", "http://other/")
-        assert pm.namespace("ex") == "http://other/"
+        pm["ex"] = "http://other/"
+        assert pm["ex"] == "http://other/"
         assert len(pm) == 1
+
+    def test_declaration_order_is_kept(self):
+        pm = PrefixMap([("b", "http://b/"), ("", "http://empty/")])
+        pm["a"] = "http://a/"
+        pm["b"] = "http://b2/"  # a label declared again keeps its place
+        assert list(pm.items()) == [("b", "http://b2/"), ("", "http://empty/"), ("a", "http://a/")]
+        assert pm == {"b": "http://b2/", "": "http://empty/", "a": "http://a/"}

@@ -2,6 +2,7 @@ import re
 
 import pytest
 
+from ontosoc import hat
 from ontosoc.canonical import graph_equal
 from ontosoc.rdf import (
     OWL_DISJOINT_WITH,
@@ -30,6 +31,8 @@ from ontosoc.schema import (
     schema_to_graph,
 )
 from ontosoc.turtle import Document, parse_turtle, serialize_turtle
+
+from .oracles import scan_class_iris, scan_lookup_property, scan_signatures_for, scan_superclass_closure
 
 
 def _c(name):
@@ -107,6 +110,47 @@ class TestClosure:
     def test_unknown_class_raises(self, schema):
         with pytest.raises(UnknownClassError):
             schema.superclass_closure(_c("Nothing"))
+
+
+def _derived_schema():
+    pairs, _ = hat.dedupe_pairs(hat.candidate_relations(hat.default_triads()))
+    return hat.schema_from_relations(hat.full_relation_set(hat.apply_decisions(pairs, hat.default_decision_table())))
+
+
+def _schema_with_shared_iris():
+    """The builtin schema with a deeper class chain, where an alias IRI
+    is another property's canonical IRI, two properties have an alias of
+    one IRI, and two properties have one canonical IRI."""
+    base = builtin_schema()
+    classes = base.classes + (
+        ClassDef(_c("FestivalActivity"), "", _c("CulturalActivity")),
+        ClassDef(_c("MaskFestival"), "", _c("FestivalActivity")),
+    )
+    p = list(base.properties)
+    p[0] = p[0]._replace(aliases=(*p[0].aliases, PropertyDef(p[1].iri, _c("Role"), _c("Resource"))))
+    p[4] = p[4]._replace(aliases=(*p[4].aliases, PropertyDef(_c("usedTool"), _c("Individual"), _c("Role"))))
+    p[7] = p[7]._replace(iri=p[2].iri)
+    return SchemaDef(classes, tuple(p), base.disjointness, base.alignments)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [builtin_schema, lambda: schema_from_graph(schema_to_graph(builtin_schema())), _derived_schema, _schema_with_shared_iris],
+    ids=["builtin", "round-tripped", "derived", "shared-iris"],
+)
+def test_lookups_equal_the_scans_of_the_declarations(make):
+    schema = make()
+    class_iris = {c.iri for c in schema.classes}
+    property_iris = {q.iri for p in schema.properties for q in (p, *p.aliases)}
+    assert schema.class_iris() == scan_class_iris(schema)
+    for iri in sorted(class_iris | property_iris | {_c("Unknown")}):
+        assert schema.signatures_for(iri) == scan_signatures_for(schema, iri)
+        assert schema.lookup_property(iri) is scan_lookup_property(schema, iri)
+        if iri in class_iris:
+            assert schema.superclass_closure(iri) == scan_superclass_closure(schema, iri)
+        else:
+            with pytest.raises(UnknownClassError, match=f"^unknown class: {re.escape(iri)}$"):
+                schema.superclass_closure(iri)
 
 
 class TestInvariantChecks:

@@ -7,6 +7,7 @@ import re
 import select
 import signal
 import socket
+import stat
 import subprocess
 import sys
 import tempfile
@@ -867,6 +868,60 @@ def test_posts_work_out_no_superclass_closure_again(monkeypatch):
     statuses = [state.apply_post(delta.body)[0] for delta in itertools.islice(deltas(7, 50), 100)]
     assert statuses.count(200) > 50
     assert len(calls) <= len(schema.classes)
+
+
+def _fsync_target(fd):
+    return "directory fsync" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file fsync"
+
+
+def test_a_whole_write_fsyncs_its_directory_after_the_rename_and_an_append_does_not(tmp_path, monkeypatch):
+    state = ServiceState(Graph(), builtin_schema(), snapshot_path=tmp_path / "kb.ttl")
+    calls = []
+    fsync, replace = os.fsync, os.replace
+    monkeypatch.setattr(os, "fsync", lambda fd: calls.append(_fsync_target(fd)) or fsync(fd))
+    monkeypatch.setattr(os, "replace", lambda *args: calls.append("replace") or replace(*args))
+    assert state.apply_post(GOOD_TTL)[0] == 200  # no file yet: a whole write
+    assert calls == ["file fsync", "replace", "directory fsync"]
+    calls.clear()
+    for i in range(3):
+        assert state.apply_post(_locality(f"Town{i}"))[0] == 200
+    assert calls == ["file fsync"] * 3
+    monkeypatch.undo()
+    _assert_reloads_as_live(state)
+
+
+@pytest.mark.parametrize("whole_write", ["first-write", "compaction"])
+def test_a_failed_directory_fsync_gets_a_507_and_the_next_post_writes_the_file_whole(tmp_path, monkeypatch, whole_write):
+    """The directory fsync fails after the rename: the post gets a 507 and
+    the live pair stays, although the renamed file holds the post.  The
+    next post, however small, rewrites the file whole rather than append
+    at an offset into a file it no longer knows."""
+    data = tmp_path / "kb.ttl"
+    data.write_text(GOOD_TTL, encoding="utf-8")
+    state = load_state(data_path=str(data))
+    if whole_write == "compaction":
+        assert state.apply_post(_locality("Town"))[0] == 200  # a whole write; posts after it append
+        assert state.apply_post(_locality("City"))[0] == 200
+    before = state.current
+    fsync = os.fsync
+
+    def failing_on_a_directory(fd):
+        if _fsync_target(fd) == "directory fsync":
+            raise OSError("injected directory fsync failure")
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", failing_on_a_directory)
+    big = "\n".join(_locality(f"Village{i}") for i in range(100))  # a record past twice the file
+    status, _, body = state.apply_post(big)
+    monkeypatch.undo()
+    assert (status, json.loads(body)["error"]) == (507, "snapshot")
+    assert state.current is before
+    reloaded = load_state(data_path=str(data))  # what a restart would load now
+    assert (len(reloaded.graph), reloaded.epoch) == (len(before.graph) + 100, before.epoch + 1)
+    status, _, body = state.apply_post(_locality("Hamlet"))
+    assert (status, json.loads(body)) == (200, {"added": 1, "epoch": before.epoch + 1})
+    assert data.read_text(encoding="utf-8").splitlines()[0] == f"# epoch {state.epoch}"
+    _assert_reloads_as_live(state)
 
 
 @pytest.mark.parametrize("fails", [False, True], ids=["written", "write-fails"])

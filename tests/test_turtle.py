@@ -467,7 +467,7 @@ def _outcome(text: str) -> tuple:
         return ("ParseError", exc.line, exc.column, exc.message, exc.snippet)
     except ValueError as exc:  # what the token path lets through, the reader must too
         return (type(exc).__name__, str(exc))
-    return ("ok", list(doc.graph), doc.prefixes.items())
+    return ("ok", list(doc.graph), list(doc.prefixes.items()))
 
 
 def _token_path_outcome(text: str) -> tuple:
