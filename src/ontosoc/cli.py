@@ -10,7 +10,8 @@ be given with --schema or the ONTOSOC_SCHEMA environment variable.
 
 Every command but `serve` runs with the cyclic garbage collector off.
 Each command imports the modules it runs when it runs, so a cold
-`stats` loads only the graph and the Turtle reader.  `main` ends the
+`stats` loads only the graph and the Turtle reader, and `run` builds
+the argument parser of that command alone.  `main` ends the
 process with `os._exit` once the output is flushed; `run` returns.
 """
 
@@ -268,17 +269,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="ontosoc", description="Sociocultural knowledge-base engine")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check data files against the schema")
+def _validate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("files", nargs="+")
     p.add_argument("--schema")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("query", help="evaluate a query over data files")
+
+def _query_arguments(p: argparse.ArgumentParser) -> None:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--query")
     src.add_argument("--file")
@@ -286,34 +284,64 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_query)
 
-    p = sub.add_parser("derive-schema", help="run the triad-analysis pipeline")
+
+def _derive_schema_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--triads")
     p.add_argument("--decisions")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_derive_schema)
 
-    p = sub.add_parser("export-alignment", help="write the alignment triples")
+
+def _export_alignment_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--schema")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_export_alignment)
 
-    p = sub.add_parser("stats", help="triple, class and predicate counts")
+
+def _stats_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("files", nargs="+")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_stats)
 
-    p = sub.add_parser("serve", help="run the HTTP knowledge-base service")
+
+def _serve_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--port", type=int)
     p.add_argument("--data")
     p.add_argument("--schema")
     p.add_argument("--no-validate", action="store_true")
     p.set_defaults(func=_cmd_serve)
 
+
+# command -> (its line in --help, what adds its arguments), in the order --help lists them
+_COMMANDS = {
+    "validate": ("check data files against the schema", _validate_arguments),
+    "query": ("evaluate a query over data files", _query_arguments),
+    "derive-schema": ("run the triad-analysis pipeline", _derive_schema_arguments),
+    "export-alignment": ("write the alignment triples", _export_alignment_arguments),
+    "stats": ("triple, class and predicate counts", _stats_arguments),
+    "serve": ("run the HTTP knowledge-base service", _serve_arguments),
+}
+
+
+def build_parser(argv: Optional[list[str]] = None) -> argparse.ArgumentParser:
+    """The parser for ``argv`` (None: for any command line).  When
+    ``argv`` starts with a command, only that command's subparser is
+    built, and the usage line still lists every command, as argparse
+    lists them when all are built."""
+    parser = argparse.ArgumentParser(prog="ontosoc", description="Sociocultural knowledge-base engine")
+    named = argv[0] if argv and argv[0] in _COMMANDS else None
+    listed = None if named is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=listed)
+    for name, (summary, add_arguments) in _COMMANDS.items():
+        if named is None or name == named:
+            add_arguments(sub.add_parser(name, help=summary))
     return parser
 
 
 def run(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -416,6 +416,12 @@ class Graph:
     def update(self, triples: Iterable[Triple]) -> int:
         return sum(1 for t in triples if self.add(t))
 
+    @property
+    def flat(self) -> bool:
+        """Whether the graph has no base: built directly, or by a union
+        that folded."""
+        return self._base is None
+
     def union(self, triples: Iterable[Triple]) -> tuple["Graph", list[Triple]]:
         """A new graph holding this graph's triples and ``triples``, and the
         list of those that were not here yet.  Both graphs are frozen.

@@ -70,12 +70,18 @@ when the file does not exist, or when an append would take it past
 twice its size at the last whole write or at load.  A whole write goes
 to a temp file that is fsynced and renamed over the old one, and then
 the directory is fsynced, so that the rename survives a power loss too.
-If that last fsync fails, the post gets a 507 although the renamed file
-holds it: a restart before the next post would load it, and the next
-post rewrites the file whole, at its own epoch, whatever the size.  A
-whole write runs with the cyclic garbage collector paused: the sort
-behind it allocates an object per triple, which would make the
-collector rescan the whole graph.
+Until that last fsync succeeds, a hard link keeps the old file.  If it
+fails, the old file is renamed back (a file that was not there is
+removed), so the file holds only acknowledged posts; the post gets a
+507, and the next post rewrites the file whole, at its own epoch,
+whatever the size.  A whole write runs with the cyclic garbage collector
+paused: the sort behind it allocates an object per triple, which would
+make the collector rescan the whole graph.
+
+`serve` freezes the objects alive once the state is loaded
+(`gc.freeze`), and a post whose union folded the overlay freezes them
+again, so the collector never walks the base, which holds no cycles.
+The query engine, `sparql`, is imported on the first query.
 """
 
 from __future__ import annotations
@@ -95,7 +101,6 @@ from urllib.parse import unquote_plus
 
 from .rdf import Graph, PrefixMap, Triple
 from .schema import SchemaDef, builtin_schema, schema_prefixes
-from .sparql import QueryError, evaluate, parse_query, to_json_results
 from .turtle import Document, ParseError, parse_turtle, serialize_turtle
 from .validation import TypeMap, ValidationReport, entail_types, validate_delta
 
@@ -171,6 +176,8 @@ class ServiceState:
             if retyped:
                 self.types.update(retyped)
             self.current = Snapshot(merged, epoch)
+            if merged.flat:  # the union folded: its new base is long-lived
+                gc.freeze()
             return 200, {}, json.dumps({"added": len(added), "epoch": epoch})
 
     def _persist(self, graph: Graph, added: list[Triple], epoch: int) -> None:
@@ -210,23 +217,41 @@ class ServiceState:
     @staticmethod
     def _atomic_write(path: Path, data: bytes) -> None:
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        # a second name for the file being replaced, kept until its rename is durable
+        old: Optional[str] = tmp[: -len(".tmp")] + ".old.tmp"
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(data)
                 fh.flush()
                 os.fsync(fh.fileno())
+            try:
+                os.link(path, old)
+            except FileNotFoundError:
+                old = None
             os.replace(tmp, path)
         except OSError:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+            for name in (tmp, old):
+                if name is not None and os.path.exists(name):
+                    os.unlink(name)
             raise
-        fd = os.open(path.parent, os.O_RDONLY)  # the rename is durable once its directory is
         try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
+            fd = os.open(path.parent, os.O_RDONLY)  # the rename is durable once its directory is
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+        except OSError:
+            if old is None:
+                os.unlink(path)
+            else:
+                os.replace(old, path)
+            raise
+        if old is not None:
+            os.unlink(old)
 
     def run_query(self, query: str) -> tuple[int, str]:
+        from .sparql import QueryError, evaluate, parse_query, to_json_results
+
         try:
             ast = parse_query(query)
         except QueryError as exc:
@@ -574,6 +599,7 @@ def serve(
 ) -> None:
     with _collector_paused():  # it would only rescan the loaded graph, which has no cycles
         state = load_state(data_path, schema, validate_writes)
+    gc.freeze()
     server = make_server(state, port)
     print(f"listening on 127.0.0.1:{server.server_address[1]}", flush=True)
     try:
@@ -589,4 +615,7 @@ if __name__ == "__main__":
 
     from .cli import run
 
+    # `python -m` runs this file as `__main__`: filed under its own name
+    # too, it is the module that `serve` imports, not run a second time
+    sys.modules.setdefault(__spec__.name, sys.modules[__name__])
     sys.exit(run(["serve", *sys.argv[1:]]))

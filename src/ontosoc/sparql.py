@@ -14,7 +14,7 @@ paths, ...) are rejected with a named error rather than misparsed, and
 so are groups nested deeper than `MAX_GROUP_DEPTH`.
 
 Parsing runs on Turtle's token path: `_QueryParser` is a
-`turtle._Parser` whose scanner is Turtle's with the punctuation
+`turtle_tokens._Parser` whose scanner is Turtle's with the punctuation
 `{ } ( ) = * !=` and a group for variables.  Each term slot is read by
 the Turtle rule for its position, and PREFIX declares into the prefix
 map and name cache that @prefix uses, so IRIs, prefixed names, blank
@@ -34,7 +34,8 @@ from itertools import islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .rdf import XSD_STRING, Blank, Graph, Iri, PrefixMap, Term
-from .turtle import ParseError, _Parser, _token_pattern
+from .turtle import ParseError
+from .turtle_tokens import _Parser, _token_pattern
 
 
 # Parsing and evaluating a query take a frame per nested group, so this

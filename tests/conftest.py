@@ -1,7 +1,17 @@
+import gc
+
 import pytest
 
 from ontosoc import cli, resources
 from ontosoc.schema import builtin_schema
+
+
+@pytest.fixture(autouse=True)
+def _nothing_left_frozen():
+    """A test that runs `serve` or folds a graph, as `gc.freeze`s, hands no
+    frozen objects on to the next test."""
+    yield
+    gc.unfreeze()
 
 
 @pytest.fixture(scope="session")

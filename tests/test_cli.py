@@ -421,8 +421,75 @@ class TestColdImports:
         assert loaded.isdisjoint({"ontosoc.sparql", "ontosoc.service"})
 
     def test_stats_leaves_the_token_scanner_uncompiled(self, corpus_args):
-        compiled = "sys.modules['ontosoc.turtle']._scanner.cache_info().currsize"
+        tokens = "sys.modules['ontosoc.turtle_tokens']"
+        compiled = f"{tokens}._scanner.cache_info().currsize if 'ontosoc.turtle_tokens' in sys.modules else 0"
         assert _after(["stats", "--format", "json", *corpus_args], compiled) == 0
+
+    @pytest.mark.parametrize("command", ["stats", "validate"])
+    def test_a_command_on_what_the_reader_reads_loads_no_token_path(self, corpus_args, command):
+        loaded = _modules_after([command, *corpus_args])
+        assert "ontosoc.turtle" in loaded and "ontosoc.turtle_tokens" not in loaded
+
+    def test_python_m_ontosoc_service_runs_the_module_once(self, tmp_path):
+        """`python -m ontosoc.service` runs service.py as `__main__`; the
+        CLI's `serve` then imports the same module, not a second copy."""
+        bad = tmp_path / "bad.ttl"
+        bad.write_text("not turtle\n", encoding="utf-8")  # `serve` fails once it has imported the service
+        probe = (
+            "import os, runpy, sys\n"
+            "runs = []\n"
+            "module = os.path.join('ontosoc', 'service.py')\n"
+            "sys.addaudithook(lambda event, args: event == 'exec' and args[0].co_filename.endswith(module)"
+            " and runs.append(args[0].co_name))\n"
+            "sys.argv = ['ontosoc.service', '--port', '0', '--data', sys.argv[1]]\n"
+            "try:\n"
+            "    runpy.run_module('ontosoc.service', run_name='__main__', alter_sys=True)\n"
+            "finally:\n"
+            "    sys.stderr.write('\\nVALUE ' + repr(runs))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe, str(bad)], capture_output=True, env=_env(), timeout=120)
+        stderr = proc.stderr.decode()
+        assert proc.returncode == EXIT_ERROR and f"error: {bad}: line 1" in stderr, stderr
+        assert ast.literal_eval(stderr.rpartition("VALUE ")[2]) == ["<module>"]
+
+    def test_the_service_loads_the_query_engine_on_the_first_query(self, tmp_path, capsys):
+        data = tmp_path / "kb.ttl"
+        shutil.copy(resources.corpus_paths()[0], data)
+        probe = (
+            "import io, json, socket, sys, threading, time, urllib.parse\n"
+            "from ontosoc import service\n"
+            "listening, real = io.StringIO(), sys.stdout\n"
+            "sys.stdout = listening\n"
+            "threading.Thread(target=service.serve, kwargs={'port': 0, 'data_path': sys.argv[1]}, daemon=True).start()\n"
+            "deadline = time.monotonic() + 60\n"
+            "while 'listening' not in listening.getvalue() and time.monotonic() < deadline:\n"
+            "    time.sleep(0.01)\n"
+            "sys.stdout = real\n"
+            "port = int(listening.getvalue().strip().rsplit(':', 1)[1])\n"
+            "def get(target):\n"
+            "    with socket.create_connection(('127.0.0.1', port)) as conn:\n"
+            "        conn.sendall(f'GET {target} HTTP/1.0\\r\\n\\r\\n'.encode())\n"
+            "        with conn.makefile('rb') as answer:\n"
+            "            return answer.read().partition(b'\\r\\n\\r\\n')[2].decode()\n"
+            "loaded = ['ontosoc.sparql' in sys.modules]\n"
+            "health = json.loads(get('/health'))\n"
+            "loaded.append('ontosoc.sparql' in sys.modules)\n"
+            "answer = json.loads(get('/sparql?' + urllib.parse.urlencode({'query': sys.argv[2]})))\n"
+            "loaded.append('ontosoc.sparql' in sys.modules)\n"
+            "print(json.dumps([loaded, health, answer]))\n"
+        )
+        query = resources.community_activities_query()
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, str(data), query], capture_output=True, env=_env(), timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        loaded, health, answer = json.loads(proc.stdout)
+        assert loaded == [False, False, True]
+        assert run(["stats", "--format", "json", str(data)]) == EXIT_OK
+        assert health == {"triples": json.loads(capsys.readouterr().out)["triples"], "epoch": 0}
+        assert run(["query", "--query", query, "--format", "json", str(data)]) == EXIT_OK
+        assert answer == json.loads(capsys.readouterr().out)
+        assert answer["results"]["bindings"]
 
     def test_the_service_loads_no_http_or_email_package(self):
         loaded = _modules_after_import("ontosoc.service")
@@ -690,7 +757,20 @@ class TestCollector:
         assert gc.isenabled() is collecting
 
 
+USAGE_CASES = json.loads((Path(__file__).parent / "golden" / "cli_usage.json").read_text(encoding="utf-8"))
+
+
 class TestUsage:
+    @pytest.mark.parametrize("case", USAGE_CASES, ids=[" ".join(c["argv"]) or "no-command" for c in USAGE_CASES])
+    def test_usage_output_is_unchanged(self, case, capsys, monkeypatch):
+        """What a run printed and returned when every run built all six
+        subparsers: stdout, stderr and exit status, at 80 columns, under
+        Python 3.11's argparse."""
+        monkeypatch.setenv("COLUMNS", "80")
+        status = run(list(case["argv"]))
+        out, err = capsys.readouterr()
+        assert (status, out, err) == (case["status"], case["stdout"], case["stderr"])
+
     def test_no_command_exits_two(self, capsys):
         assert run([]) == EXIT_ERROR
 

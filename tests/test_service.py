@@ -843,6 +843,38 @@ def test_a_refused_post_leaves_the_writers_type_map_as_it_was(tmp_path, monkeypa
     _assert_frozen_as_they_were(snapshots)
 
 
+def test_serve_and_each_fold_freeze_what_is_alive(monkeypatch, tmp_path):
+    """`serve` freezes the objects the load left (`gc.freeze`), and a post
+    freezes them again when its union folded the overlay, and only then,
+    so that the collector never walks a base."""
+    freezes = []
+    monkeypatch.setattr(gc, "freeze", lambda: freezes.append(None))
+    started = []
+
+    class Server:
+        server_address = ("127.0.0.1", 0)
+
+        def serve_forever(self):
+            started.append(len(freezes))
+
+        def server_close(self):
+            pass
+
+    monkeypatch.setattr(service, "make_server", lambda state, port: Server())
+    service.serve(port=0, data_path=str(tmp_path / "kb.ttl"))
+    assert started == [1]
+
+    monkeypatch.setattr(rdf, "FOLD_TRIPLES", 4)
+    state = ServiceState(Graph(), builtin_schema())
+    folded = []
+    for i in range(20):
+        before = len(freezes)
+        assert state.apply_post(_locality(f"Town{i}"))[0] == 200
+        folded.append(state.graph.flat)
+        assert len(freezes) - before == folded[-1]
+    assert 0 < folded.count(True) < len(folded)
+
+
 def test_posts_without_a_fold_keep_one_base_under_a_small_overlay():
     loaded = parse_turtle(make_corpus(1, 50, False).turtle()).graph
     state = ServiceState(loaded, builtin_schema())
@@ -890,14 +922,15 @@ def test_a_whole_write_fsyncs_its_directory_after_the_rename_and_an_append_does_
     _assert_reloads_as_live(state)
 
 
-@pytest.mark.parametrize("whole_write", ["first-write", "compaction"])
+@pytest.mark.parametrize("whole_write", ["no-file", "first-write", "compaction"])
 def test_a_failed_directory_fsync_gets_a_507_and_the_next_post_writes_the_file_whole(tmp_path, monkeypatch, whole_write):
-    """The directory fsync fails after the rename: the post gets a 507 and
-    the live pair stays, although the renamed file holds the post.  The
-    next post, however small, rewrites the file whole rather than append
-    at an offset into a file it no longer knows."""
+    """The directory fsync fails after the rename: the post gets a 507, the
+    live pair stays, and the old file is put back, so a restart loads the
+    live pair.  The next post, however small, rewrites the file whole
+    rather than append at an offset into a file it no longer knows."""
     data = tmp_path / "kb.ttl"
-    data.write_text(GOOD_TTL, encoding="utf-8")
+    if whole_write != "no-file":
+        data.write_text(GOOD_TTL, encoding="utf-8")
     state = load_state(data_path=str(data))
     if whole_write == "compaction":
         assert state.apply_post(_locality("Town"))[0] == 200  # a whole write; posts after it append
@@ -917,7 +950,9 @@ def test_a_failed_directory_fsync_gets_a_507_and_the_next_post_writes_the_file_w
     assert (status, json.loads(body)["error"]) == (507, "snapshot")
     assert state.current is before
     reloaded = load_state(data_path=str(data))  # what a restart would load now
-    assert (len(reloaded.graph), reloaded.epoch) == (len(before.graph) + 100, before.epoch + 1)
+    assert graph_equal(reloaded.graph, before.graph) and reloaded.epoch == before.epoch
+    assert data.exists() == (whole_write != "no-file")
+    assert not list(tmp_path.glob("*.tmp"))
     status, _, body = state.apply_post(_locality("Hamlet"))
     assert (status, json.loads(body)) == (200, {"added": 1, "epoch": before.epoch + 1})
     assert data.read_text(encoding="utf-8").splitlines()[0] == f"# epoch {state.epoch}"

@@ -23,7 +23,7 @@ from ontosoc.rdf import (
     Triple,
 )
 from ontosoc.schema import builtin_schema, export_alignment, schema_prefixes, schema_to_graph
-from ontosoc import resources, turtle
+from ontosoc import resources, turtle, turtle_tokens
 from ontosoc.service import load_state
 from ontosoc.turtle import Document, ParseError, parse_turtle, serialize_turtle
 
@@ -564,14 +564,14 @@ class TestReader:
             expected = _token_path_outcome(text)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(turtle, "_read", spy)
-                mp.setattr(turtle, "_Parser", refuse)
+                mp.setattr(turtle_tokens, "_Parser", refuse)
                 assert _outcome(text) == expected
         assert read == [True] * len(texts)
         assert expected[0] == "ok" and len(expected[1]) > 0
 
     def test_the_patterns_need_no_python_3_11_syntax(self):
         # atomic groups and possessive quantifiers came with Python 3.11
-        patterns = [turtle._TOKEN, turtle._PNAME_RE.pattern, turtle._BLANK_RE.pattern]
+        patterns = [turtle_tokens._TOKEN, turtle._PNAME_RE.pattern, turtle._BLANK_RE.pattern]
         patterns += [turtle._INTEGER_RE.pattern, turtle._LANGTAG_RE.pattern]
         for pattern in patterns:
             assert "(?>" not in pattern
@@ -582,11 +582,11 @@ class TestReader:
         assert set(turtle._ODD_SPACES) == spaces - set(" \t\r\n")
 
     def test_the_token_scanner_compiles_on_first_use(self):
-        turtle._scanner.cache_clear()
+        turtle_tokens._scanner.cache_clear()
         parse_turtle("<http://x/s> <http://x/p> <http://x/o> .")
-        assert turtle._scanner.cache_info().currsize == 0
+        assert turtle_tokens._scanner.cache_info().currsize == 0
         parse_turtle("@base <http://x/> .\n<s> <p> <o> .")
-        assert turtle._scanner.cache_info().currsize == 1
+        assert turtle_tokens._scanner.cache_info().currsize == 1
 
     @pytest.mark.parametrize("text", _ERROR_CASES)
     def test_each_error_case_fails_alike(self, text):
