@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import sys
+from importlib.resources import files
 from itertools import combinations
 from typing import Iterable, NamedTuple, Optional
 
@@ -197,29 +198,12 @@ def default_naming(triads: Iterable[Triad]) -> dict[Triad, list[tuple[str, Pole,
     return naming
 
 
-def candidate_relations(
-    triads: Iterable[Triad],
-    naming: Optional[dict[Triad, list[tuple[str, Pole, Pole]]]] = None,
-) -> list[CandidateRelation]:
-    """Three directed candidates per triad, in deterministic triad order."""
+def candidate_relations(triads: Iterable[Triad]) -> list[CandidateRelation]:
+    """Three directed candidates per triad, named by `default_naming`, in
+    deterministic triad order."""
     ordered = sorted(set(triads), key=triad_sort_key)
-    if naming is None:
-        naming = default_naming(ordered)
-    out = []
-    for t in ordered:
-        try:
-            edges = naming[t]
-        except KeyError:
-            raise ValueError(f"naming covers no edges for triad {sorted(p.value for p in t)}") from None
-        if len(edges) != 3:
-            raise ValueError(f"triad requires exactly 3 named edges, got {len(edges)}")
-        sources = {s for _, s, _ in edges}
-        targets = {o for _, _, o in edges}
-        if sources != t or targets != t:
-            raise ValueError(f"edges do not form a 3-cycle over triad {sorted(p.value for p in t)}")
-        for name, s, o in edges:
-            out.append(CandidateRelation(name, s, o, t))
-    return out
+    naming = default_naming(ordered)
+    return [CandidateRelation(name, s, o, t) for t in ordered for name, s, o in naming[t]]
 
 
 class DedupeStats(NamedTuple):
@@ -319,17 +303,6 @@ def parse_decision_table(text: str) -> DecisionTable:
     return DecisionTable(entries)
 
 
-def format_decision_table(table: DecisionTable) -> str:
-    lines = ["# pair | verdict | name | direction | justification"]
-    for e in table.entries:
-        pair_txt = ",".join(sorted(p.value for p in e.pair))
-        direction = f"{e.source.value}->{e.target.value}" if e.source else ""
-        lines.append(
-            f"{pair_txt} | {e.verdict} | {e.name or ''} | {direction} | {e.justification}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 class DirectedRelation(NamedTuple):
     """A named directed relation between model nodes (poles or Locality)."""
 
@@ -378,28 +351,16 @@ def default_concept_mapping() -> dict[str, str]:
     }
 
 
-def map_to_concepts(
-    relations: list[DirectedRelation],
-    mapping: Optional[dict[str, str]] = None,
-    namespace: str = ONTOSOC_NS,
-) -> list[PropertyDef]:
-    """Substitute concept IRIs for relation endpoints."""
-    if mapping is None:
-        mapping = default_concept_mapping()
-    out = []
-    for rel in relations:
-        for end in (rel.source, rel.target):
-            if end not in mapping:
-                raise ValueError(f"no concept mapped for node {end!r}")
-        out.append(PropertyDef(namespace + rel.name, mapping[rel.source], mapping[rel.target]))
-    return out
+def map_to_concepts(relations: list[DirectedRelation]) -> list[PropertyDef]:
+    """Substitute concept IRIs for relation endpoints, each a pole's value
+    or `LOCALITY`."""
+    mapping = default_concept_mapping()
+    return [PropertyDef(ONTOSOC_NS + rel.name, mapping[rel.source], mapping[rel.target]) for rel in relations]
 
 
 def default_decision_table() -> DecisionTable:
     """The shipped keep/drop table for the 12 default pairs."""
-    from .resources import decision_table_path
-
-    return parse_decision_table(decision_table_path().read_text(encoding="utf-8"))
+    return parse_decision_table((files("ontosoc") / "data" / "decisions.txt").read_text(encoding="utf-8"))
 
 
 def schema_from_relations(relations: list[DirectedRelation]) -> SchemaDef:
@@ -414,4 +375,4 @@ def schema_from_relations(relations: list[DirectedRelation]) -> SchemaDef:
     )
     if set(derived) != {p.iri for p in curated.properties}:
         raise ValueError("derived relation set does not match the canonical property set")
-    return SchemaDef(curated.classes, properties, curated.disjointness, curated.alignments, curated.namespace)
+    return SchemaDef(curated.classes, properties, curated.disjointness, curated.alignments)

@@ -17,7 +17,7 @@ only against its own signature.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .rdf import (
     OWL_CLASS,
@@ -104,7 +104,6 @@ class _Schema(NamedTuple):
     properties: tuple[PropertyDef, ...]
     disjointness: tuple[DisjointnessAxiom, ...]
     alignments: tuple[AlignmentMapping, ...]
-    namespace: str = ONTOSOC_NS
 
 
 class SchemaDef(_Schema):
@@ -112,7 +111,7 @@ class SchemaDef(_Schema):
 
     The same walks build its lookups, which its instances keep in their
     ``__dict__``: `superclass_closures`, and each property IRI's
-    signatures and canonical property."""
+    signatures.  Its own IRIs are those under `ONTOSOC_NS`."""
 
     def __new__(cls, *args, **kwargs) -> SchemaDef:
         schema = super().__new__(cls, *args, **kwargs)
@@ -147,12 +146,11 @@ class SchemaDef(_Schema):
                 seen.add(cur)
                 cur = by_iri[cur].superclass
             self.superclass_closures[c.iri] = frozenset(seen)
-        individual = self.namespace + "Individual"
+        individual = ONTOSOC_NS + "Individual"
         if individual in by_iri and any(c.superclass == individual for c in self.classes):
             raise SchemaError("Individual admits no subclasses")
         # each IRI's first declaration wins, a canonical one over an alias
         self._signatures: dict[str, tuple[PropertyDef, ...]] = {}
-        self._canonical: dict[str, PropertyDef] = {}
         for p in self.properties:
             if any(alias.iri == p.iri for alias in p.aliases):
                 raise SchemaError(f"alias IRI equals canonical IRI: {p.iri}")
@@ -161,11 +159,9 @@ class SchemaDef(_Schema):
                     if end not in by_iri:
                         raise SchemaError(f"property {q.iri} refers to undeclared class {end}")
             self._signatures.setdefault(p.iri, (p, *p.aliases))
-            self._canonical.setdefault(p.iri, p)
         for p in self.properties:
             for alias in p.aliases:
                 self._signatures.setdefault(alias.iri, (alias,))
-                self._canonical.setdefault(alias.iri, p)
         for ax in self.disjointness:
             for end in (ax.class_a, ax.class_b):
                 if end not in by_iri:
@@ -173,9 +169,9 @@ class SchemaDef(_Schema):
         for m in self.alignments:
             if m.kind not in _ALIGN_PREDICATE:
                 raise SchemaError(f"unknown alignment kind: {m.kind}")
-            if not m.source.startswith(self.namespace):
+            if not m.source.startswith(ONTOSOC_NS):
                 raise SchemaError(f"alignment source outside schema namespace: {m.source}")
-            if m.target.startswith(self.namespace):
+            if m.target.startswith(ONTOSOC_NS):
                 raise SchemaError(f"alignment target inside schema namespace: {m.target}")
 
     def class_iris(self) -> set[str]:
@@ -193,13 +189,6 @@ class SchemaDef(_Schema):
             return self.superclass_closures[iri]
         except KeyError:
             raise UnknownClassError(f"unknown class: {iri}") from None
-
-    def lookup_property(self, iri: str) -> Optional[PropertyDef]:
-        """Resolve a canonical or alias IRI to the canonical PropertyDef.
-
-        Canonical declarations win over alias spellings when an IRI is both.
-        """
-        return self._canonical.get(iri)
 
     def signatures_for(self, iri: str) -> list[PropertyDef]:
         """Signatures a triple with this predicate may validate against.
@@ -317,15 +306,30 @@ def export_alignment(schema: SchemaDef) -> Graph:
     return g
 
 
-def schema_from_graph(graph: Graph, namespace: str = ONTOSOC_NS) -> SchemaDef:
+def _only(pairs: Iterable[tuple[str, str]], message: str) -> dict[str, str]:
+    """Each key of ``pairs`` with its one value.  A key with more than one
+    is a SchemaError, ``message`` formatted with the key and its values."""
+    values: dict[str, set[str]] = {}
+    for key, value in pairs:
+        values.setdefault(key, set()).add(value)
+    for key in sorted(values):
+        if len(values[key]) > 1:
+            raise SchemaError(message.format(key, ", ".join(sorted(values[key]))))
+    return {key: value for key, (value,) in values.items()}
+
+
+def schema_from_graph(graph: Graph) -> SchemaDef:
     """Reconstruct a SchemaDef from its RDF rendering.
 
     Alias properties are recognized by their owl:equivalentProperty link
     to a canonical property; alignment mappings by a target outside the
-    schema namespace.
+    schema namespace.  What the rendering states once is refused when
+    stated twice, since one of the two would be dropped: a property's
+    rdfs:domain or rdfs:range, a class's superclass in the namespace, and
+    the property an alias is equivalent to.
     """
     def in_ns(iri: str) -> bool:
-        return iri.startswith(namespace)
+        return iri.startswith(ONTOSOC_NS)
 
     class_iris = sorted(
         t.subject.value
@@ -336,10 +340,16 @@ def schema_from_graph(graph: Graph, namespace: str = ONTOSOC_NS) -> SchemaDef:
     for t in graph.match(predicate=Iri(RDFS_LABEL)):
         if isinstance(t.subject, Iri) and isinstance(t.object, Literal):
             labels[t.subject.value] = t.object.lexical
-    supers = {}
-    for t in graph.match(predicate=Iri(RDFS_SUBCLASSOF)):
-        if isinstance(t.object, Iri) and in_ns(t.object.value) and isinstance(t.subject, Iri):
-            supers[t.subject.value] = t.object.value
+    declared = set(class_iris)
+    supers = _only(
+        (
+            (t.subject.value, t.object.value)
+            for t in graph.match(predicate=Iri(RDFS_SUBCLASSOF))
+            if isinstance(t.subject, Iri) and t.subject.value in declared
+            and isinstance(t.object, Iri) and in_ns(t.object.value)
+        ),
+        "class {} has more than one superclass in the schema namespace: {}",
+    )
     classes = tuple(
         ClassDef(iri, labels.get(iri, ""), supers.get(iri)) for iri in class_iris
     )
@@ -349,18 +359,25 @@ def schema_from_graph(graph: Graph, namespace: str = ONTOSOC_NS) -> SchemaDef:
         for t in graph.match(predicate=Iri(RDF_TYPE), object=Iri(OWL_OBJECT_PROPERTY))
         if isinstance(t.subject, Iri) and in_ns(t.subject.value)
     )
-    alias_of: dict[str, str] = {}
-    for t in graph.match(predicate=Iri(OWL_EQUIVALENT_PROPERTY)):
-        if not isinstance(t.subject, Iri) or not isinstance(t.object, Iri):
-            continue
-        if in_ns(t.object.value) and t.subject.value in prop_iris:
-            alias_of[t.subject.value] = t.object.value
+    alias_of = _only(
+        (
+            (t.subject.value, t.object.value)
+            for t in graph.match(predicate=Iri(OWL_EQUIVALENT_PROPERTY))
+            if isinstance(t.subject, Iri) and t.subject.value in prop_iris
+            and isinstance(t.object, Iri) and in_ns(t.object.value)
+        ),
+        "alias {} is equivalent to more than one property: {}",
+    )
 
     def signature(iri: str) -> tuple[str, str]:
         doms = graph.match(subject=Iri(iri), predicate=Iri(RDFS_DOMAIN))
         rans = graph.match(subject=Iri(iri), predicate=Iri(RDFS_RANGE))
         if not doms or not rans:
             raise SchemaError(f"property {iri} lacks a domain or range")
+        for name, found in (("domain", doms), ("range", rans)):
+            if len(found) > 1:
+                ends = ", ".join(sorted(t.object.n3() for t in found))
+                raise SchemaError(f"property {iri} has more than one {name}: {ends}")
         domain, range_ = doms[0].object, rans[0].object
         if not isinstance(domain, Iri) or not isinstance(range_, Iri):
             raise SchemaError(f"property {iri} has a domain or range that is not an IRI")
@@ -397,7 +414,7 @@ def schema_from_graph(graph: Graph, namespace: str = ONTOSOC_NS) -> SchemaDef:
                 AlignmentMapping(t.subject.value, t.object.value, kind_of[t.predicate.value])
             )
 
-    return SchemaDef(classes, tuple(properties), disjointness, tuple(alignments), namespace)
+    return SchemaDef(classes, tuple(properties), disjointness, tuple(alignments))
 
 
 def schema_prefixes() -> list[tuple[str, str]]:

@@ -60,9 +60,6 @@ class TriplePattern(NamedTuple):
     predicate: Slot  # IRI or variable
     object: Slot
 
-    def variables(self) -> set[str]:
-        return {s.name for s in (self.subject, self.predicate, self.object) if isinstance(s, Var)}
-
 
 class Filter(NamedTuple):
     left: Slot
@@ -430,41 +427,3 @@ def to_json_results(table: SolutionTable) -> str:
         f'  "results": {{\n    "bindings": {_json_list(rows)}\n  }}\n}}'
     )
 
-
-# ---------------------------------------------------------------------------
-# printer (round-trips through parse_query)
-
-
-def _print_slot(slot: Slot) -> str:
-    if isinstance(slot, Var):
-        return f"?{slot.name}"
-    return slot.n3()
-
-
-def _print_group(group: GroupPattern, indent: str) -> str:
-    inner = indent + "  "
-    lines = ["{"]
-    for tp in group.required:
-        lines.append(f"{inner}{_print_slot(tp.subject)} {_print_slot(tp.predicate)} {_print_slot(tp.object)} .")
-    for opt in group.optionals:
-        lines.append(f"{inner}OPTIONAL {_print_group(opt, inner)}")
-    for flt in group.filters:
-        lines.append(f"{inner}FILTER ( {_print_slot(flt.left)} {flt.op} {_print_slot(flt.right)} )")
-    lines.append(indent + "}")
-    return "\n".join(lines)
-
-
-def print_query(ast: QueryAST) -> str:
-    """Render an AST back to query text; parse_query inverts this."""
-    lines = [f"PREFIX {label}: <{ns}>" for label, ns in ast.prefixes.items()]
-    projection = "*" if ast.projection is None else " ".join(f"?{v}" for v in ast.projection)
-    lines.append(f"SELECT {projection}")
-    lines.append("WHERE " + _print_group(ast.pattern, ""))
-    if ast.order_by:
-        parts = [f"?{v}" if asc else f"DESC(?{v})" for v, asc in ast.order_by]
-        lines.append("ORDER BY " + " ".join(parts))
-    if ast.limit is not None:
-        lines.append(f"LIMIT {ast.limit}")
-    if ast.offset is not None:
-        lines.append(f"OFFSET {ast.offset}")
-    return "\n".join(lines) + "\n"

@@ -18,10 +18,13 @@ string literals (plain, with a language tag or with a datatype), ',',
 ';' and '.', and comments; where punctuation is glued to a token, as in
 `ex:o.`, it splits the code again with '.', ',' and ';' split off.  It
 raises nothing: on anything it cannot read it returns None, and the
-token path parses the whole text from the start.  It leaves to the
-token path a text with an escaped quote, with a whitespace character
-other than space, tab, CR and LF, with a '"' inside a comment or an
-IRIREF, or with `@base`; any token that does not resolve (an
+token path parses the whole text from the start.  A quote that a
+backslash escapes, as the writer writes each '"' of a literal, does not
+end its literal: where a text holds one, the pieces of each body that
+such quotes cut are joined again, so the service's own files stay on
+the reader.  It leaves to the token path a text with a whitespace
+character other than space, tab, CR and LF, with a '"' inside a comment
+or an IRIREF, or with `@base`; any token that does not resolve (an
 undeclared prefix, a malformed IRI or escape); and any fault of the
 grammar.  So the token path alone raises every ParseError.
 
@@ -159,20 +162,41 @@ def _uncomment(code: str) -> str:
     return "".join(out)
 
 
+def _unescaped_cuts(parts: list[str]) -> list[str]:
+    """``parts``, a text cut at each '"', with each string literal body
+    joined again where an escaped quote cut it: where a piece of it ends
+    in an odd run of backslashes."""
+    out = []
+    at = 0
+    while at < len(parts):
+        part = piece = parts[at]
+        if len(out) % 2:  # a body
+            while (len(piece) - len(piece.rstrip("\\"))) % 2 and at + 1 < len(parts):
+                at += 1
+                piece = parts[at]
+                part += '"' + piece
+        out.append(part)
+        at += 1
+    return out
+
+
 def _read(text: str) -> Optional[Document]:
     """The document, read in one pass over whitespace-split tokens, or
     None where the token path must read it.
 
     The text is cut at each '"' into code and string literal bodies, in
-    turn; the code, its comments cut out, is joined with a lone '"'
-    token where each literal stood, and split on whitespace.  A token
-    that does not resolve where it stands ends the read; if it may have
-    punctuation glued to it, the code is read once more with '.', ','
-    and ';' split off the tokens they end.
+    turn, a quote that a backslash escapes staying in its body; the
+    code, its comments cut out, is joined with a lone '"' token where
+    each literal stood, and split on whitespace.  A token that does not
+    resolve where it stands ends the read; if it may have punctuation
+    glued to it, the code is read once more with '.', ',' and ';' split
+    off the tokens they end.
     """
-    if "\\" in text and '\\"' in text or any(space in text for space in _ODD_SPACES):
+    if any(space in text for space in _ODD_SPACES):
         return None
     parts = text.split('"')
+    if "\\" in text and '\\"' in text:
+        parts = _unescaped_cuts(parts)
     if len(parts) % 2 == 0:
         return None
     parts[-1] += "\n"  # so that a comment on the last line ends

@@ -19,8 +19,8 @@ from the sizes of the same slices.
 
 Schema-vocabulary triples (type declarations, subclass, domain/range,
 disjointness, equivalence, labels) are never checked as instance data.
-Either check builds the map itself when called without one, so callers
-may pass raw graphs.
+Either check reads the type map it is given; `validate` and
+`validate_delta` build it.
 
 `validate_delta` works out which nodes some new triples retype, and
 finds the violations those triples add, reading the old map under the
@@ -219,11 +219,12 @@ def _triple_violations(
 def check_domain_range(
     graph: Graph,
     schema: SchemaDef,
-    types: Optional[Mapping[Term, frozenset]] = None,
+    types: Mapping[Term, frozenset],
     triples: Optional[Iterable[Triple]] = None,
 ) -> list[Violation]:
     """Domain/range conformance for every schema-property triple of
-    ``triples`` (default: all of ``graph``).
+    ``triples`` (default: all of ``graph``), its nodes' classes read in
+    ``types``.
 
     A triple on a canonical predicate IRI conforms when any of its
     declared signatures is fully satisfied; reported classes come from
@@ -232,8 +233,6 @@ def check_domain_range(
     a `Triple` is built only for a violation.  Violations come sorted by
     triple.
     """
-    if types is None:
-        types = entail_types(graph, schema)
     type_of = types.get
     violations = []
     for p, by_object in _slices(graph, triples):
@@ -256,18 +255,16 @@ def check_domain_range(
 
 
 def check_disjointness(
-    graph: Graph,
     schema: SchemaDef,
-    types: Optional[Mapping[Term, frozenset]] = None,
+    types: Mapping[Term, frozenset],
     nodes: Optional[Iterable[Term]] = None,
 ) -> list[Violation]:
     """One violation per instance per disjoint class pair it violates,
-    for each typed node of ``nodes`` (default: every typed node).
+    for each node of ``nodes``, all of them keys of ``types`` (default:
+    every key).
 
     The clashing pairs are worked out once per distinct class set, and
     only the nodes that clash are sorted."""
-    if types is None:
-        types = entail_types(graph, schema)
     disjoint = sorted({(ax.class_a, ax.class_b) for ax in schema.disjointness})
     clashes: dict[frozenset, list[tuple[str, str]]] = {}
     clashing = []
@@ -310,7 +307,7 @@ def validate(graph: Graph, schema: SchemaDef) -> ValidationReport:
         else:
             skipped += sum(map(len, by_object.values()))
     violations = sorted(
-        check_domain_range(graph, schema, types) + check_disjointness(graph, schema, types),
+        check_domain_range(graph, schema, types) + check_disjointness(schema, types),
         key=Violation.sort_key,
     )
     entailed = sum(len(classes) for classes in types.values()) - declared
@@ -353,10 +350,10 @@ def validate_delta(
             recheck.update(graph.match(subject=node))
             recheck.update(graph.match(object=node))
     offenses = check_domain_range(graph, schema, after, recheck)
-    offenses = sorted(offenses + check_disjointness(graph, schema, after, retyped), key=Violation.sort_key)
+    offenses = sorted(offenses + check_disjointness(schema, after, retyped), key=Violation.sort_key)
     if offenses and retyped:  # drop those the graph had before, on its old triples and typed nodes
         known = check_domain_range(graph, schema, types, recheck.difference(added))
-        known += check_disjointness(graph, schema, types, [node for node in retyped if node in types])
+        known += check_disjointness(schema, types, [node for node in retyped if node in types])
         old = set(map(_key, known))
         offenses = [v for v in offenses if _key(v) not in old]
     return retyped, offenses

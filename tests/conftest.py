@@ -2,8 +2,10 @@ import gc
 
 import pytest
 
-from ontosoc import cli, resources
+from ontosoc import cli
 from ontosoc.schema import builtin_schema
+
+from . import resources
 
 
 @pytest.fixture(autouse=True)

@@ -35,10 +35,15 @@ def _graph_terms(graph: Graph) -> list[Term]:
     return sorted(terms, key=lambda t: t.n3())
 
 
+def pattern_variables(pattern: TriplePattern) -> set[str]:
+    """The names of the variables in ``pattern``'s slots."""
+    return {slot.name for slot in pattern if isinstance(slot, Var)}
+
+
 def brute_force_bgp(graph: Graph, patterns: list[TriplePattern]) -> set[frozenset]:
     """Enumerate every assignment of pattern variables over graph terms
     and keep those under which all patterns are triples of the graph."""
-    variables = sorted({v for p in patterns for v in p.variables()})
+    variables = sorted({v for p in patterns for v in pattern_variables(p)})
     terms = _graph_terms(graph)
     if not variables:
         ok = all(_grounded(p, {}) in graph for p in patterns)
@@ -121,18 +126,6 @@ def scan_superclass_closure(schema, iri: str) -> set[str]:
         out.add(cur)
         cur = by_iri[cur].superclass
     return out
-
-
-def scan_lookup_property(schema, iri: str):
-    """The first property whose canonical IRI is ``iri``, else the first
-    with an alias of that IRI, else None."""
-    for p in schema.properties:
-        if p.iri == iri:
-            return p
-    for p in schema.properties:
-        if any(a.iri == iri for a in p.aliases):
-            return p
-    return None
 
 
 def scan_signatures_for(schema, iri: str) -> list:

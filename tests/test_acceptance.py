@@ -15,7 +15,7 @@ from pathlib import Path
 import requests
 from hypothesis import given, settings
 
-from ontosoc import hat, resources
+from ontosoc import hat
 from ontosoc.canonical import graph_equal
 from ontosoc.rdf import Graph
 from ontosoc.schema import ONTOSOC_NS, builtin_schema
@@ -24,6 +24,7 @@ from ontosoc.sparql import GroupPattern, TriplePattern, Var, evaluate, parse_que
 from ontosoc.turtle import Document, parse_turtle, serialize_turtle
 from ontosoc.validation import infer_types, validate
 
+from . import resources
 from .oracles import brute_force_bgp
 from .strategies import graphs, pool_graphs
 from .test_cli import _env

@@ -11,10 +11,13 @@ from pathlib import Path
 
 import pytest
 
-from ontosoc import resources, service
+from ontosoc import service
 from ontosoc.cli import EXIT_ERROR, EXIT_OK, EXIT_VIOLATIONS, run
+from ontosoc.schema import ONTOSOC_NS
 from ontosoc.sparql import MAX_GROUP_DEPTH
 from ontosoc.validation import validate
+
+from . import resources
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -678,6 +681,38 @@ class TestSchemaFile:
             f.write('ontosoc:extra a owl:ObjectProperty ; rdfs:domain "x" ; rdfs:range ontosoc:Role .\n')
         assert run(["validate", "--schema", str(derived), *corpus_args]) == EXIT_ERROR
         assert "not an IRI" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            (
+                "ontosoc:isMemberOf rdfs:domain ontosoc:Community .",
+                f"property {ONTOSOC_NS}isMemberOf has more than one domain: <{ONTOSOC_NS}Community>, <{ONTOSOC_NS}Individual>",
+            ),
+            (
+                "ontosoc:isMemberOf rdfs:range ontosoc:Role .",
+                f"property {ONTOSOC_NS}isMemberOf has more than one range: <{ONTOSOC_NS}Community>, <{ONTOSOC_NS}Role>",
+            ),
+            (
+                "ontosoc:SportActivity rdfs:subClassOf ontosoc:Community .",
+                f"class {ONTOSOC_NS}SportActivity has more than one superclass in the schema namespace: "
+                f"{ONTOSOC_NS}Activity, {ONTOSOC_NS}Community",
+            ),
+            (
+                "ontosoc:isOccurredIn owl:equivalentProperty ontosoc:isBorderdBy .",
+                f"alias {ONTOSOC_NS}isOccurredIn is equivalent to more than one property: "
+                f"{ONTOSOC_NS}isBorderdBy, {ONTOSOC_NS}isOccuredIn",
+            ),
+        ],
+        ids=["two-domains", "two-ranges", "two-superclasses", "alias-of-two"],
+    )
+    def test_an_ambiguous_declaration_exits_two_naming_it(self, derived, corpus_args, capsys, line, message):
+        with derived.open("a", encoding="utf-8") as f:
+            f.write(line + "\n")
+        assert run(["validate", "--schema", str(derived), *corpus_args]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {derived}: {message}\n"
+        assert captured.out == ""
 
     def test_schema_breaking_an_invariant_exits_two(self, tmp_path, corpus_args, capsys):
         path = tmp_path / "schema.ttl"

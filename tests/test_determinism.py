@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from ontosoc import resources
+from . import resources
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 FAULTS = sorted((Path(__file__).parent / "fixtures").glob("fault_*.ttl"))

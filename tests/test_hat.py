@@ -17,10 +17,8 @@ from ontosoc.hat import (
     candidate_relations,
     dedupe_pairs,
     default_decision_table,
-    default_naming,
     default_triads,
     default_use_cases,
-    format_decision_table,
     full_relation_set,
     implication_table,
     map_to_concepts,
@@ -31,6 +29,18 @@ from ontosoc.schema import ONTOSOC_NS, builtin_schema, schema_from_graph
 from ontosoc.turtle import parse_turtle
 
 CORE = (Pole.COMMUNITY, Pole.OBJECT, Pole.SUBJECT)
+
+
+def format_decision_table(table: DecisionTable) -> str:
+    """``table`` in the format `parse_decision_table` reads."""
+    lines = ["# pair | verdict | name | direction | justification"]
+    for e in table.entries:
+        pair_txt = ",".join(sorted(p.value for p in e.pair))
+        direction = f"{e.source.value}->{e.target.value}" if e.source else ""
+        lines.append(
+            f"{pair_txt} | {e.verdict} | {e.name or ''} | {direction} | {e.justification}"
+        )
+    return "\n".join(lines) + "\n"
 
 
 def triads_strategy():
@@ -134,17 +144,6 @@ class TestCandidates:
             c._replace(target=Pole.RULES)
         with pytest.raises(ValueError, match="^candidate endpoints must lie inside the origin triad$"):
             CandidateRelation._make([c.name, Pole.TOOLS, c.target, c.origin_triad])
-
-    def test_naming_must_cover_every_triad(self):
-        t = triad(*CORE)
-        with pytest.raises(ValueError):
-            candidate_relations({t}, naming={})
-
-    def test_naming_must_form_cycle(self):
-        t = triad(*CORE)
-        bad = {t: [("x", Pole.COMMUNITY, Pole.OBJECT)] * 3}
-        with pytest.raises(ValueError):
-            candidate_relations({t}, naming=bad)
 
     @given(triads_strategy())
     def test_count_is_three_per_triad(self, triads):
@@ -266,19 +265,6 @@ class TestMapping:
         assert prop.domain == ONTOSOC_NS + "Role"
         assert prop.range == ONTOSOC_NS + "Activity"
 
-    def test_identity_mapping(self):
-        rel = DirectedRelation("isUsedBy", Pole.TOOLS.value, Pole.SUBJECT.value)
-        identity = {p.value: "http://x/" + p.value for p in Pole}
-        identity[LOCALITY] = "http://x/Locality"
-        [prop] = map_to_concepts([rel], mapping=identity)
-        assert prop.domain == "http://x/Tools"
-        assert prop.range == "http://x/Subject"
-
-    def test_unmapped_pole_rejected(self):
-        rel = DirectedRelation("isUsedBy", Pole.TOOLS.value, Pole.SUBJECT.value)
-        with pytest.raises(ValueError):
-            map_to_concepts([rel], mapping={})
-
 
 def _derived_schema(path):
     """The schema that ``derive-schema --out`` writes to ``path``, read back."""
@@ -303,7 +289,7 @@ class TestDeriveSchema:
     def test_pipeline_composition_equals_one_shot(self, tmp_path):
         triads = default_triads()
         table = default_decision_table()
-        pairs, _ = dedupe_pairs(candidate_relations(triads, default_naming(triads)))
+        pairs, _ = dedupe_pairs(candidate_relations(triads))
         composed = map_to_concepts(full_relation_set(apply_decisions(pairs, table)))
         one_shot = _derived_schema(tmp_path / "schema.ttl")
         assert {(p.iri, p.domain, p.range) for p in composed} == {

@@ -32,7 +32,7 @@ from ontosoc.schema import (
 )
 from ontosoc.turtle import Document, parse_turtle, serialize_turtle
 
-from .oracles import scan_class_iris, scan_lookup_property, scan_signatures_for, scan_superclass_closure
+from .oracles import scan_class_iris, scan_signatures_for, scan_superclass_closure
 
 
 def _c(name):
@@ -48,7 +48,7 @@ class TestBuiltinShape:
         }
 
     def test_is_member_of_signature(self, schema):
-        p = schema.lookup_property(_c("isMemberOf"))
+        [p] = schema.signatures_for(_c("isMemberOf"))
         assert p is not None
         assert p.domain == _c("Individual")
         assert p.range == _c("Community")
@@ -73,14 +73,6 @@ class TestBuiltinShape:
             depths[c.iri] = len(schema.superclass_closure(c.iri)) - 1
         assert max(depths.values()) <= 5
         assert depths[_c("CulturalActivity")] == 1
-
-    def test_spelling_aliases_resolve_to_canonical(self, schema):
-        assert schema.lookup_property(_c("isOccurredIn")).iri == _c("isOccuredIn")
-        assert schema.lookup_property(_c("isBorderedBy")).iri == _c("isBorderdBy")
-        assert schema.lookup_property(_c("isRealizeBy")).iri == _c("isRealisedBy")
-
-    def test_unknown_property_is_none(self, schema):
-        assert schema.lookup_property(_c("unknownProp")) is None
 
 
 class TestClosure:
@@ -145,7 +137,6 @@ def test_lookups_equal_the_scans_of_the_declarations(make):
     assert schema.class_iris() == scan_class_iris(schema)
     for iri in sorted(class_iris | property_iris | {_c("Unknown")}):
         assert schema.signatures_for(iri) == scan_signatures_for(schema, iri)
-        assert schema.lookup_property(iri) is scan_lookup_property(schema, iri)
         if iri in class_iris:
             assert schema.superclass_closure(iri) == scan_superclass_closure(schema, iri)
         else:

@@ -20,7 +20,7 @@ import pytest
 import requests
 
 from bench.gen import deltas, make_corpus
-from ontosoc import cli, rdf, resources, service, validation
+from ontosoc import cli, rdf, service, turtle_tokens, validation
 from ontosoc.service import MAX_BODY_BYTES, ServiceState, load_state, make_server
 from ontosoc.schema import ONTOSOC_NS, SchemaDef, builtin_schema
 from ontosoc.sparql import MAX_GROUP_DEPTH
@@ -28,6 +28,7 @@ from ontosoc.canonical import graph_equal
 from ontosoc.rdf import RDF_TYPE, Blank, Graph, Iri, Triple
 from ontosoc.turtle import parse_turtle, serialize_turtle
 
+from . import resources
 from .test_cli import _env
 
 GOOD_TTL = """\
@@ -706,6 +707,35 @@ class TestLog:
         else:
             pytest.fail("the file was never rewritten whole")
         _assert_reloads_as_live(state)
+
+    def test_quoted_literals_reload_on_the_reader_after_a_record_and_a_compaction(self, tmp_path):
+        """The writer escapes each '"' of a literal, in a record and in a
+        whole write alike; the file still loads to the live (graph, epoch)
+        with no fallback to the token path."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the token path ran")
+
+        def reload_on_the_reader():
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(turtle_tokens, "_Parser", refuse)
+                reloaded = load_state(data_path=str(state.snapshot_path))
+            assert graph_equal(reloaded.graph, state.graph)
+            assert reloaded.epoch == state.epoch
+
+        state = load_state(data_path=str(tmp_path / "kb.ttl"))
+        assert state.apply_post(GOOD_TTL)[0] == 200  # a whole write
+        label = '<http://example.org/soc/Choir> <http://www.w3.org/2000/01/rdf-schema#label> "say \\"hi\\" \\\\ \\"" .'
+        assert state.apply_post(label)[0] == 200  # a record
+        text = state.snapshot_path.read_text(encoding="utf-8")
+        assert text.splitlines()[0] == "# epoch 1" and '"say \\"hi\\" \\\\ \\""' in text
+        reload_on_the_reader()
+        for i in itertools.count():
+            assert state.apply_post(_locality(f"Town{i}"))[0] == 200
+            if state.snapshot_path.read_text(encoding="utf-8").splitlines()[0] == f"# epoch {state.epoch}":
+                break  # rewritten whole
+        assert '"say \\"hi\\" \\\\ \\""' in state.snapshot_path.read_text(encoding="utf-8")
+        reload_on_the_reader()
 
     def test_stray_epoch_comment_without_header(self, tmp_path):
         data = tmp_path / "kb.ttl"

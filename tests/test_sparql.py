@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bench.gen import make_corpus
-from ontosoc import resources
 from ontosoc.rdf import Blank, Graph, Iri, Literal, PrefixMap, Triple
 from ontosoc.sparql import (
     Filter,
@@ -19,12 +18,12 @@ from ontosoc.sparql import (
     Var,
     evaluate,
     parse_query,
-    print_query,
     to_json_results,
 )
 from ontosoc.turtle import ParseError, parse_turtle
 
-from .oracles import brute_force_bgp, json_dumps_results, nested_loop_rows
+from . import resources
+from .oracles import brute_force_bgp, json_dumps_results, nested_loop_rows, pattern_variables
 from .strategies import blanks, iris, literals, objects, pool_graphs
 
 EX = "http://example.org/"
@@ -265,6 +264,41 @@ def test_json_results_equal_the_standard_encoder(table):
     assert to_json_results(table) == json_dumps_results(table)
 
 
+def _print_slot(slot) -> str:
+    if isinstance(slot, Var):
+        return f"?{slot.name}"
+    return slot.n3()
+
+
+def _print_group(group: GroupPattern, indent: str) -> str:
+    inner = indent + "  "
+    lines = ["{"]
+    for tp in group.required:
+        lines.append(f"{inner}{_print_slot(tp.subject)} {_print_slot(tp.predicate)} {_print_slot(tp.object)} .")
+    for opt in group.optionals:
+        lines.append(f"{inner}OPTIONAL {_print_group(opt, inner)}")
+    for flt in group.filters:
+        lines.append(f"{inner}FILTER ( {_print_slot(flt.left)} {flt.op} {_print_slot(flt.right)} )")
+    lines.append(indent + "}")
+    return "\n".join(lines)
+
+
+def print_query(ast: QueryAST) -> str:
+    """Render an AST back to query text; parse_query inverts this."""
+    lines = [f"PREFIX {label}: <{ns}>" for label, ns in ast.prefixes.items()]
+    projection = "*" if ast.projection is None else " ".join(f"?{v}" for v in ast.projection)
+    lines.append(f"SELECT {projection}")
+    lines.append("WHERE " + _print_group(ast.pattern, ""))
+    if ast.order_by:
+        parts = [f"?{v}" if asc else f"DESC(?{v})" for v, asc in ast.order_by]
+        lines.append("ORDER BY " + " ".join(parts))
+    if ast.limit is not None:
+        lines.append(f"LIMIT {ast.limit}")
+    if ast.offset is not None:
+        lines.append(f"OFFSET {ast.offset}")
+    return "\n".join(lines) + "\n"
+
+
 class TestPrinter:
     @pytest.mark.parametrize(
         "text",
@@ -316,7 +350,7 @@ def test_optional_law(graph, mandatory, optional):
     mandatory_rows = list(_eval_group(GroupPattern(required=mandatory), graph, [{}]))
     full_rows = list(_eval_group(group, graph, [{}]))
     assert len(full_rows) >= len(mandatory_rows)
-    mand_vars = {v for p in mandatory for v in p.variables()}
+    mand_vars = {v for p in mandatory for v in pattern_variables(p)}
 
     def project(rows):
         out = {}
@@ -360,7 +394,7 @@ def test_streamed_rows_follow_nested_loop_order(graph, required, optional, limit
     optionals = [] if optional is None else [GroupPattern(required=optional)]
     ast = QueryAST(PrefixMap(), None, GroupPattern(required, optionals), limit=limit, offset=offset)
     table = evaluate(ast, graph)
-    assert set(table.header) == {v for p in required + (optional or []) for v in p.variables()}
+    assert set(table.header) == {v for p in required + (optional or []) for v in pattern_variables(p)}
     start = offset or 0
     expected = nested_loop_rows(graph, required, optional)[start : None if limit is None else start + limit]
     assert table.rows == [{v: row[v] for v in table.header if v in row} for row in expected]

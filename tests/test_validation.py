@@ -81,26 +81,26 @@ class TestDomainRange:
         _typed(g, "Tangoche", "Individual")
         _typed(g, "Naakosenda", "Community")
         g.add(Triple(_i("Tangoche"), Iri(_c("isMemberOf")), _i("Naakosenda")))
-        assert check_domain_range(g, schema) == []
+        assert check_domain_range(g, schema, entail_types(g, schema)) == []
 
     def test_range_violation_reports_expected_and_found(self, schema):
         g = Graph()
         _typed(g, "Tangoche", "Individual")
         _typed(g, "Mokolo", "Locality")
         g.add(Triple(_i("Tangoche"), Iri(_c("isMemberOf")), _i("Mokolo")))
-        [v] = check_domain_range(g, schema)
+        [v] = check_domain_range(g, schema, entail_types(g, schema))
         assert v.kind == RANGE
         assert v.expected == _c("Community")
         assert v.found == frozenset({_c("Locality")})
 
     def test_empty_graph(self, schema):
-        assert check_domain_range(Graph(), schema) == []
+        assert check_domain_range(Graph(), schema, {}) == []
 
     def test_untyped_subject_is_domain_violation(self, schema):
         g = Graph()
         _typed(g, "Naakosenda", "Community")
         g.add(Triple(_i("Ghost"), Iri(_c("isMemberOf")), _i("Naakosenda")))
-        [v] = check_domain_range(g, schema)
+        [v] = check_domain_range(g, schema, entail_types(g, schema))
         assert v.kind == DOMAIN
         assert v.found == frozenset()
 
@@ -109,25 +109,25 @@ class TestDomainRange:
         _typed(g, "Organizer", "Role")
         _typed(g, "Event", "CulturalActivity")
         g.add(Triple(_i("Organizer"), Iri(_c("isRealisedBy")), _i("Event")))
-        assert check_domain_range(g, schema) == []
+        assert check_domain_range(g, schema, entail_types(g, schema)) == []
 
     def test_alias_validates_against_own_signature(self, schema):
         g = Graph()
         _typed(g, "Event", "CulturalActivity")
         _typed(g, "Organizer", "Role")
         g.add(Triple(_i("Event"), Iri(_c("isRealizeBy")), _i("Organizer")))
-        assert check_domain_range(g, schema) == []
+        assert check_domain_range(g, schema, entail_types(g, schema)) == []
 
     def test_query_direction_tool_usage_is_accepted(self, schema):
         g = Graph()
         _typed(g, "Organizer", "Role")
         _typed(g, "Drums", "Resource")
         g.add(Triple(_i("Organizer"), Iri(_c("isUsedBy")), _i("Drums")))
-        assert check_domain_range(g, schema) == []
+        assert check_domain_range(g, schema, entail_types(g, schema)) == []
 
     def test_unknown_predicates_skipped(self, schema):
         g = Graph([Triple(_i("a"), Iri("http://other/prop"), _i("b"))])
-        assert check_domain_range(g, schema) == []
+        assert check_domain_range(g, schema, entail_types(g, schema)) == []
         report = validate(g, schema)
         assert report.skipped_predicates == 1
         assert report.checked_triples == 0
@@ -138,7 +138,7 @@ class TestDisjointness:
         g = Graph()
         _typed(g, "x", "Community")
         _typed(g, "x", "Activity")
-        [v] = check_disjointness(g, schema)
+        [v] = check_disjointness(schema, entail_types(g, schema))
         assert v.kind == DISJOINTNESS
         assert v.found == frozenset({_c("Community"), _c("Activity")})
 
@@ -146,13 +146,13 @@ class TestDisjointness:
         g = Graph()
         _typed(g, "x", "CulturalActivity")
         _typed(g, "x", "Activity")
-        assert check_disjointness(g, schema) == []
+        assert check_disjointness(schema, entail_types(g, schema)) == []
 
     def test_three_disjoint_classes_three_violations(self, schema):
         g = Graph()
         for cls in ("Individual", "Community", "Role"):
             _typed(g, "y", cls)
-        assert len(check_disjointness(g, schema)) == 3
+        assert len(check_disjointness(schema, entail_types(g, schema))) == 3
 
 
 class TestValidate:
