@@ -254,14 +254,12 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .service import DEFAULT_PORT, serve
 
+    port = DEFAULT_PORT if args.port is None else args.port
+    if not 0 <= port <= 65535:
+        raise CliError(f"port {port} is not in 0-65535")
     schema = _load_schema(args.schema)
     try:
-        serve(
-            port=DEFAULT_PORT if args.port is None else args.port,
-            data_path=args.data,
-            schema=schema,
-            validate_writes=not args.no_validate,
-        )
+        serve(port=port, data_path=args.data, schema=schema)
     except ParseError as exc:  # from loading the snapshot: a bad POST body is answered, not raised
         raise CliError(f"{args.data}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -308,7 +306,6 @@ def _serve_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--port", type=int)
     p.add_argument("--data")
     p.add_argument("--schema")
-    p.add_argument("--no-validate", action="store_true")
     p.set_defaults(func=_cmd_serve)
 
 

@@ -99,7 +99,8 @@ class EscapeError(ValueError):
 
 def unescape(text: str) -> str:
     """Decode the string escapes shared by Turtle and SPARQL literals:
-    ``\\n \\t \\r \\" \\\\`` and ``\\uXXXX``.  Inverts `_escape`."""
+    ``\\n \\t \\r \\" \\\\`` and ``\\uXXXX`` (not of a surrogate,
+    U+D800 to U+DFFF).  Inverts `_escape`."""
     out = []
     start = 0
     while (i := text.find("\\", start)) != -1:
@@ -111,7 +112,10 @@ def unescape(text: str) -> str:
         elif esc == "u":
             if not _HEX4.fullmatch(text, i + 2, i + 6):
                 raise EscapeError(i, "bad \\u escape")
-            out.append(chr(int(text[i + 2 : i + 6], 16)))
+            code = int(text[i + 2 : i + 6], 16)
+            if 0xD800 <= code <= 0xDFFF:  # no character: UTF-8 cannot encode it
+                raise EscapeError(i, f"\\u escape of a surrogate, U+{code:04X}")
+            out.append(chr(code))
             start = i + 6
         elif esc:
             raise EscapeError(i, f"unknown escape \\{esc}")

@@ -2,8 +2,8 @@
 
 Endpoints:
   GET  /sparql?query=...   evaluate a query, JSON results
-  POST /graph              merge a Turtle body (validated by default,
-                           at most MAX_BODY_BYTES)
+  POST /graph              merge a Turtle body (validated, at most
+                           MAX_BODY_BYTES)
   GET  /health             {"triples": n, "epoch": e}
 
 Transport: WORKERS (8) threads, started by `Server.serve_forever`, each
@@ -11,9 +11,12 @@ block in ``accept()`` on the one listening socket and serve the
 connection they accepted before accepting again (the Leader/Followers
 pattern); no thread is started per connection.  A ninth concurrent
 client waits in the listen backlog.  Each connection carries one
-HTTP/1.0 request and is closed after its answer, which goes out in one
-send.  A request's head must arrive within READ_TIMEOUT (10 s) in all,
-and its body within READ_TIMEOUT plus its size over MIN_BODY_RATE
+HTTP/1.0 request and is closed after its answer.  The request reader
+and the handlers (`_Handler.do_GET` and `do_POST`,
+`ServiceState.apply_post` and `run_query`) return that answer as
+(status, body, content type), and `_Handler.handle` alone sends it, in
+one send.  A request's head must arrive within READ_TIMEOUT (10 s) in
+all, and its body within READ_TIMEOUT plus its size over MIN_BODY_RATE
 (64 KiB/s), however the client paces its bytes.  A connection whose head
 is not in by then is closed unanswered, and a body cut short by its
 deadline, or by the peer closing, gets a 400.  The request line and
@@ -21,12 +24,12 @@ header fields may take MAX_HEADER_BYTES (64 KiB) in all: past that, 431
 (414 if the request line alone is that long).  Every error body is JSON,
 including 400 for a malformed request line or header field or a second
 Content-Length, 501 for a method other than GET or POST, and 500 for a
-fault in a handler, after which the worker goes on serving.  A request
-answered before it was read to its end (as by a 413, 431 or 414, or a
-400 for a bad Content-Length) is not closed at once, which would reset
-the connection under the answer: the worker shuts its write side and
-discards what the client still sends until the client's EOF, for at
-most READ_TIMEOUT and MAX_BODY_BYTES + MAX_HEADER_BYTES bytes.
+fault anywhere before the send, after which the worker goes on serving.
+A request answered before it was read to its end (as by a 413, 431 or
+414, or a 400 for a bad Content-Length) is not closed at once, which
+would reset the connection under the answer: the worker shuts its write
+side and discards what the client still sends until the client's EOF,
+for at most READ_TIMEOUT and MAX_BODY_BYTES + MAX_HEADER_BYTES bytes.
 
 Writes are serialized behind a lock, and a post's in-memory work grows
 with its delta, not with the graph.  The new graph is built aside by
@@ -96,7 +99,7 @@ import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional, Union
 from urllib.parse import unquote_plus
 
 from .rdf import Graph, PrefixMap, Triple
@@ -114,6 +117,16 @@ WORKERS = 8  # threads that accept connections, each serving one at a time
 _COMMIT = re.compile(rb"^# epoch ([0-9]+)\n", re.MULTILINE)
 
 
+# an answer: (status, body, content type)
+Answer = tuple[int, str, str]
+_JSON = "application/json"
+
+
+def _error(status: int, error: str, **fields) -> Answer:
+    """A JSON error answer: ``{"error": error}`` and then ``fields``."""
+    return status, json.dumps({"error": error, **fields}), _JSON
+
+
 class Snapshot(NamedTuple):
     """The live graph and its epoch, replaced together by one assignment."""
 
@@ -122,18 +135,10 @@ class Snapshot(NamedTuple):
 
 
 class ServiceState:
-    def __init__(
-        self,
-        graph: Graph,
-        schema: SchemaDef,
-        snapshot_path: Optional[Path] = None,
-        validate_writes: bool = True,
-        epoch: int = 0,
-    ):
+    def __init__(self, graph: Graph, schema: SchemaDef, snapshot_path: Optional[Path] = None, epoch: int = 0):
         self.current = Snapshot(graph, epoch)
-        # the live graph's type map, None when writes are not validated;
-        # only a writer holding write_lock reads or changes it
-        self.types: Optional[TypeMap] = entail_types(graph, schema) if validate_writes else None
+        # the live graph's type map; only a writer holding write_lock reads or changes it
+        self.types: TypeMap = entail_types(graph, schema)
         self.schema = schema
         self.snapshot_path = snapshot_path
         self.write_lock = threading.Lock()
@@ -142,43 +147,28 @@ class ServiceState:
         self._committed: Optional[int] = None
         self._compact_at = 0  # an append past this size rewrites the file whole
 
-    @property
-    def graph(self) -> Graph:
-        return self.current.graph
-
-    @property
-    def epoch(self) -> int:
-        return self.current.epoch
-
-    def apply_post(self, body: str) -> tuple[int, dict, str]:
-        """Parse, validate, persist, swap.  Returns (status, headers-free
-        payload info, body)."""
+    def apply_post(self, body: str) -> Answer:
+        """Parse, validate, persist, swap: the answer to a post of ``body``."""
         try:
             doc = parse_turtle(body)
         except ParseError as exc:
-            return 400, {}, json.dumps(
-                {"error": "parse", "line": exc.line, "column": exc.column, "message": exc.message}
-            )
+            return _error(400, "parse", line=exc.line, column=exc.column, message=exc.message)
         with self.write_lock:
             current = self.current
             merged, added = current.graph.union(doc.graph)
-            retyped: TypeMap = {}
-            if self.types is not None:
-                retyped, offenses = validate_delta(merged, self.schema, self.types, added)
-                if offenses:
-                    body = ValidationReport(offenses).render_machine() + "\n"
-                    return 422, {"content-type": "text/plain; charset=utf-8"}, body
+            retyped, offenses = validate_delta(merged, self.schema, self.types, added)
+            if offenses:
+                return 422, ValidationReport(offenses).render_machine() + "\n", "text/plain; charset=utf-8"
             epoch = current.epoch + 1
             try:
                 self._persist(merged, added, epoch)
             except OSError as exc:
-                return 507, {}, json.dumps({"error": "snapshot", "message": str(exc)})
-            if retyped:
-                self.types.update(retyped)
+                return _error(507, "snapshot", message=str(exc))
+            self.types.update(retyped)
             self.current = Snapshot(merged, epoch)
             if merged.flat:  # the union folded: its new base is long-lived
                 gc.freeze()
-            return 200, {}, json.dumps({"added": len(added), "epoch": epoch})
+            return 200, json.dumps({"added": len(added), "epoch": epoch}), _JSON
 
     def _persist(self, graph: Graph, added: list[Triple], epoch: int) -> None:
         """Append ``added`` and the commit line of ``epoch`` to the file,
@@ -249,17 +239,15 @@ class ServiceState:
         if old is not None:
             os.unlink(old)
 
-    def run_query(self, query: str) -> tuple[int, str]:
+    def run_query(self, query: str) -> Answer:
         from .sparql import QueryError, evaluate, parse_query, to_json_results
 
         try:
             ast = parse_query(query)
         except QueryError as exc:
-            return 400, json.dumps(
-                {"error": "query", "line": exc.line, "column": exc.column, "message": exc.message}
-            )
+            return _error(400, "query", line=exc.line, column=exc.column, message=exc.message)
         table = evaluate(ast, self.current.graph)  # one consistent snapshot
-        return 200, to_json_results(table)
+        return 200, to_json_results(table), "application/sparql-results+json"
 
 
 @contextmanager
@@ -274,11 +262,7 @@ def _collector_paused() -> Iterator[None]:
             gc.enable()
 
 
-def load_state(
-    data_path: Optional[str] = None,
-    schema: Optional[SchemaDef] = None,
-    validate_writes: bool = True,
-) -> ServiceState:
+def load_state(data_path: Optional[str] = None, schema: Optional[SchemaDef] = None) -> ServiceState:
     """The service state for the file at ``data_path`` (empty if the file
     does not exist), checked against ``schema`` (None: the builtin schema).
 
@@ -301,7 +285,6 @@ def load_state(
         graph=graph,
         schema=builtin_schema() if schema is None else schema,
         snapshot_path=snapshot,
-        validate_writes=validate_writes,
         epoch=epoch,
     )
     if committed is not None:
@@ -353,56 +336,65 @@ class _Handler:
         self.path = ""  # the request target's path, without its query
         self.query = ""
         self.headers = _Headers()
-        self.sent = False
         self.read_all = False  # whether the request has been read to its end
         self._rest = b""  # bytes read past the header block: the body's start
 
-    def handle(self) -> None:
+    def handle(self) -> bool:
+        """Read the request and send its answer, in one send; whether an
+        answer went out (none when the request never arrived)."""
         try:
-            head = self._read_head()
-            if head is None:
-                return
-            request_line, *fields = head.decode("latin-1").split("\n")
-            words = request_line.split()
-            if len(words) != 3 or not words[2].startswith("HTTP/"):
-                self._send(400, json.dumps({"error": "malformed request line"}))
-                return
-            method, target = words[0], words[1]
-            if not target.startswith("/"):  # absolute-form, as sent to a proxy (RFC 9112 §3.2.2)
-                target = "/" + target.partition("://")[2].partition("/")[2]
-            self.path, _, self.query = target.partition("#")[0].partition("?")
-            headers = self.headers
-            for field in fields:
-                name, colon, value = field.partition(":")
-                if not colon or not name or name != name.strip():
-                    self._send(400, json.dumps({"error": "malformed header field"}))
-                    return
-                key = name.lower()
-                if key not in headers:
-                    headers[key] = value.strip()
-                elif key == "content-length":  # RFC 9112 §6.3: no way to tell which is meant
-                    self._send(400, json.dumps({"error": "more than one Content-Length"}))
-                    return
-            if method == "GET":
-                self.read_all = True  # a GET is its head
-                self.do_GET()
-            elif method == "POST":
-                self.do_POST()
-            else:
-                self._send(501, json.dumps({"error": "unsupported method"}))
+            answer = self._answer()
+            if answer is None:
+                return False
+            data = _encode(answer)
         except Exception:
-            if not self.sent:
-                self._send(500, json.dumps({"error": "internal error"}))
             import traceback  # only on a fault: it stays off the cold start
 
             traceback.print_exc()
+            data = _encode(_error(500, "internal error"))
+        try:
+            self.conn.settimeout(READ_TIMEOUT)  # a whole wait, whatever the read left
+            self.conn.sendall(data)
+        except OSError:  # the peer is gone: nobody is left to answer
+            pass
+        return True
 
-    def _read_head(self) -> Optional[bytes]:
+    def _answer(self) -> Optional[Answer]:
+        """The answer to the request, or None to close unanswered."""
+        head = self._read_head()
+        if not isinstance(head, bytes):
+            return head  # None, or the 431 or 414
+        request_line, *fields = head.decode("latin-1").split("\n")
+        words = request_line.split()
+        if len(words) != 3 or not words[2].startswith("HTTP/"):
+            return _error(400, "malformed request line")
+        method, target = words[0], words[1]
+        if not target.startswith("/"):  # absolute-form, as sent to a proxy (RFC 9112 §3.2.2)
+            target = "/" + target.partition("://")[2].partition("/")[2]
+        self.path, _, self.query = target.partition("#")[0].partition("?")
+        headers = self.headers
+        for field in fields:
+            name, colon, value = field.partition(":")
+            if not colon or not name or name != name.strip():
+                return _error(400, "malformed header field")
+            key = name.lower()
+            if key not in headers:
+                headers[key] = value.strip()
+            elif key == "content-length":  # RFC 9112 §6.3: no way to tell which is meant
+                return _error(400, "more than one Content-Length")
+        if method == "GET":
+            self.read_all = True  # a GET is its head
+            return self.do_GET()
+        if method == "POST":
+            return self.do_POST()
+        return _error(501, "unsupported method")
+
+    def _read_head(self) -> Union[bytes, Answer, None]:
         """The request line and header fields, without their blank line.
 
-        None when the peer closes or resets first, or READ_TIMEOUT passes,
-        or when the block is past MAX_HEADER_BYTES (then answered: 414 if
-        no line ended).
+        None when the peer closes or resets first, or READ_TIMEOUT passes;
+        the answer when the block is past MAX_HEADER_BYTES (414 if no line
+        ended).
         """
         conn, buf, start = self.conn, b"", 0
         deadline = time.monotonic() + READ_TIMEOUT
@@ -413,10 +405,8 @@ class _Handler:
                 return buf[: end.start()].replace(b"\r\n", b"\n")
             if len(buf) > MAX_HEADER_BYTES:
                 if buf.find(b"\n", 0, MAX_HEADER_BYTES) >= 0:
-                    self._send(431, json.dumps({"error": f"header block exceeds {MAX_HEADER_BYTES} bytes"}))
-                else:
-                    self._send(414, json.dumps({"error": f"request line exceeds {MAX_HEADER_BYTES} bytes"}))
-                return None
+                    return _error(431, f"header block exceeds {MAX_HEADER_BYTES} bytes")
+                return _error(414, f"request line exceeds {MAX_HEADER_BYTES} bytes")
             chunk = _recv(conn, deadline, 65536)
             if not chunk:
                 return None
@@ -437,61 +427,47 @@ class _Handler:
             got += len(chunk)
         return b"".join(chunks)[:size]
 
-    def _send(self, status: int, body: str, content_type: str = "application/json") -> None:
-        payload = body.encode("utf-8")
-        head = (f"HTTP/1.0 {status} {_REASONS[status]}\r\nDate: {_http_date()}\r\n"
-                f"Content-Type: {content_type}\r\nContent-Length: {len(payload)}\r\n"
-                "Connection: close\r\n\r\n")
-        self.sent = True
-        try:
-            self.conn.settimeout(READ_TIMEOUT)  # a whole wait, whatever the read left
-            self.conn.sendall(head.encode("latin-1") + payload)
-        except OSError:  # the peer is gone: nobody is left to answer
-            pass
-
-    def do_GET(self) -> None:
+    def do_GET(self) -> Answer:
         if self.path == "/health":
-            current = self.state.current
-            self._send(200, json.dumps({"triples": len(current.graph), "epoch": current.epoch}))
-            return
+            graph, epoch = self.state.current
+            return 200, json.dumps({"triples": len(graph), "epoch": epoch}), _JSON
         if self.path == "/sparql":
             query = _query_parameter(self.query)
             if query is None:
-                self._send(400, json.dumps({"error": "missing query parameter"}))
-                return
+                return _error(400, "missing query parameter")
             if len(query) > MAX_QUERY_LENGTH:
-                self._send(414, json.dumps({"error": "query too long"}))
-                return
-            status, body = self.state.run_query(query)
-            content_type = "application/sparql-results+json" if status == 200 else "application/json"
-            self._send(status, body, content_type)
-            return
-        self._send(404, json.dumps({"error": "not found"}))
+                return _error(414, "query too long")
+            return self.state.run_query(query)
+        return _error(404, "not found")
 
-    def do_POST(self) -> None:
+    def do_POST(self) -> Answer:
         if self.path != "/graph":
-            self._send(404, json.dumps({"error": "not found"}))
-            return
+            return _error(404, "not found")
         length = self.headers.get("Content-Length", "").strip()
         if not (length.isascii() and length.isdigit()):
-            self._send(400, json.dumps({"error": "Content-Length must be a non-negative integer"}))
-            return
+            return _error(400, "Content-Length must be a non-negative integer")
         size = int(length)
         if size > MAX_BODY_BYTES:
-            self._send(413, json.dumps({"error": f"body exceeds {MAX_BODY_BYTES} bytes"}))
-            return
+            return _error(413, f"body exceeds {MAX_BODY_BYTES} bytes")
         data = self._read_body(size)
         self.read_all = len(data) == size
         if len(data) < size:
-            self._send(400, json.dumps({"error": f"body ended after {len(data)} of {size} bytes"}))
-            return
+            return _error(400, f"body ended after {len(data)} of {size} bytes")
         try:
             body = data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            self._send(400, json.dumps({"error": "body is not valid UTF-8", "message": str(exc)}))
-            return
-        status, headers, payload = self.state.apply_post(body)
-        self._send(status, payload, headers.get("content-type", "application/json"))
+            return _error(400, "body is not valid UTF-8", message=str(exc))
+        return self.state.apply_post(body)
+
+
+def _encode(answer: Answer) -> bytes:
+    """The HTTP/1.0 response that carries ``answer``."""
+    status, body, content_type = answer
+    payload = body.encode("utf-8")
+    head = (f"HTTP/1.0 {status} {_REASONS[status]}\r\nDate: {_http_date()}\r\n"
+            f"Content-Type: {content_type}\r\nContent-Length: {len(payload)}\r\n"
+            "Connection: close\r\n\r\n")
+    return head.encode("latin-1") + payload
 
 
 class Server:
@@ -534,8 +510,7 @@ class Server:
                 continue  # the connection was aborted before it was accepted, or fds ran out
             try:
                 handler = _Handler(state, conn)
-                handler.handle()
-                if handler.sent and not handler.read_all:
+                if handler.handle() and not handler.read_all:
                     _drain(conn)
             finally:
                 conn.close()
@@ -587,20 +562,11 @@ def _recv(conn: socket.socket, deadline: float, limit: int) -> bytes:
         return b""
 
 
-def make_server(state: ServiceState, port: int = 0) -> Server:
-    return Server(state, port)
-
-
-def serve(
-    port: int = DEFAULT_PORT,
-    data_path: Optional[str] = None,
-    schema: Optional[SchemaDef] = None,
-    validate_writes: bool = True,
-) -> None:
+def serve(port: int = DEFAULT_PORT, data_path: Optional[str] = None, schema: Optional[SchemaDef] = None) -> None:
     with _collector_paused():  # it would only rescan the loaded graph, which has no cycles
-        state = load_state(data_path, schema, validate_writes)
+        state = load_state(data_path, schema)
     gc.freeze()
-    server = make_server(state, port)
+    server = Server(state, port)
     print(f"listening on 127.0.0.1:{server.server_address[1]}", flush=True)
     try:
         server.serve_forever()

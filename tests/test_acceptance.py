@@ -19,7 +19,7 @@ from ontosoc import hat
 from ontosoc.canonical import graph_equal
 from ontosoc.rdf import Graph
 from ontosoc.schema import ONTOSOC_NS, builtin_schema
-from ontosoc.service import load_state, make_server
+from ontosoc.service import Server, load_state
 from ontosoc.sparql import GroupPattern, TriplePattern, Var, evaluate, parse_query, to_json_results, _eval_group
 from ontosoc.turtle import Document, parse_turtle, serialize_turtle
 from ontosoc.validation import infer_types, validate
@@ -237,7 +237,7 @@ def test_criterion_9_service(tmp_path):
     def check():
         # in-process: POST-then-query round trip, idempotent re-POST
         state = load_state(data_path=str(tmp_path / "kb.ttl"))
-        srv = make_server(state, port=0)
+        srv = Server(state, port=0)
         thread = threading.Thread(target=srv.serve_forever, daemon=True)
         thread.start()
         base = f"http://127.0.0.1:{srv.server_address[1]}"

@@ -183,6 +183,15 @@ class TestQuery:
         assert f"line 1, column {column}: groups nested deeper than" in err  # the first { too deep
         assert "Traceback" not in err
 
+    def test_a_surrogate_escape_in_a_data_file_exits_two_with_its_position(self, tmp_path):
+        data = tmp_path / "kb.ttl"
+        line = '<http://example.org/soc/a> <http://www.w3.org/2000/01/rdf-schema#label> "\\uD800" .'
+        data.write_text(line + "\n", encoding="utf-8")
+        proc = _cli("query", "--query", "SELECT * WHERE { ?s ?p ?o }", str(data))
+        column = line.index("\\") + 1
+        error = f"error: {data}: line 1, column {column}: \\u escape of a surrogate, U+D800\n"
+        assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (EXIT_ERROR, b"", error)
+
     def test_the_deepest_nesting_that_parses_evaluates(self, corpus_args, capsys):
         optionals = MAX_GROUP_DEPTH - 1  # inside the outer group
         query = "SELECT * WHERE { ?a ?b ?c " + "OPTIONAL { ?a ?b ?c " * optionals + "}" * (optionals + 1) + " LIMIT 2"
@@ -634,10 +643,10 @@ class TestServe:
 
     @pytest.fixture(autouse=True)
     def refuse_to_start(self, monkeypatch):
-        def make_server(*args, **kwargs):
+        def refused(*args, **kwargs):
             raise AssertionError("the server started")
 
-        monkeypatch.setattr(service, "make_server", make_server)
+        monkeypatch.setattr(service, "Server", refused)
         monkeypatch.delenv("ONTOSOC_SCHEMA", raising=False)
 
     def test_missing_schema_file(self, tmp_path, capsys):
@@ -660,6 +669,11 @@ class TestServe:
     def test_data_not_utf8(self, not_utf8, capsys):
         assert run(["serve", "--port", "0", "--data", not_utf8]) == EXIT_ERROR
         assert f"error: {not_utf8}: not valid UTF-8 (byte 28)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("port", ["99999", "-1"])
+    def test_a_port_out_of_range_exits_two_with_one_line(self, port):
+        proc = _cli("serve", "--port", port)
+        assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (EXIT_ERROR, b"", f"error: port {port} is not in 0-65535\n")
 
 
 class TestSchemaFile:
@@ -786,7 +800,7 @@ class TestCollector:
                 pass
 
         monkeypatch.setattr(service, "load_state", loading)
-        monkeypatch.setattr(service, "make_server", lambda state, port: Server())
+        monkeypatch.setattr(service, "Server", lambda state, port: Server())
         service.serve(port=0)
         assert seen == [("load", False), ("serve", collecting)]
         assert gc.isenabled() is collecting

@@ -21,7 +21,7 @@ import requests
 
 from bench.gen import deltas, make_corpus
 from ontosoc import cli, rdf, service, turtle_tokens, validation
-from ontosoc.service import MAX_BODY_BYTES, ServiceState, load_state, make_server
+from ontosoc.service import MAX_BODY_BYTES, Server, ServiceState, load_state
 from ontosoc.schema import ONTOSOC_NS, SchemaDef, builtin_schema
 from ontosoc.sparql import MAX_GROUP_DEPTH
 from ontosoc.canonical import graph_equal
@@ -54,7 +54,7 @@ NOT_UTF8_TTL = b'<http://x/s> <http://x/p> "\xff\xfe" .'
 @pytest.fixture()
 def server(tmp_path):
     state = load_state(data_path=str(tmp_path / "kb.ttl"))
-    srv = make_server(state, port=0)
+    srv = Server(state, port=0)
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
     base = f"http://127.0.0.1:{srv.server_address[1]}"
@@ -210,6 +210,22 @@ class TestEndpoints:
         assert state.snapshot_path.read_bytes() == on_disk
         assert requests.get(f"{base}/health").json() == {"triples": 3, "epoch": 1}
 
+    @pytest.mark.parametrize("predicate", [ONTOSOC_NS + "isMemberOf", "http://www.w3.org/2000/01/rdf-schema#label"])
+    def test_post_with_a_surrogate_escape_400_and_the_file_unchanged(self, server, predicate):
+        """A literal that no UTF-8 can carry is refused where it is read,
+        whether it would have broken a 422 report or the record written."""
+        base, state = server
+        assert requests.post(f"{base}/graph", data=GOOD_TTL.encode("utf-8"), timeout=10).status_code == 200
+        on_disk = state.snapshot_path.read_bytes()
+        body = f'<http://example.org/soc/a> <{predicate}> "\\uD800" .'
+        resp = requests.post(f"{base}/graph", data=body.encode("utf-8"), timeout=10)
+        assert resp.status_code == 400
+        assert resp.json() == {
+            "error": "parse", "line": 1, "column": body.index("\\") + 1, "message": "\\u escape of a surrogate, U+D800",
+        }
+        assert state.snapshot_path.read_bytes() == on_disk
+        assert requests.get(f"{base}/health", timeout=10).json() == {"triples": 3, "epoch": 1}
+
     def test_oversized_post_413_without_reading_body(self, server):
         base, _ = server
         conn = http.client.HTTPConnection(base.removeprefix("http://"), timeout=10)
@@ -223,19 +239,6 @@ class TestEndpoints:
         finally:
             conn.close()
         assert requests.get(f"{base}/health").json() == {"triples": 0, "epoch": 0}
-
-    def test_validation_can_be_disabled(self, tmp_path):
-        state = ServiceState(graph=Graph(), schema=builtin_schema(), validate_writes=False)
-        srv = make_server(state, port=0)
-        thread = threading.Thread(target=srv.serve_forever, daemon=True)
-        thread.start()
-        try:
-            base = f"http://127.0.0.1:{srv.server_address[1]}"
-            assert requests.post(f"{base}/graph", data=BAD_TTL.encode("utf-8")).status_code == 200
-        finally:
-            srv.shutdown()
-            srv.server_close()
-            thread.join(timeout=5)
 
 
 def _port(base):
@@ -308,7 +311,7 @@ class TestProtocol:
 
         def do_GET(handler):
             seen.append((handler.headers.get("X-Bench-Request"), handler.headers.get("HOST")))
-            handler._send(200, "{}")
+            return 200, "{}", "application/json"
 
         monkeypatch.setattr(service._Handler, "do_GET", do_GET)
         request_bytes = b"GET /health HTTP/1.0\r\nx-bench-request: post:7\r\nHost: a\r\n\r\n"
@@ -448,8 +451,25 @@ class TestProtocol:
             assert resp.json() == {"error": "internal error"}
         assert requests.get(f"{base}/health", timeout=10).status_code == 200
 
+    def test_a_worker_survives_a_fault_in_a_post(self, server, monkeypatch, capsys):
+        base, state = server
+        assert requests.post(f"{base}/graph", data=GOOD_TTL.encode("utf-8"), timeout=10).status_code == 200
+        on_disk = state.snapshot_path.read_bytes()
+
+        def failing(self, body):
+            raise RuntimeError("injected fault")
+
+        monkeypatch.setattr(ServiceState, "apply_post", failing)
+        for _ in range(service.WORKERS + 1):
+            resp = requests.post(f"{base}/graph", data=MORE_TTL.encode("utf-8"), timeout=10)
+            assert resp.status_code == 500
+            assert resp.json() == {"error": "internal error"}
+        assert requests.get(f"{base}/health", timeout=10).json() == {"triples": 3, "epoch": 1}
+        assert state.snapshot_path.read_bytes() == on_disk
+        assert capsys.readouterr().err.count("RuntimeError: injected fault") == service.WORKERS + 1
+
     def test_shutdown_wakes_the_workers_at_once(self, tmp_path):
-        srv = make_server(load_state(data_path=str(tmp_path / "kb.ttl")), port=0)
+        srv = Server(load_state(data_path=str(tmp_path / "kb.ttl")), port=0)
         thread = threading.Thread(target=srv.serve_forever, daemon=True)
         thread.start()
         assert requests.get(f"http://127.0.0.1:{srv.server_address[1]}/health", timeout=10).status_code == 200
@@ -485,8 +505,8 @@ def test_a_client_that_sends_its_whole_request_first_gets_the_early_answer(serve
 
 def test_health_graph_and_epoch_agree_under_concurrent_writes():
     """Each post adds one new triple, so every /health must read triples == epoch."""
-    state = ServiceState(graph=Graph(), schema=builtin_schema(), validate_writes=False)
-    srv = make_server(state, port=0)
+    state = ServiceState(graph=Graph(), schema=builtin_schema())
+    srv = Server(state, port=0)
     server_thread = threading.Thread(target=srv.serve_forever, daemon=True)
     server_thread.start()
     base = f"http://127.0.0.1:{srv.server_address[1]}"
@@ -524,7 +544,7 @@ def test_health_graph_and_epoch_agree_under_concurrent_writes():
         srv.server_close()
         server_thread.join(timeout=5)
     assert seen and not errors
-    assert (len(state.graph), state.epoch) == (45, 45)
+    assert (len(state.current.graph), state.current.epoch) == (45, 45)
 
 
 def test_readers_see_whole_graphs_while_posts_overlay_and_fold(monkeypatch):
@@ -546,13 +566,13 @@ def test_readers_see_whole_graphs_while_posts_overlay_and_fold(monkeypatch):
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     readers = [threading.Thread(target=read) for _ in range(3)]
-    snapshots, statuses = [(state.graph, set())], []
+    snapshots, statuses = [(state.current.graph, set())], []
     try:
         for t in readers:
             t.start()
         for i in range(60):
             statuses.append(state.apply_post(_locality(f"Town{i}"))[0])
-            snapshots.append((state.graph, set(state.graph)))
+            snapshots.append((state.current.graph, set(state.current.graph)))
     finally:
         done.set()
         for t in readers:
@@ -560,7 +580,7 @@ def test_readers_see_whole_graphs_while_posts_overlay_and_fold(monkeypatch):
         sys.setswitchinterval(old_interval)
     assert not any(t.is_alive() for t in readers)
     assert statuses == [200] * 60 and reads and not errors
-    assert state.types == validation.entail_types(state.graph, builtin_schema())
+    assert state.types == validation.entail_types(state.current.graph, builtin_schema())
     _assert_frozen_as_they_were(snapshots)
 
 
@@ -599,14 +619,14 @@ class TestSnapshot:
         data.write_text(GOOD_TTL, encoding="utf-8")
         (tmp_path / "kb.ttl.epoch").write_text("7\n", encoding="utf-8")  # an old sidecar is not read
         state = load_state(data_path=str(data))
-        assert (len(state.graph), state.epoch) == (3, 0)
+        assert (len(state.current.graph), state.current.epoch) == (3, 0)
 
     def test_reload_restores_graph_and_epoch(self, server, tmp_path):
         base, state = server
         requests.post(f"{base}/graph", data=GOOD_TTL.encode("utf-8"))
         reloaded = load_state(data_path=str(state.snapshot_path))
-        assert set(reloaded.graph) == set(state.graph)
-        assert reloaded.epoch == 1
+        assert set(reloaded.current.graph) == set(state.current.graph)
+        assert reloaded.current.epoch == 1
 
     @pytest.mark.parametrize("nth", [1, 2])
     @pytest.mark.parametrize("owner,name", [(tempfile, "mkstemp"), (os, "fsync"), (os, "replace")])
@@ -616,7 +636,7 @@ class TestSnapshot:
         a 200 must reload as the new pair, and no temp file may remain."""
         base, state = server
         assert requests.post(f"{base}/graph", data=GOOD_TTL.encode("utf-8")).status_code == 200
-        old = (set(state.graph), state.epoch)
+        old = (set(state.current.graph), state.current.epoch)
         real = getattr(owner, name)
         calls = []
 
@@ -635,11 +655,11 @@ class TestSnapshot:
             assert resp.status_code == 507
             assert resp.json()["error"] == "snapshot"
             assert requests.get(f"{base}/health").json() == {"triples": 3, "epoch": 1}
-            assert (set(reloaded.graph), reloaded.epoch) == old
+            assert (set(reloaded.current.graph), reloaded.current.epoch) == old
         else:
             assert resp.status_code == 200
-            assert len(state.graph) == 4
-            assert (set(reloaded.graph), reloaded.epoch) == (set(state.graph), 2)
+            assert len(state.current.graph) == 4
+            assert (set(reloaded.current.graph), reloaded.current.epoch) == (set(state.current.graph), 2)
         assert not list(tmp_path.glob("*.tmp"))
 
 
@@ -653,8 +673,8 @@ def _locality(name):
 
 def _assert_reloads_as_live(state):
     reloaded = load_state(data_path=str(state.snapshot_path))
-    assert graph_equal(reloaded.graph, state.graph)
-    assert reloaded.epoch == state.epoch
+    assert graph_equal(reloaded.current.graph, state.current.graph)
+    assert reloaded.current.epoch == state.current.epoch
 
 
 class TestLog:
@@ -679,7 +699,7 @@ class TestLog:
             fh.write(tail)
         on_disk = path.read_bytes()
         reloaded = load_state(data_path=str(path))
-        assert (set(reloaded.graph), reloaded.epoch) == (set(state.graph), 2)
+        assert (set(reloaded.current.graph), reloaded.current.epoch) == (set(state.current.graph), 2)
         assert path.read_bytes() == on_disk  # loading wrote nothing
         resp = requests.post(f"{base}/graph", data=_locality("Garoua").encode("utf-8"))
         assert resp.json() == {"added": 1, "epoch": 3}
@@ -696,13 +716,13 @@ class TestLog:
             body = _locality(f"Town{i}")
             assert requests.post(f"{base}/graph", data=body.encode("utf-8")).status_code == 200
             (triple,) = parse_turtle(body).graph
-            record = len(f"{triple.n3()}\n# epoch {state.epoch}\n")
+            record = len(f"{triple.n3()}\n# epoch {state.current.epoch}\n")
             first_line = path.read_text(encoding="utf-8").splitlines()[0]
             if size + record <= 2 * whole:
                 assert path.stat().st_size == size + record  # appended
                 assert first_line == "# epoch 1"
             else:
-                assert first_line == f"# epoch {state.epoch}"
+                assert first_line == f"# epoch {state.current.epoch}"
                 break
         else:
             pytest.fail("the file was never rewritten whole")
@@ -720,8 +740,8 @@ class TestLog:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(turtle_tokens, "_Parser", refuse)
                 reloaded = load_state(data_path=str(state.snapshot_path))
-            assert graph_equal(reloaded.graph, state.graph)
-            assert reloaded.epoch == state.epoch
+            assert graph_equal(reloaded.current.graph, state.current.graph)
+            assert reloaded.current.epoch == state.current.epoch
 
         state = load_state(data_path=str(tmp_path / "kb.ttl"))
         assert state.apply_post(GOOD_TTL)[0] == 200  # a whole write
@@ -732,7 +752,7 @@ class TestLog:
         reload_on_the_reader()
         for i in itertools.count():
             assert state.apply_post(_locality(f"Town{i}"))[0] == 200
-            if state.snapshot_path.read_text(encoding="utf-8").splitlines()[0] == f"# epoch {state.epoch}":
+            if state.snapshot_path.read_text(encoding="utf-8").splitlines()[0] == f"# epoch {state.current.epoch}":
                 break  # rewritten whole
         assert '"say \\"hi\\" \\\\ \\""' in state.snapshot_path.read_text(encoding="utf-8")
         reload_on_the_reader()
@@ -741,7 +761,7 @@ class TestLog:
         data = tmp_path / "kb.ttl"
         data.write_text(GOOD_TTL + "# epoch 9\n" + MORE_TTL.split("\n\n")[1], encoding="utf-8")
         state = load_state(data_path=str(data))
-        assert (len(state.graph), state.epoch) == (4, 0)
+        assert (len(state.current.graph), state.current.epoch) == (4, 0)
         status, _, _ = state.apply_post(_locality("Garoua"))
         assert status == 200
         text = data.read_text(encoding="utf-8")
@@ -764,8 +784,8 @@ class TestLog:
         for body in (GOOD_TTL, person, joins):
             assert requests.post(f"{base}/graph", data=body.encode("utf-8")).status_code == 200
         reloaded = load_state(data_path=str(state.snapshot_path))
-        assert {t.subject for t in reloaded.graph if isinstance(t.subject, Blank)} == {Blank("p")}
-        assert (set(reloaded.graph), reloaded.epoch) == (set(state.graph), 3)
+        assert {t.subject for t in reloaded.current.graph if isinstance(t.subject, Blank)} == {Blank("p")}
+        assert (set(reloaded.current.graph), reloaded.current.epoch) == (set(state.current.graph), 3)
 
     def test_posts_after_the_first_copy_serialize_and_validate_nothing(self, tmp_path, monkeypatch):
         data = tmp_path / "kb.ttl"
@@ -789,7 +809,7 @@ class TestLog:
         monkeypatch.setattr(validation, "validate", counting("validate", validation.validate))
         monkeypatch.setattr(os, "fsync", counting("fsync", os.fsync))
         for i in range(20):
-            status, _, body = state.apply_post(_locality(f"Town{i}"))
+            status, body, _ = state.apply_post(_locality(f"Town{i}"))
             assert (status, json.loads(body)) == (200, {"added": 1, "epoch": i + 2})
             assert calls == {"copy": 0, "serialize": 0, "validate": 0, "fsync": i + 1}
         monkeypatch.undo()
@@ -800,9 +820,8 @@ class TestLog:
     def test_state_is_checked_when_built_not_by_the_first_post(self, tmp_path, monkeypatch):
         data = tmp_path / "kb.ttl"
         data.write_text(serialize_turtle(_corpus()), encoding="utf-8")
-        assert load_state(data_path=str(data), validate_writes=False).types is None
         state = load_state(data_path=str(data))
-        assert state.types == validation.entail_types(state.graph, builtin_schema())
+        assert state.types == validation.entail_types(state.current.graph, builtin_schema())
 
         def refusing(*args):
             raise AssertionError("a post ran a full validate or entailment")
@@ -816,18 +835,18 @@ class TestLog:
 
 def test_a_post_is_refused_only_for_the_violations_it_adds():
     state = ServiceState(parse_turtle(make_corpus(1, 50, True).turtle()).graph, builtin_schema())
-    assert len(validation.validate(state.graph, builtin_schema()).violations) == 4
+    assert len(validation.validate(state.current.graph, builtin_schema()).violations) == 4
     stream = deltas(7, 50)
     valid = next(stream)
     invalid = next(delta for delta in stream if not delta.valid)
-    status, _, body = state.apply_post(valid.body)
+    status, body, _ = state.apply_post(valid.body)
     assert (status, json.loads(body)) == (200, {"added": 3, "epoch": 1})
-    assert state.types == validation.entail_types(state.graph, builtin_schema())
-    status, _, body = state.apply_post(invalid.body)
+    assert state.types == validation.entail_types(state.current.graph, builtin_schema())
+    status, body, _ = state.apply_post(invalid.body)
     assert status == 422
     lines = body.splitlines()
     assert lines and all(line.startswith(f"range\t<{invalid.person}>\t") for line in lines)
-    assert state.epoch == 1
+    assert state.current.epoch == 1
 
 
 def test_a_valid_post_sorts_none_of_the_violations_the_graph_was_loaded_with(monkeypatch):
@@ -840,7 +859,7 @@ def test_a_valid_post_sorts_none_of_the_violations_the_graph_was_loaded_with(mon
     calls = []
     sort_key = validation.Violation.sort_key
     monkeypatch.setattr(validation.Violation, "sort_key", lambda v: calls.append(v) or sort_key(v))
-    status, _, body = state.apply_post(next(deltas(7, 50)).body)
+    status, body, _ = state.apply_post(next(deltas(7, 50)).body)
     assert (status, json.loads(body)) == (200, {"added": 3, "epoch": 1})
     assert calls == []
 
@@ -849,16 +868,16 @@ def test_a_refused_post_leaves_the_writers_type_map_as_it_was(tmp_path, monkeypa
     data = tmp_path / "kb.ttl"
     data.write_text(serialize_turtle(_corpus()), encoding="utf-8")
     state, schema = load_state(data_path=str(data)), builtin_schema()
-    snapshots = [(state.graph, set(state.graph))]
+    snapshots = [(state.current.graph, set(state.current.graph))]
 
     def post(body):
         status = state.apply_post(body)[0]
-        snapshots.append((state.graph, set(state.graph)))
+        snapshots.append((state.current.graph, set(state.current.graph)))
         return status
 
     assert post(_locality("Town")) == 200
     assert post(BAD_TTL) == 422  # it would have typed ex:Mixed
-    assert state.types == validation.entail_types(state.graph, schema)
+    assert state.types == validation.entail_types(state.current.graph, schema)
 
     def failing(fd):
         raise OSError("injected fsync failure")
@@ -867,9 +886,9 @@ def test_a_refused_post_leaves_the_writers_type_map_as_it_was(tmp_path, monkeypa
     assert post(_locality("Village")) == 507
     monkeypatch.undo()
     assert Iri("http://example.org/soc/Village") not in state.types
-    assert state.types == validation.entail_types(state.graph, schema)
+    assert state.types == validation.entail_types(state.current.graph, schema)
     assert post(_locality("Village")) == 200
-    assert state.types == validation.entail_types(state.graph, schema)
+    assert state.types == validation.entail_types(state.current.graph, schema)
     _assert_frozen_as_they_were(snapshots)
 
 
@@ -890,7 +909,7 @@ def test_serve_and_each_fold_freeze_what_is_alive(monkeypatch, tmp_path):
         def server_close(self):
             pass
 
-    monkeypatch.setattr(service, "make_server", lambda state, port: Server())
+    monkeypatch.setattr(service, "Server", lambda state, port: Server())
     service.serve(port=0, data_path=str(tmp_path / "kb.ttl"))
     assert started == [1]
 
@@ -900,7 +919,7 @@ def test_serve_and_each_fold_freeze_what_is_alive(monkeypatch, tmp_path):
     for i in range(20):
         before = len(freezes)
         assert state.apply_post(_locality(f"Town{i}"))[0] == 200
-        folded.append(state.graph.flat)
+        folded.append(state.current.graph.flat)
         assert len(freezes) - before == folded[-1]
     assert 0 < folded.count(True) < len(folded)
 
@@ -911,14 +930,14 @@ def test_posts_without_a_fold_keep_one_base_under_a_small_overlay():
     statuses, bases = [], []
     for delta in itertools.islice(deltas(7, 50), 50):  # 150 triples at most: no fold
         statuses.append(state.apply_post(delta.body)[0])
-        graph = state.graph
+        graph = state.current.graph
         if graph is not loaded:
             bases.append(graph._base)
             assert len(graph) - len(graph._base) <= rdf.FOLD_TRIPLES
     assert 200 in statuses and 422 in statuses
     assert all(base is bases[0] for base in bases)
     assert bases[0]._spo is loaded._spo and len(bases[0]) == len(loaded)
-    assert len(state.graph) == len(loaded) + 3 * statuses.count(200)
+    assert len(state.current.graph) == len(loaded) + 3 * statuses.count(200)
 
 
 def test_posts_work_out_no_superclass_closure_again(monkeypatch):
@@ -975,17 +994,17 @@ def test_a_failed_directory_fsync_gets_a_507_and_the_next_post_writes_the_file_w
 
     monkeypatch.setattr(os, "fsync", failing_on_a_directory)
     big = "\n".join(_locality(f"Village{i}") for i in range(100))  # a record past twice the file
-    status, _, body = state.apply_post(big)
+    status, body, _ = state.apply_post(big)
     monkeypatch.undo()
     assert (status, json.loads(body)["error"]) == (507, "snapshot")
     assert state.current is before
     reloaded = load_state(data_path=str(data))  # what a restart would load now
-    assert graph_equal(reloaded.graph, before.graph) and reloaded.epoch == before.epoch
+    assert graph_equal(reloaded.current.graph, before.graph) and reloaded.current.epoch == before.epoch
     assert data.exists() == (whole_write != "no-file")
     assert not list(tmp_path.glob("*.tmp"))
-    status, _, body = state.apply_post(_locality("Hamlet"))
+    status, body, _ = state.apply_post(_locality("Hamlet"))
     assert (status, json.loads(body)) == (200, {"added": 1, "epoch": before.epoch + 1})
-    assert data.read_text(encoding="utf-8").splitlines()[0] == f"# epoch {state.epoch}"
+    assert data.read_text(encoding="utf-8").splitlines()[0] == f"# epoch {state.current.epoch}"
     _assert_reloads_as_live(state)
 
 
@@ -1018,7 +1037,7 @@ def test_a_whole_write_pauses_the_collector_and_restores_it(tmp_path, monkeypatc
 def test_cross_product_with_limit_answers_one_row_and_health_still_answers(tmp_path):
     corpus, data = make_corpus(1, 5, True), tmp_path / "kb.ttl"
     data.write_text(corpus.turtle(), encoding="utf-8")
-    srv = make_server(load_state(data_path=str(data)), port=0)
+    srv = Server(load_state(data_path=str(data)), port=0)
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
     try:

@@ -80,7 +80,10 @@ class TestParse:
         ast = parse_query(f"SELECT ?s WHERE {{ ?s <http://p/q> {text} }}")
         assert ast.pattern.required[0].object == Literal(lexical)
 
-    @pytest.mark.parametrize("escape,message", [(r"\q", "unknown escape"), (r"\u00G1", "bad \\u escape")])
+    @pytest.mark.parametrize(
+        "escape,message",
+        [(r"\q", "unknown escape"), (r"\u00G1", "bad \\u escape"), (r"\uD800", "\\u escape of a surrogate, U+D800")],
+    )
     def test_bad_escape_has_position(self, escape, message):
         with pytest.raises(QueryError) as exc:
             parse_query(f'SELECT ?s WHERE {{\n  ?s <http://p/q> "ab{escape}" }}')

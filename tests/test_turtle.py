@@ -264,6 +264,19 @@ class TestErrorPositions:
         assert exc.value.message == "unknown escape \\q"
         assert exc.value.snippet == bad + "\r"
 
+    @pytest.mark.parametrize("escape", ["\\uD800", "\\udbff", "\\uDC00", "\\uDFFF"])
+    def test_a_surrogate_escape_is_reported_at_its_backslash(self, escape):
+        bad = f'<http://x/s> <http://x/p> "a{escape}b" .'
+        text = '<http://x/s> <http://x/p> "ok" .\n' + bad + "\n"
+        with pytest.raises(ParseError) as exc:
+            parse_turtle(text)
+        assert (exc.value.line, exc.value.column) == (2, bad.index("\\") + 1)
+        assert exc.value.message == f"\\u escape of a surrogate, U+{escape[2:].upper()}"
+
+    def test_the_escapes_around_the_surrogates_decode(self):
+        doc = parse_turtle('<http://x/s> <http://x/p> "\\uD7FF\\uE000" .')
+        assert [t.object for t in doc.graph] == [Literal("\ud7ff\ue000")]
+
 
 @settings(max_examples=200, deadline=None)
 @given(graphs(), st.booleans(), st.booleans(), st.data())
