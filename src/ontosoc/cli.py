@@ -6,7 +6,8 @@ serve.  Results go to stdout, diagnostics to stderr.  Exit codes:
 missing file or a port in use) and a stdout closed early (as by `| head`).
 
 The schema defaults to the builtin one; a replacement Turtle schema may
-be given with --schema or the ONTOSOC_SCHEMA environment variable.
+be given with --schema.  No environment variable is read: every setting
+comes from the command line.
 
 Every command but `serve` runs with the cyclic garbage collector off.
 Each command imports the modules it runs when it runs, so a cold
@@ -43,8 +44,6 @@ class CliError(Exception):
 def _load_schema(path: Optional[str]) -> SchemaDef:
     from .schema import SchemaError, builtin_schema, schema_from_graph
 
-    if path is None:
-        path = os.environ.get("ONTOSOC_SCHEMA") or None
     if path is None:
         return builtin_schema()
     doc = _parse_file(path)

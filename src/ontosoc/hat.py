@@ -133,27 +133,13 @@ def implication_table(triads: Iterable[Triad], cases: Iterable[UseCase]) -> Impl
     return ImplicationTable(per_case, totals)
 
 
-class _Candidate(NamedTuple):
+class CandidateRelation(NamedTuple):
+    """A named, directed edge between two poles of its origin triad."""
+
     name: str
     source: Pole
     target: Pole
     origin_triad: Triad
-
-
-class CandidateRelation(_Candidate):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> CandidateRelation:
-        c = super().__new__(cls, *args, **kwargs)
-        if c.source == c.target:
-            raise ValueError("candidate relation endpoints must differ")
-        if not {c.source, c.target} <= c.origin_triad:
-            raise ValueError("candidate endpoints must lie inside the origin triad")
-        return c
-
-    @classmethod
-    def _make(cls, iterable) -> CandidateRelation:  # so that `_replace` checks too
-        return cls(*iterable)
 
 
 # Directed edges with established names; everything else gets a synthesized name.

@@ -496,7 +496,10 @@ class Graph:
         own = self._pos.get(predicate, _EMPTY)
         below = _EMPTY if self._base is None else self._base._pos.get(predicate, _EMPTY)
         if own and below:
-            return _MergedSlice(below, own)
+            merged = dict(below)
+            for o, subjects in own.items():
+                merged[o] = below[o] | subjects if o in below else subjects
+            return MappingProxyType(merged)
         return MappingProxyType(own or below)
 
     def copy(self) -> "Graph":
@@ -551,33 +554,6 @@ def _triples(spo: dict) -> Iterator[Triple]:
         for p, objs in by_pred.items():
             for o in objs:
                 yield _stored(Triple, (s, p, o))
-
-
-class _MergedSlice(Mapping):
-    """One predicate's slice of an overlay's POS index that both levels
-    hold: each object with the union of its subjects in either."""
-
-    __slots__ = ("_below", "_above")
-
-    def __init__(self, below: dict, above: dict):
-        self._below, self._above = below, above
-
-    def __getitem__(self, o: Term) -> AbstractSet[Term]:
-        below, above = self._below.get(o), self._above.get(o)
-        if below is None:
-            if above is None:
-                raise KeyError(o)
-            return above
-        return below if above is None else below | above
-
-    def __iter__(self) -> Iterator[Term]:
-        below = self._below
-        yield from below
-        yield from (o for o in self._above if o not in below)
-
-    def __len__(self) -> int:
-        below = self._below
-        return len(below) + sum(1 for o in self._above if o not in below)
 
 
 def _path_union(spo: dict, pos: dict, triples: Iterable[Triple]) -> None:

@@ -177,12 +177,6 @@ class SchemaDef(_Schema):
     def class_iris(self) -> set[str]:
         return set(self.superclass_closures)
 
-    def upper_classes(self) -> list[ClassDef]:
-        return [c for c in self.classes if c.superclass is None]
-
-    def subclasses(self, iri: str) -> list[ClassDef]:
-        return [c for c in self.classes if c.superclass == iri]
-
     def superclass_closure(self, iri: str) -> frozenset[str]:
         """Reflexive-transitive closure upward from a declared class."""
         try:

@@ -26,10 +26,13 @@ including 400 for a malformed request line or header field or a second
 Content-Length, 501 for a method other than GET or POST, and 500 for a
 fault anywhere before the send, after which the worker goes on serving.
 A request answered before it was read to its end (as by a 413, 431 or
-414, or a 400 for a bad Content-Length) is not closed at once, which
-would reset the connection under the answer: the worker shuts its write
-side and discards what the client still sends until the client's EOF,
-for at most READ_TIMEOUT and MAX_BODY_BYTES + MAX_HEADER_BYTES bytes.
+414, a 400 for a bad Content-Length, or any GET that declares a body) is
+not closed at once, which would reset the connection under the answer:
+the worker shuts its write side and discards what the client still
+sends until the client's EOF, for at most READ_TIMEOUT and
+MAX_BODY_BYTES + MAX_HEADER_BYTES bytes.  An interrupted `serve`
+(KeyboardInterrupt) stops accepting and finishes the requests in flight,
+waiting up to READ_TIMEOUT in all before it exits.
 
 Writes are serialized behind a lock, and a post's in-memory work grows
 with its delta, not with the graph.  The new graph is built aside by
@@ -100,7 +103,7 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, NamedTuple, Optional, Union
-from urllib.parse import unquote_plus
+from urllib.parse import parse_qs
 
 from .rdf import Graph, PrefixMap, Triple
 from .schema import SchemaDef, builtin_schema, schema_prefixes
@@ -316,16 +319,6 @@ def _http_date() -> str:
             f"{t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT")
 
 
-def _query_parameter(query: str) -> Optional[str]:
-    """The first non-empty ``query`` field of a URL query string, decoded
-    as `urllib.parse.parse_qs` decodes it, or None."""
-    for field in query.split("&"):
-        name, _, value = field.partition("=")
-        if value and unquote_plus(name) == "query":
-            return unquote_plus(value)
-    return None
-
-
 class _Handler:
     """One HTTP/1.0 request on one accepted connection: read, passed to
     ``do_GET`` or ``do_POST``, and answered once."""
@@ -383,7 +376,8 @@ class _Handler:
             elif key == "content-length":  # RFC 9112 §6.3: no way to tell which is meant
                 return _error(400, "more than one Content-Length")
         if method == "GET":
-            self.read_all = True  # a GET is its head
+            # a GET is its head, unless it declares a body (RFC 9112 §6.3), which is drained
+            self.read_all = "content-length" not in headers and "transfer-encoding" not in headers
             return self.do_GET()
         if method == "POST":
             return self.do_POST()
@@ -432,7 +426,7 @@ class _Handler:
             graph, epoch = self.state.current
             return 200, json.dumps({"triples": len(graph), "epoch": epoch}), _JSON
         if self.path == "/sparql":
-            query = _query_parameter(self.query)
+            query = parse_qs(self.query).get("query", [None])[0]
             if query is None:
                 return _error(400, "missing query parameter")
             if len(query) > MAX_QUERY_LENGTH:
@@ -485,18 +479,31 @@ class Server:
             self.socket.close()
             raise
         self.server_address = self.socket.getsockname()
-        self._closing = False
+        self._closing = threading.Event()
         self._stopped = threading.Event()
 
     def serve_forever(self) -> None:
-        """Start the workers and wait until `shutdown` has stopped them all."""
+        """Start the workers and wait until `shutdown` has stopped them all.
+
+        A KeyboardInterrupt stops the accepting too, and is raised again
+        once each worker has finished its connection, or READ_TIMEOUT
+        has passed in all."""
+        workers = [threading.Thread(target=self._work, daemon=True) for _ in range(WORKERS)]
+        deadline = None
         try:
-            workers = [threading.Thread(target=self._work, daemon=True) for _ in range(WORKERS)]
             for worker in workers:
                 worker.start()
-            for worker in workers:
-                worker.join()
+            # not a join: on Python 3.11 a join cut short by the interrupt
+            # leaves its thread marked as stopped, and the next join returns at once
+            self._closing.wait()
+        except KeyboardInterrupt:
+            deadline = time.monotonic() + READ_TIMEOUT
+            raise
         finally:
+            self._stop_accepting()
+            for worker in workers:
+                if worker.is_alive():  # a join raises for one the interrupt kept from starting
+                    worker.join(None if deadline is None else deadline - time.monotonic())
             self._stopped.set()
 
     def _work(self) -> None:
@@ -505,7 +512,7 @@ class Server:
             try:
                 conn, _ = listener.accept()
             except OSError:
-                if self._closing:
+                if self._closing.is_set():
                     return
                 continue  # the connection was aborted before it was accepted, or fds ran out
             try:
@@ -516,7 +523,7 @@ class Server:
                 conn.close()
 
     def _stop_accepting(self) -> None:
-        self._closing = True
+        self._closing.set()
         try:
             self.socket.shutdown(socket.SHUT_RDWR)  # wakes every worker blocked in accept()
         except OSError:

@@ -647,17 +647,10 @@ class TestServe:
             raise AssertionError("the server started")
 
         monkeypatch.setattr(service, "Server", refused)
-        monkeypatch.delenv("ONTOSOC_SCHEMA", raising=False)
 
     def test_missing_schema_file(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.ttl")
         assert run(["serve", "--port", "0", "--schema", missing]) == EXIT_ERROR
-        assert f"no such file: {missing}" in capsys.readouterr().err
-
-    def test_schema_env_var(self, tmp_path, monkeypatch, capsys):
-        missing = str(tmp_path / "missing.ttl")
-        monkeypatch.setenv("ONTOSOC_SCHEMA", missing)
-        assert run(["serve", "--port", "0"]) == EXIT_ERROR
         assert f"no such file: {missing}" in capsys.readouterr().err
 
     def test_unparsable_data_names_path_and_position(self, tmp_path, capsys):
@@ -776,7 +769,6 @@ class TestCollector:
         assert seen == [False] and gc.isenabled()
 
     def test_on_while_serving(self, monkeypatch, capsys):
-        monkeypatch.delenv("ONTOSOC_SCHEMA", raising=False)
         seen = []
         monkeypatch.setattr(service, "serve", lambda **kwargs: seen.append(gc.isenabled()))
         assert run(["serve", "--port", "0"]) == EXIT_OK
@@ -829,9 +821,18 @@ class TestUsage:
     def test_query_requires_source(self, corpus_args, capsys):
         assert run(["query", *corpus_args]) == EXIT_ERROR
 
-    def test_schema_env_var(self, tmp_path, corpus_args, monkeypatch, capsys):
-        out_path = tmp_path / "schema.ttl"
-        run(["derive-schema", "--out", str(out_path)])
-        capsys.readouterr()
-        monkeypatch.setenv("ONTOSOC_SCHEMA", str(out_path))
+    def test_the_schema_comes_from_the_command_line_alone(self, tmp_path, corpus_args, monkeypatch, capsys):
+        monkeypatch.setenv("ONTOSOC_SCHEMA", str(tmp_path / "missing.ttl"))
         assert run(["validate", *corpus_args]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("path", sorted((Path(SRC) / "ontosoc").glob("*.py")), ids=lambda p: p.name)
+def test_no_module_reads_the_environment(path):
+    """Settings come from the command line alone: no module names
+    ``os.environ`` or ``os.getenv``, as an attribute or an import."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names.update(alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module == "os"
+                 for alias in node.names)
+    assert names.isdisjoint({"environ", "environb", "getenv", "getenvb"})

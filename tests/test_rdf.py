@@ -306,6 +306,8 @@ def _assert_graph_is(g: Graph, model: set) -> None:
         assert len(view) == len(expected) and len(list(view)) == len(expected)
         assert {o: set(subs) for o, subs in view.items()} == expected
         assert all((o in view) == (o in expected) for o in _M_OBJECTS)
+        with pytest.raises(TypeError):  # read-only, whether one level holds the predicate or both do
+            view[_M_OBJECTS[0]] = set()
     for bound in itertools.product((False, True), repeat=3):
         slots = [terms if b else [None] for b, terms in zip(bound, _M_BINDINGS)]
         for pattern in itertools.product(*slots):

@@ -66,6 +66,10 @@ def server(tmp_path):
         thread.join(timeout=5)
 
 
+_ALL = "SELECT * WHERE { ?s ?p ?o }"
+_ALL_QUOTED = urllib.parse.quote_plus(_ALL)
+
+
 def _query_url(base, query):
     return f"{base}/sparql?query={urllib.parse.quote(query)}"
 
@@ -81,11 +85,25 @@ class TestEndpoints:
         base, _ = server
         assert requests.get(f"{base}/nowhere").status_code == 404
 
-    def test_sparql_missing_param(self, server):
-        base, _ = server
-        resp = requests.get(f"{base}/sparql")
-        assert resp.status_code == 400
-        assert "query" in resp.json()["error"]
+    @pytest.mark.parametrize(
+        "fields,query",
+        [
+            ("query=&query=" + _ALL_QUOTED, _ALL),
+            ("%71uery=" + _ALL_QUOTED, _ALL),
+            ("query=SELECT+*+WHERE+{+?s+?p+?o+}&query=c", _ALL),
+            ("x=1&&query=" + _ALL_QUOTED, _ALL),
+            ("query=%ZZ", "%ZZ"),
+            ("query", None),
+            ("", None),
+        ],
+    )
+    def test_sparql_takes_the_first_non_empty_query_field(self, server, fields, query):
+        base, state = server
+        status, _, body = _exchange(_port(base), f"GET /sparql?{fields} HTTP/1.0\r\n\r\n".encode("ascii"))
+        if query is None:
+            assert (status, json.loads(body)) == (400, {"error": "missing query parameter"})
+        else:
+            assert (status, body.decode("utf-8")) == state.run_query(query)[:2]
 
     def test_sparql_oversized_query_414(self, server):
         base, _ = server
@@ -489,8 +507,11 @@ class TestProtocol:
         (f"POST /graph HTTP/1.0\r\nContent-Length: {MAX_BODY_BYTES + 1}\r\n\r\n".encode("ascii")
          + b"x" * (MAX_BODY_BYTES + 1), 413),
         (b"GET /health HTTP/1.0\r\nX-Big: " + b"a" * (4 * service.MAX_HEADER_BYTES) + b"\r\n\r\n", 431),
+        (b"GET /health HTTP/1.0\r\nContent-Length: 200000\r\n\r\n" + b"x" * 200000, 200),
+        (b"GET /health HTTP/1.0\r\nTransfer-Encoding: chunked\r\n\r\n30d40\r\n" + b"x" * 200000 + b"\r\n0\r\n\r\n",
+         200),
     ],
-    ids=["body-too-long", "header-block-too-long"],
+    ids=["body-too-long", "header-block-too-long", "get-with-a-body", "get-with-a-chunked-body"],
 )
 def test_a_client_that_sends_its_whole_request_first_gets_the_early_answer(server, request_bytes, status):
     """An answer sent before the request was read to its end reaches a
@@ -499,7 +520,7 @@ def test_a_client_that_sends_its_whole_request_first_gets_the_early_answer(serve
     base, _ = server
     answer = _exchange(_port(base), request_bytes, close_write=False)
     assert answer[0] == status
-    assert set(json.loads(answer[2])) == {"error"}
+    assert set(json.loads(answer[2])) == ({"error"} if status != 200 else {"triples", "epoch"})
     assert requests.get(f"{base}/health", timeout=10).json() == {"triples": 0, "epoch": 0}
 
 
@@ -1087,12 +1108,23 @@ class TestNestedGroups:
         assert len(resp.json()["results"]["bindings"]) == 3
 
 
-class TestProcessRestart:
-    """Kill the server process hard and confirm acknowledged data survives."""
+# `serve` with SIGINT raising KeyboardInterrupt, as from a terminal: a
+# process that starts with SIGINT ignored, as a shell's background job
+# does, keeps it ignored
+_INTERRUPTIBLE_SERVE = (
+    "import signal, sys; from ontosoc.cli import run; "
+    "signal.signal(signal.SIGINT, signal.default_int_handler); sys.exit(run(['serve', *sys.argv[1:]]))"
+)
 
-    def _spawn(self, data_path):
+
+class TestProcessRestart:
+    """Stop the server process, hard or by an interrupt, and confirm
+    acknowledged data survives."""
+
+    def _spawn(self, data_path, *, interruptible=False):
+        how = ["-c", _INTERRUPTIBLE_SERVE] if interruptible else ["-m", "ontosoc.service"]
         proc = subprocess.Popen(
-            [sys.executable, "-m", "ontosoc.service", "--port", "0", "--data", str(data_path)],
+            [sys.executable, *how, "--port", "0", "--data", str(data_path)],
             stdout=subprocess.PIPE,
             text=True,
             env=_env(),
@@ -1124,3 +1156,37 @@ class TestProcessRestart:
         finally:
             proc.send_signal(signal.SIGKILL)
             proc.wait(timeout=10)
+
+    def test_an_interrupted_serve_answers_the_post_in_flight(self, tmp_path):
+        data_path = tmp_path / "kb.ttl"
+        body = GOOD_TTL.encode("utf-8")
+        half = len(body) // 2
+        proc, base = self._spawn(data_path, interruptible=True)
+        try:
+            with socket.create_connection(("127.0.0.1", _port(base)), timeout=30) as sock:
+                sock.sendall(f"POST /graph HTTP/1.0\r\nContent-Length: {len(body)}\r\n\r\n".encode("ascii") + body[:half])
+                time.sleep(0.5)  # a worker has accepted the connection and reads the body
+                proc.send_signal(signal.SIGINT)
+                deadline = time.monotonic() + 10
+                while time.monotonic() < deadline:  # until the server no longer accepts
+                    try:
+                        socket.create_connection(("127.0.0.1", _port(base)), timeout=1).close()
+                    except ConnectionRefusedError:
+                        break
+                    time.sleep(0.01)
+                else:
+                    pytest.fail("the interrupted server still accepts")
+                sock.sendall(body[half:])
+                answer = b""
+                while chunk := sock.recv(65536):
+                    answer += chunk
+            assert proc.wait(timeout=30) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        head, _, payload = answer.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.0 200 ")
+        assert json.loads(payload) == {"added": 3, "epoch": 1}
+        state = load_state(str(data_path))
+        assert (len(state.current.graph), state.current.epoch) == (3, 1)
